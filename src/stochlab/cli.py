@@ -7,10 +7,12 @@ report) and can write the full JSON report with ``--out``.  Exit codes:
 
 Words on the command line are digit strings ("1213"); wildcard positions
 are dots ("1.3").  Rationals print as "p/q" in lowest terms.  Seeds fully
-determine stochastic output; ``--parallel`` (or the LIGGETT_LAB_THREADS
-environment variable) splits trials across processes without changing the
-reported numbers, because per-trial streams are seed-derived and the
-reduction replays results in trial order.
+determine stochastic output: per-trial streams are seed-derived, and their
+random-number blocks grow from 64 to 8192 uniforms without changing the
+values drawn.  ``--parallel`` (or the LIGGETT_LAB_THREADS environment
+variable; either must be >= 1) splits trials across at most one process
+per CPU and per chunk of trials, without changing the reported numbers,
+because the reduction replays results in trial order.
 """
 
 from __future__ import annotations
@@ -86,15 +88,20 @@ def _flatten(prefix: str, value, out: dict[str, str]):
 
 
 def resolve_workers(args) -> int:
-    if getattr(args, "parallel", None):
-        return max(1, args.parallel)
+    if args.parallel is not None:
+        if args.parallel < 1:
+            raise ValueError(f"--parallel must be >= 1, got {args.parallel}")
+        return args.parallel
     env = os.environ.get("LIGGETT_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"LIGGETT_LAB_THREADS must be an integer, got {env!r}")
-    return 1
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        raise ValueError(f"LIGGETT_LAB_THREADS must be an integer, got {env!r}")
+    if workers < 1:
+        raise ValueError(f"LIGGETT_LAB_THREADS must be >= 1, got {env!r}")
+    return workers
 
 
 def _apply_config_file(args):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .parallel import chunk_ranges, run_trials
 from .rng import UniformBuffer, binomial_ci, trial_generator
 from .stats import TrialStats
 
@@ -59,16 +60,13 @@ def threshold_config(lam: float, length: int | None = None) -> ContactConfig:
 
 
 class _IndexedSet:
-    """Set with O(1) add/remove and O(1) uniform pick by index."""
+    """Set with O(1) add/remove; ``items`` lists the members for uniform picks."""
 
     __slots__ = ("items", "pos")
 
     def __init__(self):
         self.items: list[int] = []
         self.pos: dict[int, int] = {}
-
-    def __len__(self):
-        return len(self.items)
 
     def __contains__(self, x):
         return x in self.pos
@@ -83,9 +81,6 @@ class _IndexedSet:
         if i < len(self.items):
             self.items[i] = last
             self.pos[last] = i
-
-    def pick(self, i: int) -> int:
-        return self.items[i]
 
 
 @dataclass(frozen=True)
@@ -120,18 +115,20 @@ def _run(cfg: ContactConfig, init, t_max: float, rng: UniformBuffer,
         return 1 <= x <= length if finite else True
 
     occupied = _IndexedSet()
+    occupied_items = occupied.items
     counts: dict[int, int] = {}
     buckets = [_IndexedSet() for _ in range(nb_max + 1)]  # index = neighbor count
-
-    def bucket_weight() -> float:
-        if threshold:
-            return lam * sum(len(b) for b in buckets[1:])
-        return lam * sum(k * len(buckets[k]) for k in range(1, nb_max + 1))
+    bucket_items = [b.items for b in buckets]
+    # birth rate in units of lam: the summed neighbor counts of the vacant
+    # sites, or in threshold mode the number of vacant sites with any
+    units = 0
 
     def occupy(x: int):
+        nonlocal units
         k = counts.pop(x, 0)
         if k:
             buckets[k].remove(x)
+            units -= 1 if threshold else k
         occupied.add(x)
         for d in offsets:
             y = x + d
@@ -141,8 +138,11 @@ def _run(cfg: ContactConfig, init, t_max: float, rng: UniformBuffer,
                     buckets[ky].remove(y)
                 counts[y] = ky + 1
                 buckets[ky + 1].add(y)
+                if not threshold or not ky:
+                    units += 1
 
     def die(x: int):
+        nonlocal units
         occupied.remove(x)
         k = 0
         for d in offsets:
@@ -160,9 +160,12 @@ def _run(cfg: ContactConfig, init, t_max: float, rng: UniformBuffer,
                         buckets[ky - 1].add(y)
                     else:
                         del counts[y]
+                    if not threshold or ky == 1:
+                        units -= 1
         if k:
             counts[x] = k
             buckets[k].add(x)
+            units += 1 if threshold else k
 
     boundary_hit = False
     init = sorted(set(init))
@@ -175,7 +178,7 @@ def _run(cfg: ContactConfig, init, t_max: float, rng: UniformBuffer,
             boundary_hit = True
 
     def right_edge():
-        return max(occupied.items) if len(occupied) else None
+        return max(occupied_items) if occupied_items else None
 
     path: list[tuple[float, float | None]] = [(0.0, right_edge())]
     next_record = record_dt if record_dt else math.inf
@@ -184,11 +187,11 @@ def _run(cfg: ContactConfig, init, t_max: float, rng: UniformBuffer,
     events = 0
     extinct_time = None
     while True:
-        if not len(occupied):
+        n_occupied = len(occupied_items)
+        if not n_occupied:
             extinct_time = t
             break
-        birth_weight = bucket_weight()
-        total = len(occupied) + birth_weight
+        total = n_occupied + lam * units
         t_next = t + rng.exponential(total)
         while next_record <= min(t_next, t_max):
             path.append((next_record, right_edge()))
@@ -199,27 +202,29 @@ def _run(cfg: ContactConfig, init, t_max: float, rng: UniformBuffer,
         t = t_next
         events += 1
         r = rng.next() * total
-        if r < len(occupied):
-            die(occupied.pick(rng.below(len(occupied))))
+        if r < n_occupied:
+            die(occupied_items[rng.below(n_occupied)])
         else:
-            r -= len(occupied)
-            nonempty = [k for k in range(1, nb_max + 1) if len(buckets[k])]
-            for j, k in enumerate(nonempty):
-                w = lam * len(buckets[k]) * (1 if threshold else k)
-                # the last bucket absorbs any float roundoff in r
-                if r < w or j == len(nonempty) - 1:
-                    x = buckets[k].pick(rng.below(len(buckets[k])))
-                    occupy(x)
-                    if finite and (x == 1 or x == length):
-                        boundary_hit = True
-                    break
-                r -= w
+            r -= n_occupied
+            for k in range(1, nb_max + 1):
+                size = len(bucket_items[k])
+                if size:
+                    chosen = k
+                    w = lam * size * (1 if threshold else k)
+                    if r < w:
+                        break
+                    r -= w
+            # with no break, the last nonempty bucket absorbs any float roundoff in r
+            x = bucket_items[chosen][rng.below(len(bucket_items[chosen]))]
+            occupy(x)
+            if finite and (x == 1 or x == length):
+                boundary_hit = True
 
     path.append((t_max if extinct_time is None else extinct_time, right_edge()))
     return ContactTrajectory(
         alive_at_tmax=extinct_time is None,
         extinct_time=extinct_time,
-        final_occupied=tuple(sorted(occupied.items)),
+        final_occupied=tuple(sorted(occupied_items)),
         right_edge_path=tuple(path),
         boundary_hit=boundary_hit,
         n_events=events,
@@ -262,11 +267,6 @@ def _survival_chunk(packed):
     return survivals, boundary
 
 
-def _chunk_ranges(trials: int, workers: int):
-    per = -(-trials // workers)
-    return [(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
-
-
 def estimate_survival(cfg: ContactConfig, t_max: float, trials: int, seed: int,
                       init=None, workers: int = 1) -> SurvivalEstimate:
     """Fraction of trials still occupied at t_max, with a 95% interval.
@@ -282,15 +282,8 @@ def estimate_survival(cfg: ContactConfig, t_max: float, trials: int, seed: int,
     if init is None:
         init = center_seed(cfg)
     init = tuple(init)
-    jobs = [(cfg, init, t_max, seed, lo, hi)
-            for lo, hi in _chunk_ranges(trials, max(1, workers))]
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_survival_chunk, jobs))
-    else:
-        parts = [_survival_chunk(job) for job in jobs]
+    jobs = [(cfg, init, t_max, seed, lo, hi) for lo, hi in chunk_ranges(trials, workers)]
+    parts = run_trials(_survival_chunk, jobs, workers)
     survivals = sum(p[0] for p in parts)
     boundary_hits = sum(p[1] for p in parts)
     low, high = binomial_ci(survivals, trials)

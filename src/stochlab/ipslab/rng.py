@@ -20,20 +20,31 @@ def trial_generator(master_seed: int, *lane: int) -> Generator:
     return Generator(Philox(SeedSequence(entropy=(master_seed,) + tuple(lane))))
 
 
+FIRST_BLOCK = 64
+MAX_BLOCK = 8192
+
+
 class UniformBuffer:
-    """Scalar uniforms on [0, 1) drawn from a Generator in blocks."""
+    """Scalar uniforms on [0, 1) drawn from a Generator in blocks.
+
+    The first block holds FIRST_BLOCK uniforms and each refill doubles it
+    up to MAX_BLOCK, so a short trial pays only for what it reads.  Philox
+    spends one 64-bit word per double, so the values equal one long
+    ``gen.random`` call whatever the block sizes.
+    """
 
     __slots__ = ("_gen", "_block", "_buf", "_pos")
 
-    def __init__(self, gen: Generator, block: int = 8192):
+    def __init__(self, gen: Generator):
         self._gen = gen
-        self._block = block
+        self._block = FIRST_BLOCK
         self._buf: list[float] = []
         self._pos = 0
 
     def next(self) -> float:
         if self._pos == len(self._buf):
             self._buf = self._gen.random(self._block).tolist()
+            self._block = min(2 * self._block, MAX_BLOCK)
             self._pos = 0
         u = self._buf[self._pos]
         self._pos += 1

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from ..gaplab.graphs import WeightedGraph
+from .parallel import chunk_ranges, run_trials
 from .rng import UniformBuffer, trial_generator
 from .stats import TrialStats
 
@@ -65,12 +66,11 @@ def simulate_voter(cfg: VoterConfig, t_max: float, seed: int,
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     rng = UniformBuffer(trial_generator(seed, 0))
-    return _run_voter(cfg, t_max, rng, record_dt)
+    return _run_voter(cfg, adjacency_lists(cfg.graph), t_max, rng, record_dt)
 
 
-def _run_voter(cfg: VoterConfig, t_max: float, rng: UniformBuffer,
+def _run_voter(cfg: VoterConfig, adj: list[list[int]], t_max: float, rng: UniformBuffer,
                record_dt: float | None = None) -> VoterTrajectory:
-    adj = adjacency_lists(cfg.graph)
     n = cfg.graph.n
     opinions = _initial_opinions(cfg, rng)
     ones = sum(opinions)
@@ -127,11 +127,12 @@ def consensus_rate(cfg: VoterConfig, t_max: float, trials: int, seed: int) -> Co
     """Fraction of trials reaching unanimity by t_max."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    adj = adjacency_lists(cfg.graph)
     times = []
     reached = 0
     for trial in range(trials):
         rng = UniformBuffer(trial_generator(seed, 2, trial))
-        out = _run_voter(cfg, t_max, rng)
+        out = _run_voter(cfg, adj, t_max, rng)
         if out.consensus_time is not None:
             reached += 1
             times.append(out.consensus_time)
@@ -146,7 +147,10 @@ def consensus_rate(cfg: VoterConfig, t_max: float, trials: int, seed: int) -> Co
 def coalescing_walk_survivors(graph: WeightedGraph, start, t_max: float,
                               rng: UniformBuffer) -> int:
     """Number of distinct walkers left at t_max, merging on meeting."""
-    adj = adjacency_lists(graph)
+    return _walk_survivors(adjacency_lists(graph), start, t_max, rng)
+
+
+def _walk_survivors(adj: list[list[int]], start, t_max: float, rng: UniformBuffer) -> int:
     positions = sorted(set(start))
     occupied_by: dict[int, int] = {x: i for i, x in enumerate(positions)}
     alive = set(range(len(positions)))
@@ -199,24 +203,21 @@ class DualityReport:
         }
 
 
-def _duality_lhs_chunk(packed):
+def _duality_chunk(packed):
+    """Trials lo..hi-1 of both sides: the voter count and the walk values."""
     graph, target, t, rho, seed, lo, hi = packed
     cfg = VoterConfig(graph, rho=rho)
+    adj = adjacency_lists(graph)
     count = 0
     for trial in range(lo, hi):
         rng = UniformBuffer(trial_generator(seed, 3, trial))
-        out = _run_voter(cfg, t, rng)
+        out = _run_voter(cfg, adj, t, rng)
         count += all(out.final_opinions[v] == 1 for v in target)
-    return count
-
-
-def _duality_rhs_chunk(packed):
-    graph, target, t, rho, seed, lo, hi = packed
     values = []
     for trial in range(lo, hi):
         rng = UniformBuffer(trial_generator(seed, 4, trial))
-        values.append(rho ** coalescing_walk_survivors(graph, target, t, rng))
-    return values
+        values.append(rho ** _walk_survivors(adj, target, t, rng))
+    return count, values
 
 
 def duality_check(graph: WeightedGraph, target, t: float, rho: float,
@@ -244,25 +245,14 @@ def duality_check(graph: WeightedGraph, target, t: float, rho: float,
     if not graph.is_connected:
         raise ValueError("duality check requires a connected graph")
 
-    from .contact import _chunk_ranges
-
-    jobs = [(graph, target, t, rho, seed, lo, hi)
-            for lo, hi in _chunk_ranges(trials, max(1, workers))]
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            lhs_counts = list(pool.map(_duality_lhs_chunk, jobs))
-            rhs_chunks = list(pool.map(_duality_rhs_chunk, jobs))
-    else:
-        lhs_counts = [_duality_lhs_chunk(job) for job in jobs]
-        rhs_chunks = [_duality_rhs_chunk(job) for job in jobs]
-    lhs = sum(lhs_counts) / trials
+    jobs = [(graph, target, t, rho, seed, lo, hi) for lo, hi in chunk_ranges(trials, workers)]
+    parts = run_trials(_duality_chunk, jobs, workers)
+    lhs = sum(count for count, _ in parts) / trials
     lhs_var = lhs * (1 - lhs) / trials
 
     rhs_sum = 0.0
     rhs_sq = 0.0
-    for values in rhs_chunks:
+    for _, values in parts:
         for value in values:
             rhs_sum += value
             rhs_sq += value * value

@@ -176,6 +176,22 @@ class TestSimCommands:
                            "--tmax", "3", "--trials", "8", "--seed", "4")
         assert code == 0
 
+    @pytest.mark.parametrize("flag, env, named", [
+        ("-3", None, "--parallel"),
+        ("0", None, "--parallel"),
+        (None, "0", "LIGGETT_LAB_THREADS"),
+    ])
+    def test_bad_worker_count_exits_two(self, monkeypatch, capsys, flag, env, named):
+        if env is not None:
+            monkeypatch.setenv("LIGGETT_LAB_THREADS", env)
+        argv = ["sim", "contact", "--lambda", "1.0", "--L", "21", "--tmax", "3",
+                "--trials", "8", "--seed", "4"]
+        if flag is not None:
+            argv += ["--parallel", flag]
+        code, report = run(*argv)
+        assert code == 2 and report is None
+        assert named in capsys.readouterr().err
+
     def test_contact_csv(self, tmp_path):
         csv = tmp_path / "traj.csv"
         code, _ = run("sim", "contact", "--lambda", "1.0", "--L", "21", "--tmax", "3",
