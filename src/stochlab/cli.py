@@ -9,10 +9,11 @@ Words on the command line are digit strings ("1213"); wildcard positions
 are dots ("1.3").  Rationals print as "p/q" in lowest terms.  Seeds fully
 determine stochastic output: per-trial streams are seed-derived, and their
 random-number blocks grow from 64 to 8192 uniforms without changing the
-values drawn.  ``--parallel`` (or the LIGGETT_LAB_THREADS environment
-variable; either must be >= 1) splits trials across at most one process
-per CPU and per chunk of trials, without changing the reported numbers,
-because the reduction replays results in trial order.
+values drawn.  ``sim contact`` and ``sim duality`` take ``--parallel`` (or
+the LIGGETT_LAB_THREADS environment variable; either must be >= 1) and
+split trials across at most one process per CPU and per chunk of trials,
+without changing the reported numbers, because the reduction replays
+results in trial order.  No other subcommand accepts ``--parallel``.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def cmd_gap_report(args):
     net = gaplab.parse_graph_file(args.graph)
     hyper = net.hyper if (args.shuffle and net.hyper.rates) else None
     report = gaplab.gap_report(net.graph, hyper=hyper, tol_zero=args.tol_zero,
-                               rtol=args.rtol, allow_large=args.allow_large)
+                               rtol=args.rtol)
     payload = report.to_dict()
     return payload, json.dumps(_jsonable(payload), indent=2)
 
@@ -204,7 +205,7 @@ def cmd_gap_reduce(args):
 
 def cmd_gap_octopus(args):
     net = gaplab.parse_graph_file(args.graph)
-    form = gaplab.octopus_form(net.graph, args.vertex, allow_large=args.allow_large)
+    form = gaplab.octopus_form(net.graph, args.vertex)
     low, high = gaplab.extreme_eigenvalues(form.matrix)
     norm = max(abs(low), abs(high))
     payload = {
@@ -221,7 +222,7 @@ def cmd_gap_shuffle(args):
     if not net.hyper.rates:
         raise ValueError(f"{args.graph} has no 'h' records; the shuffle needs subset rates")
     payload = gaplab.shuffle_gap_comparison(net.hyper, tol_zero=args.tol_zero,
-                                            rtol=args.rtol, allow_large=args.allow_large)
+                                            rtol=args.rtol)
     return payload, json.dumps(_jsonable(payload), indent=2)
 
 
@@ -300,6 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", help="write the full JSON report to this file")
         sub.add_argument("--expect", action="append", default=[],
                          metavar="KEY=VALUE", help="assert a report field (exit 1 on mismatch)")
+
+    def parallel(sub):
         sub.add_argument("--parallel", type=int, default=None,
                          help="worker processes (default: LIGGETT_LAB_THREADS or 1)")
 
@@ -345,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shuffle", action="store_true", help="include the subset-shuffle comparison")
     p.add_argument("--tol-zero", type=float, default=gaplab.DEFAULT_TOL_ZERO)
     p.add_argument("--rtol", type=float, default=gaplab.DEFAULT_RTOL)
-    p.add_argument("--allow-large", action="store_true")
     common(p)
     p.set_defaults(handler=cmd_gap_report, op="gap.report")
 
@@ -358,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = gap.add_parser("octopus", help="eigen-bounds of the hub comparison form")
     p.add_argument("--graph", required=True)
     p.add_argument("--vertex", type=int, required=True)
-    p.add_argument("--allow-large", action="store_true")
     common(p)
     p.set_defaults(handler=cmd_gap_octopus, op="gap.octopus")
 
@@ -366,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--tol-zero", type=float, default=gaplab.DEFAULT_TOL_ZERO)
     p.add_argument("--rtol", type=float, default=gaplab.DEFAULT_RTOL)
-    p.add_argument("--allow-large", action="store_true")
     common(p)
     p.set_defaults(handler=cmd_gap_shuffle, op="gap.shuffle")
 
@@ -385,6 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write a trajectory CSV here")
     p.add_argument("--config", help="key=value file with defaults")
     common(p)
+    parallel(p)
     p.set_defaults(handler=cmd_sim_contact, op="sim.contact")
 
     p = sim.add_parser("voter", help="voter model consensus statistics")
@@ -407,6 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--config", help="key=value file with defaults")
     common(p)
+    parallel(p)
     p.set_defaults(handler=cmd_sim_duality, op="sim.duality")
 
     return parser

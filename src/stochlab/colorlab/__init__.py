@@ -22,7 +22,6 @@ from .words import (
     CLOSE,
     NEUTRAL,
     OPEN,
-    ColorWord,
     DispersedDyckWord,
     RunDecomposition,
     SignMatrix,
@@ -37,7 +36,6 @@ __all__ = [
     "CLOSE",
     "NEUTRAL",
     "OPEN",
-    "ColorWord",
     "CylinderMeasure",
     "DependenceReport",
     "DependenceWitness",

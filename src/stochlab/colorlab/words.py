@@ -27,40 +27,6 @@ _COLOR_TO_SIGNS = {1: (+1, +1), 2: (+1, -1), 3: (-1, +1), 4: (-1, -1)}
 _SIGNS_TO_COLOR = {v: k for k, v in _COLOR_TO_SIGNS.items()}
 
 
-@dataclass(frozen=True)
-class ColorWord:
-    """A finite word over the colors ``{1..q}``.
-
-    >>> ColorWord(4, (1, 2, 1)).is_proper
-    True
-    >>> ColorWord(4, (1, 1)).is_proper
-    False
-    """
-
-    q: int
-    letters: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.q < 2:
-            raise ValueError(f"need at least 2 colors, got q={self.q}")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for a in self.letters:
-            if not 1 <= a <= self.q:
-                raise ValueError(f"letter {a} outside 1..{self.q}")
-
-    def __len__(self):
-        return len(self.letters)
-
-    @property
-    def is_proper(self) -> bool:
-        return is_proper(self.letters)
-
-    def deletions(self):
-        """All words obtained by deleting one letter, in position order."""
-        xs = self.letters
-        return [xs[:i] + xs[i + 1 :] for i in range(len(xs))]
-
-
 def is_proper(letters) -> bool:
     """True when no two adjacent letters are equal."""
     return all(a != b for a, b in zip(letters, letters[1:]))

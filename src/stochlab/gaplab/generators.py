@@ -2,9 +2,12 @@
 
 Permutation states assign a label to each vertex and are ranked by Lehmer
 code (lexicographic order of the label tuples).  All generators here are
-symmetric, so the uniform measure is reversible for each of them.  Dense
-matrices are built up to 6! states; 7 vertices are gated behind
-``allow_large`` and produce a sparse matrix for the iterative eigensolver.
+symmetric, so the uniform measure is reversible for each of them.  Every
+state-space generator collects its rates in one builder, and the state
+count alone picks the format: a dense matrix up to ``DENSE_STATE_LIMIT``
+states (6! = 720), a sparse one above it (such as the 7! = 5040 states of
+seven vertices), which the spectral routines hand to the iterative
+eigensolver.
 """
 
 from __future__ import annotations
@@ -42,62 +45,50 @@ class GeneratorOperator:
         return self.matrix.toarray() if self.is_sparse else self.matrix
 
 
-def _check_permutation_capacity(n: int, allow_large: bool, what: str):
+def _check_permutation_capacity(n: int, what: str):
     if n < 2:
         raise ValueError(f"{what} needs at least 2 vertices")
     if n > MAX_VERTICES:
         raise CapacityError(f"{what} supports at most {MAX_VERTICES} vertices, got {n}")
-    if math.factorial(n) > DENSE_STATE_LIMIT and not allow_large:
-        raise CapacityError(
-            f"{what} on {n} vertices has {math.factorial(n)} states; "
-            "pass allow_large=True to use the sparse iterative path"
-        )
 
 
 class _MatrixBuilder:
-    """Accumulates symmetric off-diagonal rates, dense or sparse."""
+    """Accumulates off-diagonal rates as triplets and their negated row sums.
 
-    def __init__(self, dim: int, use_sparse: bool):
+    Duplicate entries are summed in the order they were added.
+    """
+
+    def __init__(self, dim: int):
         self.dim = dim
-        self.use_sparse = use_sparse
-        if use_sparse:
-            self.rows: list[int] = []
-            self.cols: list[int] = []
-            self.vals: list[float] = []
-            self.diag = np.zeros(dim)
-        else:
-            self.mat = np.zeros((dim, dim))
+        self.rows: list[int] = []
+        self.cols: list[int] = []
+        self.vals: list[float] = []
+        self.diag = np.zeros(dim)
 
     def add(self, r: int, c: int, rate: float):
-        if self.use_sparse:
-            self.rows.append(r)
-            self.cols.append(c)
-            self.vals.append(rate)
-            self.diag[r] -= rate
-        else:
-            self.mat[r, c] += rate
-            self.mat[r, r] -= rate
+        self.rows.append(r)
+        self.cols.append(c)
+        self.vals.append(rate)
+        self.diag[r] -= rate
 
     def finish(self):
-        if not self.use_sparse:
-            return self.mat
+        """Dense up to ``DENSE_STATE_LIMIT`` states, CSR above it."""
         d = self.dim
         self.rows.extend(range(d))
         self.cols.extend(range(d))
         self.vals.extend(self.diag)
-        return sparse.coo_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(d, d)
-        ).tocsr()
+        coo = sparse.coo_matrix((self.vals, (self.rows, self.cols)), shape=(d, d))
+        return coo.toarray() if d <= DENSE_STATE_LIMIT else coo.tocsr()
 
 
-def interchange_generator(graph: WeightedGraph, allow_large: bool = False) -> GeneratorOperator:
+def interchange_generator(graph: WeightedGraph) -> GeneratorOperator:
     """Label swaps across every positive edge at the edge's conductance."""
     n = graph.n
-    _check_permutation_capacity(n, allow_large, "interchange process")
+    _check_permutation_capacity(n, "interchange process")
     states = tuple(itertools.permutations(range(n)))
     index = {s: r for r, s in enumerate(states)}
     edges = list(graph.edges())
-    builder = _MatrixBuilder(len(states), len(states) > DENSE_STATE_LIMIT)
+    builder = _MatrixBuilder(len(states))
     for r, sigma in enumerate(states):
         lst = list(sigma)
         for i, j, w in edges:
@@ -124,54 +115,49 @@ def exclusion_generator(graph: WeightedGraph, k: int) -> GeneratorOperator:
         raise ValueError(f"particle count must satisfy 1 <= k <= {n - 1}, got {k}")
     if math.comb(n, k) > 10_000:
         raise CapacityError(
-            f"exclusion process with {math.comb(n, k)} configurations exceeds the dense limit"
+            f"exclusion process with {math.comb(n, k)} configurations exceeds the limit of 10000"
         )
     states = tuple(itertools.combinations(range(n), k))
     index = {s: r for r, s in enumerate(states)}
     edges = list(graph.edges())
-    mat = np.zeros((len(states), len(states)))
+    builder = _MatrixBuilder(len(states))
     for r, subset in enumerate(states):
         members = set(subset)
         for i, j, w in edges:
             if (i in members) != (j in members):
                 swapped = tuple(sorted(members.symmetric_difference((i, j))))
-                c = index[swapped]
-                mat[r, c] += w
-                mat[r, r] -= w
-    return GeneratorOperator("exclusion", states, mat)
+                builder.add(r, index[swapped], w)
+    return GeneratorOperator("exclusion", states, builder.finish())
 
 
-def alpha_shuffle_generator(hyper: HyperWeights, allow_large: bool = False) -> GeneratorOperator:
+def alpha_shuffle_generator(hyper: HyperWeights) -> GeneratorOperator:
     """Uniform rearrangement of the labels on each rated subset.
 
     Each subset A contributes rate * (U_A - I) where U_A averages over all
-    |A|! arrangements of the labels occupying A, the identity included.
+    |A|! arrangements of the labels occupying A.  The identity arrangement's
+    share, rate/|A|!, cancels against the same amount of the -rate * I
+    term, so it is left out of both.
     """
     n = hyper.n
-    _check_permutation_capacity(n, allow_large, "alpha-shuffle process")
+    _check_permutation_capacity(n, "alpha-shuffle process")
     states = tuple(itertools.permutations(range(n)))
     index = {s: r for r, s in enumerate(states)}
-    use_sparse = len(states) > DENSE_STATE_LIMIT
-    if use_sparse:
-        mat = sparse.csr_matrix((len(states), len(states)))
-    else:
-        mat = np.zeros((len(states), len(states)))
+    builder = _MatrixBuilder(len(states))
     for subset, rate in hyper.rates.items():
         if rate == 0:
             continue
         positions = sorted(subset)
         f = math.factorial(len(positions))
         per = rate / f
-        builder = _MatrixBuilder(len(states), use_sparse)
         for r, sigma in enumerate(states):
             labels = [sigma[p] for p in positions]
             lst = list(sigma)
-            for arrangement in itertools.permutations(labels):
+            # permutations() yields the identity arrangement first
+            for arrangement in itertools.islice(itertools.permutations(labels), 1, None):
                 for p, lab in zip(positions, arrangement):
                     lst[p] = lab
                 builder.add(r, index[tuple(lst)], per)
-        mat = mat + builder.finish()
-    return GeneratorOperator("alpha_shuffle", states, mat)
+    return GeneratorOperator("alpha_shuffle", states, builder.finish())
 
 
 def alpha_single_particle_rates(hyper: HyperWeights) -> WeightedGraph:

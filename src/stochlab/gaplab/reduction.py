@@ -17,13 +17,7 @@ import itertools
 
 import numpy as np
 
-from .generators import (
-    DENSE_STATE_LIMIT,
-    GeneratorOperator,
-    _check_permutation_capacity,
-    _MatrixBuilder,
-    interchange_generator,
-)
+from .generators import GeneratorOperator, _check_permutation_capacity, _MatrixBuilder
 from .graphs import WeightedGraph
 
 
@@ -52,7 +46,7 @@ def embedded_reduced_graph(graph: WeightedGraph, i: int) -> WeightedGraph:
     return WeightedGraph(w)
 
 
-def octopus_form(graph: WeightedGraph, i: int, allow_large: bool = False) -> GeneratorOperator:
+def octopus_form(graph: WeightedGraph, i: int) -> GeneratorOperator:
     """The hub-comparison matrix C on the permutation space.
 
     C = sum_l c(i,l) (I - T_il)
@@ -64,7 +58,7 @@ def octopus_form(graph: WeightedGraph, i: int, allow_large: bool = False) -> Gen
     a generator, and its claimed property is positive semidefiniteness.
     """
     n = graph.n
-    _check_permutation_capacity(n, allow_large, "hub comparison form")
+    _check_permutation_capacity(n, "hub comparison form")
     if not 0 <= i < n:
         raise ValueError(f"vertex {i} outside 0..{n - 1}")
     strength = graph.strength(i)
@@ -85,7 +79,7 @@ def octopus_form(graph: WeightedGraph, i: int, allow_large: bool = False) -> Gen
 
     states = tuple(itertools.permutations(range(n)))
     index = {s: r for r, s in enumerate(states)}
-    builder = _MatrixBuilder(len(states), len(states) > DENSE_STATE_LIMIT)
+    builder = _MatrixBuilder(len(states))
     for r, sigma in enumerate(states):
         lst = list(sigma)
         for (a, b), c in coeff.items():
@@ -96,9 +90,3 @@ def octopus_form(graph: WeightedGraph, i: int, allow_large: bool = False) -> Gen
     # the builder accumulates sum_c c (T - I); the comparison form is its negative
     return GeneratorOperator("octopus_form", states, -builder.finish())
 
-
-def reduced_interchange_generator(graph: WeightedGraph, i: int,
-                                  allow_large: bool = False) -> GeneratorOperator:
-    """Interchange generator of the reduced graph on the full permutation
-    space (vertex i keeps its label forever)."""
-    return interchange_generator(embedded_reduced_graph(graph, i), allow_large)

@@ -60,8 +60,7 @@ class GapReport:
 
 
 def gap_report(graph: WeightedGraph, hyper: HyperWeights | None = None,
-               tol_zero: float = DEFAULT_TOL_ZERO, rtol: float = DEFAULT_RTOL,
-               allow_large: bool = False) -> GapReport:
+               tol_zero: float = DEFAULT_TOL_ZERO, rtol: float = DEFAULT_RTOL) -> GapReport:
     """Compute the walk, interchange, and exclusion gaps of one graph.
 
     Flags any relative deviation of the interchange or exclusion gaps from
@@ -73,7 +72,7 @@ def gap_report(graph: WeightedGraph, hyper: HyperWeights | None = None,
         raise ReducibilityError("gap report requires a connected graph")
     started = time.perf_counter()
     lam_rw = spectral_gap(rw_generator(graph), tol_zero)
-    lam_ip = spectral_gap(interchange_generator(graph, allow_large), tol_zero)
+    lam_ip = spectral_gap(interchange_generator(graph), tol_zero)
     exclusion = [
         spectral_gap(exclusion_generator(graph, k), tol_zero)
         for k in range(1, graph.n)
@@ -104,7 +103,7 @@ def gap_report(graph: WeightedGraph, hyper: HyperWeights | None = None,
         max_rel_deviation=max_rel,
     )
     if hyper is not None:
-        shuffle_report = shuffle_gap_comparison(hyper, tol_zero, rtol, allow_large)
+        shuffle_report = shuffle_gap_comparison(hyper, tol_zero, rtol)
         report.lambda_shuffle = shuffle_report["lambdaShuffle"]
         report.lambda_shuffle_rw = shuffle_report["lambdaShuffleRW"]
         report.shuffle_identity_ok = shuffle_report["shuffleIdentityOk"]
@@ -116,7 +115,7 @@ def gap_report(graph: WeightedGraph, hyper: HyperWeights | None = None,
 
 
 def shuffle_gap_comparison(hyper: HyperWeights, tol_zero: float = DEFAULT_TOL_ZERO,
-                           rtol: float = DEFAULT_RTOL, allow_large: bool = False) -> dict:
+                           rtol: float = DEFAULT_RTOL) -> dict:
     """Gap of the subset-shuffle process vs the single-particle walk.
 
     The equality of the two is conjectural: disagreements are flagged in
@@ -138,7 +137,7 @@ def shuffle_gap_comparison(hyper: HyperWeights, tol_zero: float = DEFAULT_TOL_ZE
             "shuffleIdentityOk": None,
             "flags": ["single-particle graph is disconnected"],
         }
-    lam_shuffle = spectral_gap(alpha_shuffle_generator(hyper, allow_large), tol_zero)
+    lam_shuffle = spectral_gap(alpha_shuffle_generator(hyper), tol_zero)
     lam_walk = spectral_gap(rw_generator(single), tol_zero)
     agree = abs(lam_shuffle - lam_walk) <= rtol * max(lam_walk, 1e-300)
     if not agree:

@@ -1,10 +1,12 @@
 """Spectral gaps, Dirichlet forms, and variance for symmetric generators.
 
-Dense operators get a full symmetric eigendecomposition.  Sparse operators
-(permutation spaces above 720 states) use a Lanczos solve for the smallest
-eigenvalue after deflating the constant vector: adding a rank-one shift on
-the all-ones direction moves the trivial zero eigenvalue out of the way
-without touching the rest of the spectrum.
+The solver follows the operator's format, which the generator builders
+pick from the state count.  Dense operators (up to 720 states) get a full
+symmetric eigendecomposition.  Sparse operators (the 5040-state
+permutation space) use a Lanczos solve for the smallest eigenvalue after
+deflating the constant vector: adding a rank-one shift on the all-ones
+direction moves the trivial zero eigenvalue out of the way without
+touching the rest of the spectrum.
 """
 
 from __future__ import annotations
@@ -44,17 +46,6 @@ def spectral_gap(op: GeneratorOperator, tol_zero: float = DEFAULT_TOL_ZERO) -> f
     return float(nonzero[0])
 
 
-def zero_eigenvalue_count(op: GeneratorOperator, tol_zero: float = DEFAULT_TOL_ZERO) -> int:
-    """Number of (numerically) zero eigenvalues of the negated rate matrix."""
-    if op.is_sparse:
-        return _sparse_zero_count(op)
-    eigenvalues = np.linalg.eigvalsh(-op.dense())
-    radius = float(np.abs(eigenvalues).max()) if eigenvalues.size else 0.0
-    if radius == 0.0:
-        return eigenvalues.size
-    return int((eigenvalues <= tol_zero * radius).sum())
-
-
 def _iterative_gap(op: GeneratorOperator, tol_zero: float) -> float:
     from scipy.sparse.csgraph import connected_components
 
@@ -88,13 +79,6 @@ def _iterative_gap(op: GeneratorOperator, tol_zero: float) -> float:
             "the chain is reducible"
         )
     return float(smallest)
-
-
-def _sparse_zero_count(op: GeneratorOperator) -> int:
-    from scipy.sparse.csgraph import connected_components
-
-    pieces, _ = connected_components(op.matrix, directed=False)
-    return pieces
 
 
 def extreme_eigenvalues(matrix) -> tuple[float, float]:

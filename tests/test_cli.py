@@ -152,6 +152,28 @@ class TestGapCommands:
         code, _ = run("gap", "report", "--graph", str(p))
         assert code == 2
 
+    def test_report_seven_vertices_needs_no_flag(self, tmp_path):
+        p = tmp_path / "cycle7.g"
+        p.write_text("n 7\n" + "".join(f"e {i} {i + 1} 1.0\n" for i in range(6)) + "e 0 6 1.0\n")
+        code, report = run("gap", "report", "--graph", str(p), "--expect", "identityOk=true")
+        assert code == 0 and report["n"] == 7
+
+    def test_eight_vertices_exceed_capacity(self, tmp_path, capsys):
+        p = tmp_path / "path8.g"
+        p.write_text("n 8\n" + "".join(f"e {i} {i + 1} 1.0\n" for i in range(7)))
+        code, _ = run("gap", "report", "--graph", str(p))
+        assert code == 2
+        assert "at most 7 vertices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ("report",), ("octopus", "--vertex", "1"), ("shuffle",),
+    ])
+    def test_allow_large_flag_is_gone(self, path3, capsys, command):
+        code, report = run("gap", command[0], "--graph", path3, *command[1:],
+                           "--allow-large")
+        assert code == 2 and report is None
+        assert "--allow-large" in capsys.readouterr().err
+
 
 class TestSimCommands:
     def test_contact_deterministic(self):
@@ -176,16 +198,25 @@ class TestSimCommands:
                            "--tmax", "3", "--trials", "8", "--seed", "4")
         assert code == 0
 
-    @pytest.mark.parametrize("flag, env, named", [
-        ("-3", None, "--parallel"),
-        ("0", None, "--parallel"),
-        (None, "0", "LIGGETT_LAB_THREADS"),
+    CONTACT = ("sim", "contact", "--lambda", "1.0", "--L", "21", "--tmax", "3",
+               "--trials", "8", "--seed", "4")
+
+    @pytest.mark.parametrize("command, flag, env, named", [
+        pytest.param(CONTACT, "-3", None, "--parallel", id="-3-None---parallel"),
+        pytest.param(CONTACT, "0", None, "--parallel", id="0-None---parallel"),
+        pytest.param(CONTACT, None, "0", "LIGGETT_LAB_THREADS",
+                     id="None-0-LIGGETT_LAB_THREADS"),
+        # only contact and duality read --parallel; argparse rejects it elsewhere
+        pytest.param(("color", "prob", "--word", "12"), "-3", None, "--parallel",
+                     id="color-prob--3"),
+        pytest.param(("gap", "report", "--graph", "{path3}"), "0", None, "--parallel",
+                     id="gap-report-0"),
     ])
-    def test_bad_worker_count_exits_two(self, monkeypatch, capsys, flag, env, named):
+    def test_bad_worker_count_exits_two(self, monkeypatch, capsys, path3,
+                                        command, flag, env, named):
         if env is not None:
             monkeypatch.setenv("LIGGETT_LAB_THREADS", env)
-        argv = ["sim", "contact", "--lambda", "1.0", "--L", "21", "--tmax", "3",
-                "--trials", "8", "--seed", "4"]
+        argv = [arg.format(path3=path3) for arg in command]
         if flag is not None:
             argv += ["--parallel", flag]
         code, report = run(*argv)

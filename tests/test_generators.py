@@ -14,6 +14,7 @@ from stochlab.gaplab import (
     path_graph,
     random_connected_graph,
     rw_generator,
+    shuffle_gap_comparison,
     single_edge,
 )
 
@@ -67,16 +68,16 @@ class TestInterchange:
 
     def test_capacity_limits(self):
         with pytest.raises(CapacityError):
-            interchange_generator(path_graph(7))
-        with pytest.raises(CapacityError):
-            interchange_generator(path_graph(8), allow_large=True)
+            interchange_generator(path_graph(8))
         with pytest.raises(ValueError):
             interchange_generator(path_graph(1))
 
-    def test_seven_vertices_is_sparse_when_allowed(self):
-        op = interchange_generator(path_graph(7), allow_large=True)
+    def test_seven_vertices_is_sparse(self):
+        op = interchange_generator(path_graph(7))
         assert op.is_sparse
         assert op.dim == 5040
+        assert abs(op.matrix - op.matrix.T).max() == 0
+        assert np.abs(op.matrix.sum(axis=1)).max() <= 1e-12
 
 
 class TestRandomWalk:
@@ -146,7 +147,7 @@ class TestAlphaShuffle:
             })
             qs = alpha_shuffle_generator(h).dense()
             qi = interchange_generator(g).dense()
-            assert np.abs(qs - 0.5 * qi).max() <= 1e-12
+            assert np.array_equal(qs, 0.5 * qi)
 
     def test_zero_rates_give_zero_generator(self):
         h = HyperWeights(3, {frozenset({0, 1}): 0.0})
@@ -162,7 +163,12 @@ class TestAlphaShuffle:
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            alpha_shuffle_generator(HyperWeights(7, {frozenset({0, 1}): 1.0}))
+            alpha_shuffle_generator(HyperWeights(8, {frozenset({0, 1}): 1.0}))
+        # seven vertices build sparse; pairs-only rates make the gap a theorem
+        h = HyperWeights(7, {frozenset({i, i + 1}): 1.0 + 0.1 * i for i in range(6)})
+        op = alpha_shuffle_generator(h)
+        assert op.is_sparse and op.dim == 5040
+        assert shuffle_gap_comparison(h)["shuffleIdentityOk"] is True
 
 
 class TestSingleParticleRates:

@@ -76,6 +76,11 @@ class TestRecursionExamples:
         with pytest.raises(ValueError):
             CylinderMeasure(1)
 
+    def test_letters_outside_range_rejected(self):
+        for letters in ((0, 1), (1, 5)):
+            with pytest.raises(ValueError):
+                CylinderMeasure(4).prob(letters)
+
 
 class TestNormalizer:
     def test_closed_form_all_q_up_to_ten(self):

@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from stochlab.gaplab import (
+    CapacityError,
     WeightedGraph,
     complete_graph,
     dirichlet_form,
+    embedded_reduced_graph,
     extreme_eigenvalues,
     interchange_generator,
     octopus_form,
     path_graph,
     random_connected_graph,
     reduce_vertex,
-    reduced_interchange_generator,
     rw_generator,
     single_edge,
     spectral_gap,
@@ -105,7 +106,7 @@ class TestOctopusForm:
                 continue
             c = octopus_form(g, hub).dense()
             q_full = interchange_generator(g).dense()
-            q_reduced = reduced_interchange_generator(g, hub).dense()
+            q_reduced = interchange_generator(embedded_reduced_graph(g, hub)).dense()
             diff = (-q_full) - (-q_reduced)
             assert np.abs(c - diff).max() <= 1e-12 * max(1.0, np.abs(c).max())
 
@@ -119,7 +120,7 @@ class TestOctopusForm:
             if g.strength(hub) <= 0:
                 continue
             full = interchange_generator(g)
-            reduced = reduced_interchange_generator(g, hub)
+            reduced = interchange_generator(embedded_reduced_graph(g, hub))
             for _ in range(5):
                 f = rng.uniform(-1.0, 1.0, size=full.dim)
                 assert dirichlet_form(reduced, f) <= dirichlet_form(full, f) + 1e-9
@@ -129,8 +130,10 @@ class TestOctopusForm:
         with pytest.raises(ValueError):
             octopus_form(g, 2)
 
-    def test_seven_vertices_gated_sparse_path(self):
-        form = octopus_form(path_graph(7), 3, allow_large=True)
+    def test_seven_vertices_sparse_path(self):
+        form = octopus_form(path_graph(7), 3)
         assert form.is_sparse and form.dim == 5040
         lo, hi = extreme_eigenvalues(form.matrix)
         assert lo >= -1e-9 * max(abs(lo), abs(hi))
+        with pytest.raises(CapacityError):
+            octopus_form(path_graph(8), 3)

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stochlab.colorlab import (
-    ColorWord,
     DispersedDyckWord,
     SignMatrix,
     boundary_sign_product,
     dispersed_dyck_words,
     flip_runs,
+    is_proper,
     run_decomposition,
 )
 
@@ -18,22 +18,11 @@ def signs(text: str) -> tuple[int, ...]:
     return tuple(+1 if c == "+" else -1 for c in text)
 
 
-class TestColorWord:
-    def test_letters_validated(self):
-        with pytest.raises(ValueError):
-            ColorWord(4, (0, 1))
-        with pytest.raises(ValueError):
-            ColorWord(4, (1, 5))
-        with pytest.raises(ValueError):
-            ColorWord(1, (1,))
-
+class TestIsProper:
     def test_is_proper(self):
-        assert ColorWord(4, (1, 2, 1)).is_proper
-        assert not ColorWord(4, (1, 1)).is_proper
-        assert ColorWord(4, ()).is_proper
-
-    def test_deletions(self):
-        assert ColorWord(4, (1, 2, 3)).deletions() == [(2, 3), (1, 3), (1, 2)]
+        assert is_proper((1, 2, 1))
+        assert not is_proper((1, 1))
+        assert is_proper(())
 
 
 class TestSignMatrix:

@@ -14,7 +14,6 @@ from stochlab.gaplab import (
     single_edge,
     spectral_gap,
     variance,
-    zero_eigenvalue_count,
 )
 
 
@@ -38,22 +37,24 @@ class TestSpectralGap:
         g = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(ReducibilityError):
             spectral_gap(rw_generator(g))
-        assert zero_eigenvalue_count(rw_generator(g)) == 2
 
     def test_zero_generator_raises(self):
         with pytest.raises(ReducibilityError):
             spectral_gap(rw_generator(WeightedGraph(np.zeros((3, 3)))))
 
     def test_connected_has_simple_zero(self):
+        # spectral_gap raises unless exactly one eigenvalue is zero
         for seed in range(4):
             g = random_connected_graph(5, np.random.default_rng(seed))
-            assert zero_eigenvalue_count(interchange_generator(g)) == 1
+            assert spectral_gap(interchange_generator(g)) > 0
 
 
 class TestIterativePath:
     def test_seven_vertex_path_matches_walk(self):
         g = path_graph(7)
-        gap_ip = spectral_gap(interchange_generator(g, allow_large=True))
+        op = interchange_generator(g)
+        assert op.is_sparse
+        gap_ip = spectral_gap(op)
         gap_rw = spectral_gap(rw_generator(g))
         assert gap_ip == pytest.approx(gap_rw, rel=1e-8)
 
@@ -73,7 +74,7 @@ class TestIterativePath:
             7, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (5, 6, 1.0)]
         )
         with pytest.raises(ReducibilityError):
-            spectral_gap(interchange_generator(g, allow_large=True))
+            spectral_gap(interchange_generator(g))
 
 
 class TestDirichletForm:
