@@ -123,24 +123,26 @@ def _apply_config_file(args):
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
             if getattr(args, attr) is None:
                 kind = _CONFIG_TYPES.get(attr, str)
-                setattr(args, attr, kind(value))
+                try:
+                    setattr(args, attr, kind(value))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: {key} must be {kind.__name__}, "
+                                     f"got {value!r}") from None
 
 
 _CONFIG_TYPES = {
     "lam": float, "L": int, "tmax": float, "trials": int, "seed": int,
     "rho": float, "t": float, "mode": str, "graph": str, "set": str,
+    "parallel": int,
 }
 
 
+def physical_memory_bytes() -> int:
+    """Installed memory, the bound on what ``color check-dep`` may allocate."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 # --- color subcommands -------------------------------------------------------
-
-def _measure_for(args) -> colorlab.CylinderMeasure:
-    if args.source == "formula":
-        if args.q != 4:
-            raise ValueError("the explicit formula requires --q 4")
-        return colorlab.CylinderMeasure(4, "formula")
-    return colorlab.recursion_measure(args.q)
-
 
 def cmd_color_prob(args):
     word = parse_word(args.word, args.q)
@@ -152,7 +154,14 @@ def cmd_color_prob(args):
 
 
 def cmd_color_checkdep(args):
-    report = colorlab.check_k_dependence(colorlab.recursion_measure(args.q), args.k, args.nmax)
+    measure = colorlab.recursion_measure(args.q)
+    have = physical_memory_bytes()
+    # (q+1)**nmax >= 2**nmax: a huge nmax is refused before the power is formed
+    if (args.nmax >= have.bit_length()
+            or colorlab.dependence.marginal_table_bytes(args.q, args.nmax) > have):
+        raise ValueError(f"--nmax {args.nmax} is too large at --q {args.q}: its marginal "
+                         f"tables need more than the {have / 2**30:.1f} GiB of physical memory")
+    report = colorlab.check_k_dependence(measure, args.k, args.nmax)
     payload = report.to_dict()
     return payload, json.dumps(_jsonable(payload), indent=2)
 

@@ -2,17 +2,20 @@
 
 A measure here is anything with a color count ``q`` and a
 ``scaled_window(n)`` method returning integer numerators over a common
-denominator for every proper word of length ``n``.  Distances are over
-window positions; a pair of position sets is tested by comparing the
-joint marginal against the product of the two marginals for every color
-assignment, as exact integers.
+denominator for every proper word of length ``n``.  A window becomes a
+dense ``(q,) * n`` integer array (zero at improper words) whose axis sums
+are the marginals.  Distances are over window positions; a pair of position
+sets is tested by comparing joint marginal times denominator against the
+product of the two marginals, for all color assignments at once, exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -51,27 +54,41 @@ class DependenceReport:
         return out
 
 
-def marginal_tables(scaled: dict[tuple[int, ...], int], n: int, q: int):
-    """Integer marginal numerators for every subset of window positions.
+def window_array(scaled: dict[tuple[int, ...], int], denom: int, n: int,
+                 q: int) -> tuple[np.ndarray, int]:
+    """The window as an array indexed by colors minus one, and its
+    denominator, both divided by their gcd.  Marginals are at most the
+    denominator and compared products at most its square, so the dtype is
+    int64 only when that square is below 2**63, else Python ints."""
+    g = gcd(denom, *scaled.values())
+    denom //= g
+    dtype = np.int64 if denom * denom < 2**63 else object
+    table = np.zeros((q,) * n, dtype=dtype)
+    index = np.array(list(scaled), dtype=np.intp) - 1
+    table[tuple(index.T)] = np.array([v // g for v in scaled.values()], dtype=dtype)
+    return table, denom
 
-    ``tables[mask]`` maps color assignments of the positions in ``mask``
-    (ascending position order) to numerators; zero entries are omitted.
-    Built by summing out one position at a time from the full window.
+
+def marginal_tables(window: np.ndarray) -> dict[int, np.ndarray]:
+    """Marginal numerators for every subset of window positions.
+
+    ``tables[mask]`` keeps all axes, with length 1 at the positions outside
+    ``mask``, so any two tables broadcast against each other.  Each is
+    summed over one axis from the table with one more position.
     """
-    full = (1 << n) - 1
-    tables: dict[int, dict[tuple[int, ...], int]] = {full: scaled}
+    full = (1 << window.ndim) - 1
+    tables = {full: window}
     for mask in sorted(range(full), key=lambda m: -bin(m).count("1")):
-        missing = (~mask) & full
-        j_bit = missing & -missing
-        parent = mask | j_bit
-        # index of the summed-out position within the parent's sorted positions
-        idx = bin(parent & (j_bit - 1)).count("1")
-        shrunk: dict[tuple[int, ...], int] = {}
-        for key, val in tables[parent].items():
-            sub = key[:idx] + key[idx + 1 :]
-            shrunk[sub] = shrunk.get(sub, 0) + val
-        tables[mask] = shrunk
+        missing = ~mask & full
+        j = (missing & -missing).bit_length() - 1
+        tables[mask] = tables[mask | 1 << j].sum(axis=j, keepdims=True)
     return tables
+
+
+def marginal_table_bytes(q: int, n: int) -> int:
+    """Bytes of a length-n window's (q+1)^n marginal-table entries, at 48
+    each: an object slot and an int of up to 120 bits (int64 takes 8)."""
+    return 48 * (q + 1) ** n
 
 
 def _too_close(mask_a: int, mask_b: int, k: int) -> bool:
@@ -90,21 +107,20 @@ def check_k_dependence(measure, k: int, nmax: int) -> DependenceReport:
     Returns the first violation found (windows ascending, then position
     sets, then assignments in lexicographic order).
 
-    Cost: the pair enumeration alone is ~3^nmax and each pair checks
-    q^(|A| + |B|) assignments, so nmax bounds the blow-up; nmax = 8 at
-    q = 4 is a few seconds.  A report with holds=True certifies only the
+    Cost: ~3^nmax pairs, each compared over its q^|A u B| assignments in
+    one broadcast, on (q+1)^nmax table entries.  From a cold measure at
+    q = 4, k = 1 it takes 0.02 s at nmax = 7, 0.06 s at 8, 0.2 s at 9 and
+    0.8 s at 10 (2-vCPU VM).  A report with holds=True certifies only the
     windows up to nmax; it is evidence, not a proof, for larger separations.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if nmax < k + 2:
         raise ValueError(f"nmax must be at least k+2={k + 2} to contain a testable pair")
-    q = measure.q
     pairs_checked = 0
     for n in range(2, nmax + 1):
-        scaled, denom = measure.scaled_window(n)
-        tables = marginal_tables(scaled, n, q)
-        positions = {m: [i for i in range(n) if m >> i & 1] for m in range(1, 1 << n)}
+        window, denom = window_array(*measure.scaled_window(n), n, measure.q)
+        tables = marginal_tables(window)
         for mask_a in range(1, 1 << n):
             comp = ((1 << n) - 1) & ~mask_a
             mask_b = comp
@@ -112,33 +128,29 @@ def check_k_dependence(measure, k: int, nmax: int) -> DependenceReport:
                 # dedupe unordered pairs: A holds the smallest position
                 if (mask_b & -mask_b) > (mask_a & -mask_a) and not _too_close(mask_a, mask_b, k):
                     pairs_checked += 1
-                    witness = _check_pair(
-                        tables, denom, n, q,
-                        positions[mask_a], positions[mask_b],
-                        mask_a, mask_b,
-                    )
+                    witness = _check_pair(tables, denom, mask_a, mask_b)
                     if witness is not None:
                         return DependenceReport(k, nmax, False, witness, pairs_checked)
                 mask_b = (mask_b - 1) & comp
     return DependenceReport(k, nmax, True, None, pairs_checked)
 
 
-def _check_pair(tables, denom, n, q, pos_a, pos_b, mask_a, mask_b):
+def _check_pair(tables, denom, mask_a, mask_b):
     mask_u = mask_a | mask_b
-    pos_u = sorted(pos_a + pos_b)
-    in_a = [i for i, p in enumerate(pos_u) if p in set(pos_a)]
-    in_b = [i for i, p in enumerate(pos_u) if p in set(pos_b)]
-    t_u, t_a, t_b = tables[mask_u], tables[mask_a], tables[mask_b]
-    for key in itertools.product(range(1, q + 1), repeat=len(pos_u)):
-        joint = t_u.get(key, 0)
-        prod = t_a.get(tuple(key[i] for i in in_a), 0) * t_b.get(tuple(key[i] for i in in_b), 0)
-        if joint * denom != prod:
-            return DependenceWitness(
-                window=n,
-                set_a=tuple(p + 1 for p in pos_a),
-                set_b=tuple(p + 1 for p in pos_b),
-                assignment=tuple((p + 1, c) for p, c in zip(pos_u, key)),
-                joint=Fraction(joint, denom),
-                product=Fraction(prod, denom * denom),
-            )
-    return None
+    joint = tables[mask_u]
+    product = tables[mask_a] * tables[mask_b]
+    bad = joint * denom != product
+    # C order over the axes is lexicographic order of the assignments
+    first = int(bad.argmax())
+    if not bad.flat[first]:
+        return None
+    colors = np.unravel_index(first, bad.shape)
+    positions = range(bad.ndim)
+    return DependenceWitness(
+        window=bad.ndim,
+        set_a=tuple(p + 1 for p in positions if mask_a >> p & 1),
+        set_b=tuple(p + 1 for p in positions if mask_b >> p & 1),
+        assignment=tuple((p + 1, int(colors[p]) + 1) for p in positions if mask_u >> p & 1),
+        joint=Fraction(int(joint.flat[first]), denom),
+        product=Fraction(int(product.flat[first]), denom * denom),
+    )

@@ -4,45 +4,40 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial
 
 
 @lru_cache(maxsize=None)
-def permutations_with_descents_inside(n: int, positions: tuple[int, ...]) -> int:
-    """Count permutations of ``{1..n}`` whose descent set is contained in
-    ``positions`` (1-based, strictly increasing, each < n).
+def descent_count(n: int, descents: int) -> int:
+    """Number of permutations of ``{1..n+1}`` whose descent set is exactly
+    the set bits of ``descents`` (bit ``i`` is a descent between positions
+    ``i+1`` and ``i+2``).
 
-    This is the multinomial coefficient of the composition of ``n`` cut at
-    the given positions.
+    Inserts one value at a time, tracking how many arrangements end at
+    each relative rank: after an ascent the new last value ranks above the
+    old one, after a descent below it.  O(n^2) additions.
     """
-    count = factorial(n)
-    prev = 0
-    for p in positions:
-        count //= factorial(p - prev)
-        prev = p
-    count //= factorial(n - prev)
-    return count
+    ways = [1]
+    for i in range(n):
+        if descents >> i & 1:
+            ways = list(accumulate(reversed(ways)))[::-1] + [0]
+        else:
+            ways = [0, *accumulate(ways)]
+    return sum(ways)
 
 
-@lru_cache(maxsize=None)
 def descent_set_probability(signs: tuple[int, ...]) -> Fraction:
     """Probability that a uniform permutation of ``{1..n+1}`` has descents
     exactly at the minus positions of an n-long sign sequence.
 
-    Inclusion-exclusion over subsets of the target descent set; all
-    arithmetic is exact.  The empty sequence gives 1 (the one permutation
-    of a single element has no descents).
+    All arithmetic is exact.  The empty sequence gives 1 (the one
+    permutation of a single element has no descents).
 
     >>> descent_set_probability((+1,))
     Fraction(1, 2)
     >>> descent_set_probability((-1, -1))
     Fraction(1, 6)
     """
-    n = len(signs)
-    descents = tuple(i + 1 for i, s in enumerate(signs) if s == -1)
-    exact = 0
-    for mask in range(1 << len(descents)):
-        subset = tuple(p for b, p in enumerate(descents) if mask >> b & 1)
-        sign = -1 if (len(descents) - len(subset)) % 2 else 1
-        exact += sign * permutations_with_descents_inside(n + 1, subset)
-    return Fraction(exact, factorial(n + 1))
+    descents = sum(1 << i for i, s in enumerate(signs) if s == -1)
+    return Fraction(descent_count(len(signs), descents), factorial(len(signs) + 1))

@@ -1,19 +1,21 @@
 """Exact cylinder probabilities of the stationary proper q-colorings.
 
-Two constructions of the same family of measures:
+Two constructions of the same family of measures, each giving a length-n
+word's probability as an integer over one denominator per length:
 
-* ``recursion``: the deletion recursion.  A proper word's probability is a
-  per-length normalizing constant times the sum of the probabilities of
-  its one-letter deletions; improper words get 0 and the empty word gets 1.
-  The normalizer is solved from the total-mass-one condition at each
-  length, never assumed, and cross-checked against the conjectured closed
+* ``recursion``: the deletion recursion.  The chain count N has N(()) = 1
+  and N(w) = sum of N(w - i) over the proper one-letter deletions w - i;
+  a proper word has probability N(w)/T_n, with T_n the sum of N over all
+  proper words of length n (total mass one, solved, never assumed).  The
+  normalizer T_{n-1}/T_n is cross-checked against the conjectured closed
   form ``1/(n(q-2)+2)``.
 
 * ``formula``: for ``q = 4`` only, the explicit sign-matrix formula: a
-  signed sum over dispersed Dyck words of run-flip descent probabilities.
+  signed sum over dispersed Dyck words of run-flip descent-set counts.  It
+  shares no table with the recursion, so the two check each other.
 
-Everything in this module is exact rational arithmetic; floats never
-appear.  Memo tables are plain dicts: reads and same-key inserts are
+Everything in this module is exact integer/rational arithmetic; floats
+never appear.  Memo tables are plain dicts: reads and same-key inserts are
 atomic under the GIL and every key maps to a unique value, so concurrent
 use from threads is safe and agrees with sequential evaluation.
 """
@@ -21,19 +23,12 @@ use from threads is safe and agrees with sequential evaluation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, perm
 
-from .descent import descent_set_probability
-from .words import (
-    SignMatrix,
-    boundary_sign_product,
-    dispersed_dyck_words,
-    flip_runs,
-    is_proper,
-)
+from .descent import descent_count
+from .words import CLOSE, NEUTRAL, OPEN, SignMatrix, _enum_dispersed, is_proper
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # range over which the conjectured closed-form normalizer must agree with
 # the mass-one computation (a mismatch aborts the run)
@@ -54,15 +49,6 @@ def canonical_form(letters) -> tuple[int, ...]:
             relabel[a] = len(relabel) + 1
         out.append(relabel[a])
     return tuple(out)
-
-
-def _orbit_size(letters, q: int) -> int:
-    """Number of distinct recolorings of a word under color permutations."""
-    d = len(set(letters))
-    size = 1
-    for i in range(d):
-        size *= q - i
-    return size
 
 
 def proper_words(q: int, n: int):
@@ -86,24 +72,22 @@ def proper_words(q: int, n: int):
 
 
 def _canonical_proper_words(q: int, n: int):
-    """Yield (word, orbit size) over canonical representatives of the
-    color-permutation orbits of proper words of length n."""
+    """Yield (word, orbit size q!/(q-d)! for d colors) over the canonical
+    representatives of the color-permutation orbits of length-n proper words."""
     if n == 0:
         yield (), 1
         return
     word = [0] * n
 
     def grow(i: int, used: int):
-        top = min(used + 1, q)
-        for a in range(1, top + 1):
+        for a in range(1, min(used + 1, q) + 1):
             if i > 0 and word[i - 1] == a:
                 continue
             word[i] = a
-            u = max(used, a)
             if i + 1 == n:
-                yield tuple(word), _orbit_size(word, q)
+                yield tuple(word), perm(q, max(used, a))
             else:
-                yield from grow(i + 1, u)
+                yield from grow(i + 1, max(used, a))
 
     yield from grow(0, 0)
 
@@ -112,28 +96,24 @@ class CylinderMeasure:
     """Memoized exact map from color words to cylinder probabilities.
 
     ``source`` selects the construction ('recursion' for any q >= 2,
-    'formula' for q = 4).  The memo is keyed by the word itself; passing
-    ``canonicalize=True`` keys it by the color-canonicalized word instead,
-    a pure optimization justified by the color-permutation symmetry of the
-    recursion that must not change any value (tested).  The formula source
-    always memoizes raw words.
+    'formula' for q = 4); ``prob`` reduces an integer over the length's one
+    denominator once, at the API boundary.  The recursion's ``table`` holds
+    chain counts N keyed by ``canonical_form`` (N is invariant under
+    relabeling colors) and T_n sums orbit size times N over those keys.
+    The formula's holds numerators over (n+1)! 2^n keyed by the word.
     """
 
-    def __init__(self, q: int, source: str = "recursion", canonicalize: bool = False):
+    def __init__(self, q: int, source: str = "recursion"):
         if q < 2:
             raise ValueError(f"need at least 2 colors, got q={q}")
         if source not in ("recursion", "formula"):
             raise ValueError(f"unknown source {source!r}")
-        if source == "formula":
-            if q != 4:
-                raise ValueError("the explicit formula is only defined for q=4")
-            if canonicalize:
-                raise ValueError("the formula source does not support canonicalized memoization")
+        if source == "formula" and q != 4:
+            raise ValueError("the explicit formula is only defined for q=4")
         self.q = q
         self.source = source
-        self.canonicalize = canonicalize
-        self.table: dict[tuple[int, ...], Fraction] = {(): ONE}
-        self._normalizers: dict[int, Fraction] = {}
+        self.table: dict[tuple[int, ...], int] = {(): 1}
+        self._totals: dict[int, int] = {0: 1}  # recursion: T_n by length
 
     def prob(self, letters) -> Fraction:
         """Exact probability of observing ``letters`` in a window.
@@ -148,80 +128,109 @@ class CylinderMeasure:
                 raise ValueError(f"letter {a} outside 1..{self.q}")
         if not is_proper(letters):
             return ZERO
+        return Fraction(self._numerator(letters), self._denominator(len(letters)))
+
+    def _numerator(self, letters: tuple[int, ...]) -> int:
         if self.source == "formula":
             value = self.table.get(letters)
             if value is None:
-                value = formula_cylinder_probability(letters)
-                self.table[letters] = value
+                value = self.table[letters] = _formula_numerator(letters)
             return value
-        return self._recursion_prob(letters)
+        self._total(len(letters))
+        return self.table[canonical_form(letters)]
 
-    def _recursion_prob(self, letters: tuple[int, ...]) -> Fraction:
-        if self.canonicalize:
-            letters = canonical_form(letters)
-        value = self.table.get(letters)
-        if value is not None:
-            return value
-        n = len(letters)
-        total = ZERO
-        for i in range(n):
-            sub = letters[:i] + letters[i + 1 :]
-            if is_proper(sub):
-                total += self._recursion_prob(sub)
-        value = self.normalizer(n) * total
-        self.table[letters] = value
-        return value
+    def _denominator(self, n: int) -> int:
+        if self.source == "formula":
+            return factorial(n + 1) << n
+        return self._total(n)
+
+    def _total(self, n: int) -> int:
+        """T_n, after storing N for every canonical proper word of length
+        n (and, first, of every shorter length)."""
+        total = self._totals.get(n)
+        if total is not None:
+            return total
+        previous = self._total(n - 1)
+        total = 0
+        for word, orbit in _canonical_proper_words(self.q, n):
+            count = 0
+            for i in range(n):
+                # deleting an interior letter joins its two neighbors
+                if 0 < i < n - 1 and word[i - 1] == word[i + 1]:
+                    continue
+                count += self.table[canonical_form(word[:i] + word[i + 1:])]
+            self.table[word] = count
+            total += orbit * count
+        closed = n * (self.q - 2) + 2  # T_{n-1}/T_n = 1/closed
+        if self.q in NORMALIZER_CHECK_Q and n <= NORMALIZER_CHECK_N and total != closed * previous:
+            raise NormalizerMismatchError(
+                f"normalizer mismatch at q={self.q}, n={n}: "
+                f"mass-one gives {Fraction(previous, total)}, closed form gives 1/{closed}"
+            )
+        self._totals[n] = total
+        return total
 
     def normalizer(self, n: int) -> Fraction:
-        """The length-n constant, solved from total mass one at length n.
-
-        The sum of probabilities over all words of length n (only proper
-        words contribute) must be 1; the constant is the reciprocal of the
-        deletion sums aggregated over color-permutation orbits.  For
-        q in 2..6 and n <= 10 the result is checked against the closed
-        form 1/(n(q-2)+2) and a mismatch raises NormalizerMismatchError.
-        """
+        """c_n = T_{n-1}/T_n, with p(w) = c_n * sum of p(w - i) over proper
+        deletions, solved from total mass one.  For q in 2..6 and n <= 10 it
+        is checked against 1/(n(q-2)+2) when T_n is first built; a mismatch
+        raises NormalizerMismatchError."""
         if self.source == "formula":
             raise ValueError("normalizers belong to the recursion construction")
         if n < 1:
             raise ValueError("normalizers are defined for lengths >= 1")
-        got = self._normalizers.get(n)
-        if got is not None:
-            return got
-        total = ZERO
-        for word, orbit in _canonical_proper_words(self.q, n):
-            deletion_sum = ZERO
-            for i in range(n):
-                sub = word[:i] + word[i + 1 :]
-                if is_proper(sub):
-                    deletion_sum += self._recursion_prob(canonical_form(sub))
-            total += orbit * deletion_sum
-        if total == 0:
-            raise NormalizerMismatchError(
-                f"mass condition degenerate at q={self.q}, n={n}: empty deletion sum"
-            )
-        value = 1 / total
-        if self.q in NORMALIZER_CHECK_Q and n <= NORMALIZER_CHECK_N:
-            expected = Fraction(1, n * (self.q - 2) + 2)
-            if value != expected:
-                raise NormalizerMismatchError(
-                    f"normalizer mismatch at q={self.q}, n={n}: "
-                    f"mass-one gives {value}, closed form gives {expected}"
-                )
-        self._normalizers[n] = value
-        return value
+        return Fraction(self._total(n - 1), self._total(n))
 
     def window(self, n: int) -> dict[tuple[int, ...], Fraction]:
         """Probabilities of every proper word of length n (improper omitted)."""
         return {w: self.prob(w) for w in proper_words(self.q, n)}
 
     def scaled_window(self, n: int) -> tuple[dict[tuple[int, ...], int], int]:
-        """Window probabilities as integer numerators over one denominator."""
-        win = self.window(n)
-        denom = 1
-        for p in win.values():
-            denom = lcm(denom, p.denominator)
-        return {w: int(p * denom) for w, p in win.items()}, denom
+        """Every proper word of length n mapped to its integer numerator,
+        with the one denominator of length n (T_n for the recursion)."""
+        return ({w: self._numerator(w) for w in proper_words(self.q, n)},
+                self._denominator(n))
+
+
+def _formula_numerator(letters: tuple[int, ...]) -> int:
+    """The q=4 formula on a proper word of length n, over (n+1)! 2^n.
+
+    One pass over each dispersed Dyck word aligned with the internal run
+    boundaries of the top row yields both the descent set of the flipped
+    row and the product of the bottom signs its brackets pick.
+    """
+    n = len(letters)
+    if n == 0:
+        return 1
+    sm = SignMatrix.from_letters(letters)
+    top, bottom = sm.top, sm.bottom
+    # per run: its positions as a bitmask, whether its sign is minus, and
+    # the bottom signs left and right of the boundary that opens it (never
+    # read for the first run, which gets a neutral symbol below)
+    runs: list[tuple[int, bool, int, int]] = []
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or top[i] != top[i - 1]:
+            runs.append(((1 << i) - (1 << start), top[start] < 0,
+                         bottom[start - 1], bottom[start]))
+            start = i
+    total = 0
+    for symbols in _enum_dispersed(len(runs) - 1):
+        flip, coeff, descents = False, 1, 0
+        for ch, (bits, minus, left, right) in zip(NEUTRAL + symbols, runs):
+            # an open bracket contributes -1 times the bottom sign left of
+            # its boundary, a close bracket the sign right of it; either one
+            # flips every later run
+            if ch == OPEN:
+                flip = not flip
+                coeff = -coeff * left
+            elif ch == CLOSE:
+                flip = not flip
+                coeff *= right
+            if minus != flip:
+                descents |= bits
+        total += coeff * descent_count(n, descents)
+    return total << (n - len(runs))
 
 
 def formula_cylinder_probability(letters) -> Fraction:
@@ -239,16 +248,7 @@ def formula_cylinder_probability(letters) -> Fraction:
             raise ValueError(f"letter {a} outside 1..4")
     if not is_proper(letters):
         raise ValueError(f"improper word {letters}: the formula requires a proper coloring")
-    if not letters:
-        return ONE
-    sm = SignMatrix.from_letters(letters)
-    runs = 1 + sum(1 for a, b in zip(sm.top, sm.top[1:]) if a != b)
-    total = ZERO
-    for w in dispersed_dyck_words(runs - 1):
-        sign = -1 if w.open_count % 2 else 1
-        coeff = sign * boundary_sign_product(w, sm.top, sm.bottom)
-        total += coeff * descent_set_probability(flip_runs(sm.top, w))
-    return total / 2**runs
+    return Fraction(_formula_numerator(letters), factorial(len(letters) + 1) << len(letters))
 
 
 _RECURSION_MEASURES: dict[int, CylinderMeasure] = {}

@@ -25,10 +25,8 @@ def sample_windows(measure, n: int, count: int, seed: int) -> list[tuple[int, ..
         got = thresholds.get(prefix)
         if got is None:
             probs = [measure.prob(prefix + (a,)) for a in range(1, measure.q + 1)]
-            denom = 1
-            for p in probs:
-                denom = lcm(denom, p.denominator)
-            ws = [int(p * denom) for p in probs]
+            denom = lcm(*(p.denominator for p in probs))
+            ws = [p.numerator * (denom // p.denominator) for p in probs]
             got = thresholds[prefix] = (ws, sum(ws))
         return got
 

@@ -19,9 +19,6 @@ NEUTRAL = "o"
 OPEN = "<"
 CLOSE = ">"
 
-# enumeration and lexicographic order for dispersed Dyck symbols
-_SYMBOL_ORDER = (NEUTRAL, OPEN, CLOSE)
-
 # color <-> (top sign, bottom sign) for q = 4
 _COLOR_TO_SIGNS = {1: (+1, +1), 2: (+1, -1), 3: (-1, +1), 4: (-1, -1)}
 _SIGNS_TO_COLOR = {v: k for k, v in _COLOR_TO_SIGNS.items()}
@@ -115,9 +112,6 @@ class DispersedDyckWord:
     @property
     def open_count(self) -> int:
         return self.symbols.count(OPEN)
-
-    def __len__(self):
-        return len(self.symbols)
 
 
 def _is_dispersed_dyck(symbols: str) -> bool:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from stochlab import cli
 from stochlab.cli import parse_and_dispatch, parse_pattern, parse_word
 
 FLAG_NAMES = {"lam": "--lambda"}
@@ -89,6 +90,15 @@ class TestColorCommands:
         assert code == 1
         assert report["holds"] is False
         assert "check failed" in capsys.readouterr().err
+
+    def test_check_dep_nmax_bounded_by_memory(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "physical_memory_bytes", lambda: 2**20)
+        base = ("color", "check-dep", "--q", "4", "--k", "1")
+        assert run(*base, "--nmax", "5")[0] == 0  # 48 * 5**5 bytes fit in 1 MiB
+        for nmax in ("7", str(10**12)):  # 48 * 5**7 do not; 10**12 is never powered
+            code, report = run(*base, "--nmax", nmax)
+            assert code == 2 and report is None
+            assert "--nmax" in capsys.readouterr().err
 
     def test_marginal(self):
         code, report = run("color", "marginal", "--pattern", "1.3")
@@ -200,6 +210,8 @@ class TestSimCommands:
 
     CONTACT = ("sim", "contact", "--lambda", "1.0", "--L", "21", "--tmax", "3",
                "--trials", "8", "--seed", "4")
+    DUALITY = ("sim", "duality", "--graph", "{path3}", "--set", "0,2", "--t", "1",
+               "--rho", "0.5", "--trials", "200", "--seed", "3")
 
     @pytest.mark.parametrize("command, flag, env, named", [
         pytest.param(CONTACT, "-3", None, "--parallel", id="-3-None---parallel"),
@@ -238,6 +250,25 @@ class TestSimCommands:
         code, report = run("sim", "contact", "--config", str(cfg))
         assert code == 0
         assert report["trials"] == 6
+
+    @pytest.mark.parametrize("command", [CONTACT, DUALITY])
+    def test_config_parallel_matches_flag(self, tmp_path, path3, command):
+        argv = [arg.format(path3=path3) for arg in command]
+        cfg = tmp_path / "workers.cfg"
+        cfg.write_text("parallel = 2\n")
+        code_c, via_config = run(*argv, "--config", str(cfg))
+        code_f, via_flag = run(*argv, "--parallel", "2")
+        assert code_c == code_f == 0
+        via_config["inputs"].pop("config")
+        assert stable(via_config) == stable(via_flag)
+
+    @pytest.mark.parametrize("value", ["0", "two"])
+    def test_config_parallel_rejected(self, tmp_path, capsys, value):
+        cfg = tmp_path / "workers.cfg"
+        cfg.write_text(f"parallel = {value}\n")
+        code, report = run(*self.CONTACT, "--config", str(cfg))
+        assert code == 2 and report is None
+        assert "parallel" in capsys.readouterr().err
 
     def test_config_does_not_override_flags(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

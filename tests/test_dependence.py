@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stochlab.colorlab import (
@@ -7,7 +8,7 @@ from stochlab.colorlab import (
     check_k_dependence,
     recursion_measure,
 )
-from stochlab.colorlab.dependence import marginal_tables
+from stochlab.colorlab.dependence import marginal_tables, window_array
 
 F = Fraction
 
@@ -75,18 +76,43 @@ def test_report_dict_shape():
 
 def test_marginal_tables_consistency():
     m = CylinderMeasure(4)
-    scaled, denom = m.scaled_window(3)
-    tables = marginal_tables(scaled, 3, 4)
+    window, denom = window_array(*m.scaled_window(3), 3, 4)
+    tables = marginal_tables(window)
     # empty-set marginal is the total mass
-    assert tables[0][()] == denom
+    assert tables[0].shape == (1, 1, 1) and tables[0].item() == denom
     # singleton marginals are uniform
     for mask in (1, 2, 4):
-        vals = tables[mask]
-        assert all(4 * v == denom for v in vals.values())
+        vals = tables[mask].ravel()
+        assert all(4 * v == denom for v in vals)
         assert len(vals) == 4
     # pairwise marginal sums back to the singleton
     pair = tables[0b011]
-    first = {}
-    for (a, b), v in pair.items():
-        first[a] = first.get(a, 0) + v
-    assert first == {a: tables[0b001][(a,)] for a in range(1, 5)}
+    assert pair.shape == (4, 4, 1)
+    assert (pair.sum(axis=1, keepdims=True) == tables[0b001]).all()
+
+
+class _WideWindow:
+    """Two colors, window length 2, numerators coprime to the denominator
+    D = 2**33 + 1.  At colors (1, 1) the check compares 2**32 * D against
+    (2**32 + 1) * 2**32: they differ by 2**64, so int64 would see them equal,
+    and likewise at the other three assignments."""
+
+    q = 2
+
+    def scaled_window(self, n):
+        return {(1, 1): 2**32, (1, 2): 1, (2, 2): 2**32}, 2**33 + 1
+
+
+def test_wide_denominator_takes_the_exact_path():
+    window, denom = window_array(*_WideWindow().scaled_window(2), 2, 2)
+    assert denom == 2**33 + 1 and window.dtype == object
+    joint, a, b = window[0, 0], window[0].sum(), window[:, 0].sum()
+    assert joint * denom - a * b == 2**64
+    # int64 array products wrap modulo 2**64 without a warning
+    wrapped = np.array([joint, a], dtype=np.int64) * np.array([denom, b], dtype=np.int64)
+    assert wrapped[0] == wrapped[1]
+    report = check_k_dependence(_WideWindow(), k=0, nmax=2)
+    w = report.witness
+    assert not report.holds and report.pairs_checked == 1
+    assert w.assignment == ((1, 1), (2, 1))
+    assert (w.joint, w.product) == (F(2**32, denom), F((2**32 + 1) * 2**32, denom**2))

@@ -5,16 +5,55 @@ import pytest
 
 from stochlab.colorlab import (
     CylinderMeasure,
+    NormalizerMismatchError,
     SignMatrix,
+    boundary_sign_product,
     canonical_form,
     descent_set_probability,
+    dispersed_dyck_words,
+    flip_runs,
     formula_cylinder_probability,
+    is_proper,
     marginalize,
     proper_words,
     recursion_cylinder_probability,
+    run_decomposition,
 )
 
 F = Fraction
+
+
+def reference_recursion(q):
+    """The deletion recursion as defined, in Fractions, memoized by the raw
+    word: no color canonicalization and no integer chain counts."""
+    memo, norms = {(): F(1)}, {}
+
+    def deletion_sum(w):
+        subs = (w[:i] + w[i + 1:] for i in range(len(w)))
+        return sum((prob(v) for v in subs if is_proper(v)), F(0))
+
+    def prob(w):
+        if w not in memo:
+            if len(w) not in norms:
+                norms[len(w)] = 1 / sum(deletion_sum(v) for v in proper_words(q, len(w)))
+            memo[w] = norms[len(w)] * deletion_sum(w)
+        return memo[w]
+
+    return prob
+
+
+def reference_formula(letters):
+    """The q=4 formula term by term, through the public sign-word helpers."""
+    if not letters:
+        return F(1)
+    sm = SignMatrix.from_letters(letters)
+    runs = run_decomposition(sm.top).m
+    total = F(0)
+    for w in dispersed_dyck_words(runs - 1):
+        sign = -1 if w.open_count % 2 else 1
+        total += (sign * boundary_sign_product(w, sm.top, sm.bottom)
+                  * descent_set_probability(flip_runs(sm.top, w)))
+    return total / 2**runs
 
 
 @pytest.fixture(scope="module")
@@ -91,11 +130,18 @@ class TestNormalizer:
                 assert m.normalizer(n) == F(1, n * (q - 2) + 2)
 
     def test_mass_one_direct_enumeration(self):
-        # no symmetry shortcuts: plain sum over every proper word
+        # plain sum over every proper word, not over orbit representatives
         for q in (2, 3, 4):
-            m = CylinderMeasure(q, canonicalize=False)
+            m = CylinderMeasure(q)
             for n in range(1, 6):
                 assert sum(m.prob(w) for w in proper_words(q, n)) == 1
+
+    def test_mismatch_raises(self):
+        m = CylinderMeasure(4)
+        m.normalizer(3)
+        m._totals[3] += 1  # a wrong T_3 makes T_3/T_4 miss 1/10
+        with pytest.raises(NormalizerMismatchError):
+            m.normalizer(4)
 
 
 class TestEquivalenceAndSigns:
@@ -103,6 +149,11 @@ class TestEquivalenceAndSigns:
         for n in range(7):
             for w in proper_words(4, n):
                 assert form4.prob(w) == rec4.prob(w)
+
+    def test_formula_matches_term_by_term_reference(self):
+        for n in range(8):
+            for w in proper_words(4, n):
+                assert formula_cylinder_probability(w) == reference_formula(w)
 
     def test_formula_nonnegative_small(self, form4):
         for n in range(7):
@@ -133,22 +184,32 @@ class TestMeasureInvariants:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
     def test_projection_to_length_nine_on_class_representatives(self, q):
         # one representative per color-permutation orbit; extensions reach
-        # length 9 (the symmetry itself is tested separately, raw-keyed)
+        # length 9 (the symmetry itself is tested on a raw-keyed reference)
         from stochlab.colorlab.measure import _canonical_proper_words
 
-        m = CylinderMeasure(q, canonicalize=True)
+        m = CylinderMeasure(q)
         for n in range(9):
             for w, _ in _canonical_proper_words(q, n):
                 p = m.prob(w)
                 assert sum(m.prob(w + (a,)) for a in range(1, q + 1)) == p
                 assert sum(m.prob((a,) + w) for a in range(1, q + 1)) == p
 
-    def test_color_permutation_symmetry(self, rec4):
+    def test_color_permutation_symmetry(self):
+        # the measure keys its memo by canonical form, so the symmetry that
+        # justifies this is checked on the raw-keyed reference
+        reference = reference_recursion(4)
         for n in range(6):
             for w in proper_words(4, n):
-                p = rec4.prob(w)
+                p = reference(w)
                 for perm in itertools.permutations((1, 2, 3, 4)):
-                    assert rec4.prob(tuple(perm[a - 1] for a in w)) == p
+                    assert reference(tuple(perm[a - 1] for a in w)) == p
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_matches_raw_keyed_reference(self, q):
+        m, reference = CylinderMeasure(q), reference_recursion(q)
+        for n in range(7):
+            for w in proper_words(q, n):
+                assert m.prob(w) == reference(w)
 
     def test_formula_row_swap_symmetry(self, form4):
         # swapping the two sign rows permutes colors 2 <-> 3
@@ -162,11 +223,10 @@ class TestMeasureInvariants:
             assert sum(rec4.prob(w) for w in proper_words(4, n)) == 1
 
     def test_canonicalization_does_not_change_values(self):
-        plain = CylinderMeasure(4, canonicalize=False)
-        canon = CylinderMeasure(4, canonicalize=True)
+        canon, reference = CylinderMeasure(4), reference_recursion(4)
         for n in range(7):
             for w in proper_words(4, n):
-                assert plain.prob(w) == canon.prob(w)
+                assert canon.prob(w) == reference(w)
 
     def test_canonical_form(self):
         assert canonical_form((3, 1, 3, 2)) == (1, 2, 1, 3)
