@@ -138,8 +138,18 @@ _CONFIG_TYPES = {
 
 
 def physical_memory_bytes() -> int:
-    """Installed memory, the bound on what ``color check-dep`` may allocate."""
+    """Installed memory, the bound on the tables ``color`` commands build."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _recursion_measure(q: int, length: int, flag: str):
+    """The shared recursion measure, once its memo through ``length`` is
+    known to fit in physical memory (exit 2 naming ``flag`` otherwise)."""
+    have = physical_memory_bytes()
+    if not colorlab.memo_fits(q, length, have):
+        raise ValueError(f"{flag}: length {length} at --q {q} needs a recursion memo larger "
+                         f"than the {have / 2**30:.1f} GiB of physical memory")
+    return colorlab.recursion_measure(q)
 
 
 # --- color subcommands -------------------------------------------------------
@@ -149,7 +159,7 @@ def cmd_color_prob(args):
     if args.source == "formula":
         value = colorlab.formula_cylinder_probability(word)
     else:
-        value = colorlab.recursion_cylinder_probability(args.q, word)
+        value = _recursion_measure(args.q, len(word), "--word").prob(word)
     return {"value": str(value)}, str(value)
 
 
@@ -168,13 +178,13 @@ def cmd_color_checkdep(args):
 
 def cmd_color_marginal(args):
     pattern = parse_pattern(args.pattern, args.q)
-    value = colorlab.marginalize(colorlab.recursion_measure(args.q), pattern)
+    value = colorlab.marginalize(_recursion_measure(args.q, len(pattern), "--pattern"), pattern)
     return {"value": str(value)}, str(value)
 
 
 def cmd_color_sample(args):
     words = colorlab.sample_windows(
-        colorlab.recursion_measure(args.q), args.n, args.count, args.seed
+        _recursion_measure(args.q, args.n, "--n"), args.n, args.count, args.seed
     )
     text = "\n".join(format_word(w) for w in words)
     return {"words": [format_word(w) for w in words], "seed": args.seed}, text
@@ -214,8 +224,7 @@ def cmd_gap_reduce(args):
 
 def cmd_gap_octopus(args):
     net = gaplab.parse_graph_file(args.graph)
-    form = gaplab.octopus_form(net.graph, args.vertex)
-    low, high = gaplab.extreme_eigenvalues(form.matrix)
+    low, high = gaplab.octopus_extremes(net.graph, args.vertex)
     norm = max(abs(low), abs(high))
     payload = {
         "vertex": args.vertex,

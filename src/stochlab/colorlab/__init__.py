@@ -8,6 +8,7 @@ from .measure import (
     canonical_form,
     formula_cylinder_probability,
     marginalize,
+    memo_fits,
     proper_words,
     recursion_cylinder_probability,
     recursion_measure,
@@ -55,6 +56,7 @@ __all__ = [
     "formula_cylinder_probability",
     "is_proper",
     "marginalize",
+    "memo_fits",
     "proper_words",
     "recursion_cylinder_probability",
     "recursion_measure",

@@ -92,6 +92,28 @@ def _canonical_proper_words(q: int, n: int):
     yield from grow(0, 0)
 
 
+def memo_fits(q: int, n: int, budget: int) -> bool:
+    """Whether the recursion's memo through length n fits in ``budget`` bytes.
+
+    The memo holds the empty word and every canonical proper word of each
+    length 1..n; a canonical word of length L using d colors extends to
+    d - 1 words that reuse a color and, if d < q, one that opens color
+    d + 1.  An entry of length L is charged 160 + 8L bytes: tracemalloc
+    measured 107-232 bytes per entry (its key tuple, 40 + 8L, its count
+    and its dict slot) for q = 3 up to length 14, q = 4 up to 12 and
+    q = 6 up to 8.  Counting stops at the budget, so a huge n is refused
+    without a long loop.
+    """
+    by_colors = [1] + [0] * q  # canonical words of the current length, by colors used
+    used = 160
+    for length in range(1, n + 1):
+        by_colors = [0] + [by_colors[d] * (d - 1) + by_colors[d - 1] for d in range(1, q + 1)]
+        used += sum(by_colors) * (160 + 8 * length)
+        if used > budget:
+            return False
+    return used <= budget
+
+
 class CylinderMeasure:
     """Memoized exact map from color words to cylinder probabilities.
 

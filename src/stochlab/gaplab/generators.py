@@ -1,13 +1,12 @@
-"""Rate-matrix builders over permutations, particle subsets, and vertices.
+"""Dense rate matrices over permutations, particle subsets, and vertices.
 
 Permutation states assign a label to each vertex and are ranked by Lehmer
 code (lexicographic order of the label tuples).  All generators here are
-symmetric, so the uniform measure is reversible for each of them.  Every
-state-space generator collects its rates in one builder, and the state
-count alone picks the format: a dense matrix up to ``DENSE_STATE_LIMIT``
-states (6! = 720), a sparse one above it (such as the 7! = 5040 states of
-seven vertices), which the spectral routines hand to the iterative
-eigensolver.
+symmetric, so the uniform measure is reversible for each of them.  These
+builders are the explicit witnesses of the spectra that gaplab's reports
+read from irrep blocks (``irreps.block_spectrum``): they form every matrix
+densely and refuse a state space above ``DENSE_STATE_LIMIT`` states
+(6! = 720, so at most six vertices for the permutation space).
 """
 
 from __future__ import annotations
@@ -17,12 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .graphs import CapacityError, HyperWeights, WeightedGraph
 
 DENSE_STATE_LIMIT = 720  # 6!
-MAX_VERTICES = 7
 
 
 @dataclass(frozen=True)
@@ -31,71 +28,75 @@ class GeneratorOperator:
 
     kind: str
     states: tuple
-    matrix: object  # ndarray or scipy.sparse matrix
+    matrix: np.ndarray
 
     @property
     def dim(self) -> int:
         return len(self.states)
 
-    @property
-    def is_sparse(self) -> bool:
-        return sparse.issparse(self.matrix)
-
     def dense(self) -> np.ndarray:
-        return self.matrix.toarray() if self.is_sparse else self.matrix
+        return self.matrix
 
 
 def _check_permutation_capacity(n: int, what: str):
     if n < 2:
         raise ValueError(f"{what} needs at least 2 vertices")
-    if n > MAX_VERTICES:
-        raise CapacityError(f"{what} supports at most {MAX_VERTICES} vertices, got {n}")
+    if math.factorial(n) > DENSE_STATE_LIMIT:
+        raise CapacityError(f"the dense {what} supports at most {DENSE_STATE_LIMIT} states "
+                            f"(6 vertices), got {n} vertices")
 
 
 class _MatrixBuilder:
-    """Accumulates off-diagonal rates as triplets and their negated row sums.
-
-    Duplicate entries are summed in the order they were added.
+    """A dense rate matrix: each entry sums its rates in the order they were
+    added, and the diagonal holds the negated row sums, accumulated in the
+    same order.  ``add`` takes one entry, or index arrays with distinct rows.
     """
 
     def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.vals: list[float] = []
+        self.matrix = np.zeros((dim, dim))
         self.diag = np.zeros(dim)
 
-    def add(self, r: int, c: int, rate: float):
-        self.rows.append(r)
-        self.cols.append(c)
-        self.vals.append(rate)
-        self.diag[r] -= rate
+    def add(self, rows, cols, rate: float):
+        self.matrix[rows, cols] += rate
+        self.diag[rows] -= rate
 
-    def finish(self):
-        """Dense up to ``DENSE_STATE_LIMIT`` states, CSR above it."""
-        d = self.dim
-        self.rows.extend(range(d))
-        self.cols.extend(range(d))
-        self.vals.extend(self.diag)
-        coo = sparse.coo_matrix((self.vals, (self.rows, self.cols)), shape=(d, d))
-        return coo.toarray() if d <= DENSE_STATE_LIMIT else coo.tocsr()
+    def finish(self) -> np.ndarray:
+        self.matrix[np.diag_indices_from(self.matrix)] += self.diag
+        return self.matrix
+
+
+class _PermutationSpace(_MatrixBuilder):
+    """A dense rate matrix over the n! label assignments, filled one
+    relabeling of positions at a time for every state at once."""
+
+    def __init__(self, n: int, what: str):
+        _check_permutation_capacity(n, what)
+        self.states = tuple(itertools.permutations(range(n)))
+        super().__init__(len(self.states))
+        self.perms = np.array(self.states, dtype=np.int64)
+        # Lehmer code: digit k counts the later entries smaller than entry k
+        self.place = np.array([math.factorial(n - 1 - k) for k in range(n)], dtype=np.int64)
+        self.rows = np.arange(len(self.states))
+
+    def move(self, moved, rate: float):
+        """Rate from every sigma to sigma o g, where ``moved`` lists g(v)
+        for each position v."""
+        images = self.perms[:, moved]
+        later_smaller = np.triu(images[:, :, None] > images[:, None, :], 1).sum(axis=2)
+        self.add(self.rows, later_smaller @ self.place, rate)
+
+    def swap(self, i: int, j: int, rate: float):
+        moved = list(range(self.perms.shape[1]))
+        moved[i], moved[j] = j, i
+        self.move(moved, rate)
 
 
 def interchange_generator(graph: WeightedGraph) -> GeneratorOperator:
     """Label swaps across every positive edge at the edge's conductance."""
-    n = graph.n
-    _check_permutation_capacity(n, "interchange process")
-    states = tuple(itertools.permutations(range(n)))
-    index = {s: r for r, s in enumerate(states)}
-    edges = list(graph.edges())
-    builder = _MatrixBuilder(len(states))
-    for r, sigma in enumerate(states):
-        lst = list(sigma)
-        for i, j, w in edges:
-            lst[i], lst[j] = lst[j], lst[i]
-            builder.add(r, index[tuple(lst)], w)
-            lst[i], lst[j] = lst[j], lst[i]
-    return GeneratorOperator("interchange", states, builder.finish())
+    space = _PermutationSpace(graph.n, "interchange process")
+    for i, j, w in graph.edges():
+        space.swap(i, j, w)
+    return GeneratorOperator("interchange", space.states, space.finish())
 
 
 def rw_generator(graph: WeightedGraph) -> GeneratorOperator:
@@ -113,10 +114,9 @@ def exclusion_generator(graph: WeightedGraph, k: int) -> GeneratorOperator:
     n = graph.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"particle count must satisfy 1 <= k <= {n - 1}, got {k}")
-    if math.comb(n, k) > 10_000:
-        raise CapacityError(
-            f"exclusion process with {math.comb(n, k)} configurations exceeds the limit of 10000"
-        )
+    if math.comb(n, k) > DENSE_STATE_LIMIT:
+        raise CapacityError(f"exclusion process with {math.comb(n, k)} configurations exceeds "
+                            f"the dense limit of {DENSE_STATE_LIMIT}")
     states = tuple(itertools.combinations(range(n), k))
     index = {s: r for r, s in enumerate(states)}
     edges = list(graph.edges())
@@ -138,26 +138,19 @@ def alpha_shuffle_generator(hyper: HyperWeights) -> GeneratorOperator:
     share, rate/|A|!, cancels against the same amount of the -rate * I
     term, so it is left out of both.
     """
-    n = hyper.n
-    _check_permutation_capacity(n, "alpha-shuffle process")
-    states = tuple(itertools.permutations(range(n)))
-    index = {s: r for r, s in enumerate(states)}
-    builder = _MatrixBuilder(len(states))
+    space = _PermutationSpace(hyper.n, "alpha-shuffle process")
     for subset, rate in hyper.rates.items():
         if rate == 0:
             continue
         positions = sorted(subset)
-        f = math.factorial(len(positions))
-        per = rate / f
-        for r, sigma in enumerate(states):
-            labels = [sigma[p] for p in positions]
-            lst = list(sigma)
-            # permutations() yields the identity arrangement first
-            for arrangement in itertools.islice(itertools.permutations(labels), 1, None):
-                for p, lab in zip(positions, arrangement):
-                    lst[p] = lab
-                builder.add(r, index[tuple(lst)], per)
-    return GeneratorOperator("alpha_shuffle", states, builder.finish())
+        per = rate / math.factorial(len(positions))
+        moved = list(range(hyper.n))
+        # permutations() yields the identity arrangement first
+        for arrangement in itertools.islice(itertools.permutations(positions), 1, None):
+            for p, source in zip(positions, arrangement):
+                moved[p] = source
+            space.move(moved, per)
+    return GeneratorOperator("alpha_shuffle", space.states, space.finish())
 
 
 def alpha_single_particle_rates(hyper: HyperWeights) -> WeightedGraph:

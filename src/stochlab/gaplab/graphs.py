@@ -13,6 +13,7 @@ and column of the offending token.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,10 @@ class WeightedGraph:
         object.__setattr__(self, "weights", w)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"weights must be a square matrix, got shape {w.shape}")
+        bad = np.argwhere(~np.isfinite(w))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"weights must be finite, got {w[i, j]} at ({i}, {j})")
         if not np.array_equal(w, w.T):
             raise ValueError("weights must be symmetric")
         if np.any(np.diag(w) != 0):
@@ -100,6 +105,8 @@ class HyperWeights:
                 raise ValueError(f"rated subsets need >= 2 vertices, got {sorted(subset)}")
             if not all(0 <= v < self.n for v in subset):
                 raise ValueError(f"subset {sorted(subset)} outside 0..{self.n - 1}")
+            if not math.isfinite(rate):
+                raise ValueError(f"rate for {sorted(subset)} must be finite, got {rate}")
             if rate < 0:
                 raise ValueError(f"rate for {sorted(subset)} is negative")
             cleaned[subset] = cleaned.get(subset, 0.0) + float(rate)
@@ -176,27 +183,38 @@ def random_hyperweights(n: int, rng: np.random.Generator,
 
 def connected_graph_representatives(n: int) -> list[WeightedGraph]:
     """One unit-weight representative per isomorphism class of connected
-    graphs on n vertices (brute-force canonical forms)."""
+    graphs on n vertices: the first edge mask of each class, in mask order.
+
+    Bit b of a mask is the b-th pair of ``itertools.combinations``.  The
+    canonical form of a mask is the least, over all n! relabelings p, of
+    the bit string that reads pair b's bit at pair (p(i_b), p(j_b)), first
+    pair most significant; all masks are relabeled at once per p.
+    """
     pairs = list(itertools.combinations(range(n), 2))
-    perms = list(itertools.permutations(range(n)))
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]
-        g = WeightedGraph.from_edges(n, [(i, j, 1.0) for i, j in edges])
-        if not g.is_connected:
-            continue
-        canon = min(
-            tuple(
-                1 if g.weights[p[i], p[j]] > 0 else 0
-                for i, j in pairs
-            )
-            for p in perms
-        )
-        if canon not in seen:
-            seen.add(canon)
-            out.append(g)
-    return out
+    index = {pair: b for b, pair in enumerate(pairs)}
+    masks = np.arange(1 << len(pairs), dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(len(pairs))) & 1
+    # connectivity: grow the set reached from vertex 0 by whole neighbourhoods
+    neighbours = np.zeros((len(masks), n), dtype=np.int64)
+    for (i, j), b in index.items():
+        neighbours[:, i] |= bits[:, b] << j
+        neighbours[:, j] |= bits[:, b] << i
+    reached = np.ones(len(masks), dtype=np.int64)
+    for _ in range(n - 1):
+        for v in range(n):
+            reached |= np.where(reached >> v & 1, neighbours[:, v], 0)
+    connected = np.flatnonzero(reached == (1 << n) - 1)
+    kept = bits[connected]
+    place = 1 << np.arange(len(pairs) - 1, -1, -1, dtype=np.int64)
+    canon = None
+    for p in itertools.permutations(range(n)):
+        relabeled = kept[:, [index[tuple(sorted((p[i], p[j])))] for i, j in pairs]] @ place
+        canon = relabeled if canon is None else np.minimum(canon, relabeled)
+    _, first = np.unique(canon, return_index=True)
+    return [
+        WeightedGraph.from_edges(n, [(i, j, 1.0) for b, (i, j) in enumerate(pairs) if mask >> b & 1])
+        for mask in connected[np.sort(first)].tolist()
+    ]
 
 
 # --- text format ------------------------------------------------------------
@@ -244,6 +262,8 @@ def parse_network(text: str) -> Network:
                 weight = float(tokens[3])
             except ValueError:
                 err(lineno, raw, tokens[3], f"bad weight {tokens[3]!r}")
+            if not math.isfinite(weight):
+                err(lineno, raw, tokens[3], f"weight must be finite, got {tokens[3]!r}")
             if weight < 0:
                 err(lineno, raw, tokens[3], "weight must be nonnegative")
             edges.append((i, j, weight))
@@ -273,6 +293,8 @@ def parse_network(text: str) -> Network:
                 rate = float(tokens[2 + k])
             except ValueError:
                 err(lineno, raw, tokens[2 + k], f"bad rate {tokens[2 + k]!r}")
+            if not math.isfinite(rate):
+                err(lineno, raw, tokens[2 + k], f"rate must be finite, got {tokens[2 + k]!r}")
             if rate < 0:
                 err(lineno, raw, tokens[2 + k], "rate must be nonnegative")
             subset = frozenset(verts)

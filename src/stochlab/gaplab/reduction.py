@@ -8,7 +8,9 @@ This is the conductance-preserving trace of the walk (series reduction on
 The hub-comparison form compares the swap energy of the star at ``i``
 against half the redistributed pairwise swap energy; its positive
 semidefiniteness is exactly the inequality that makes the reduction
-monotone for the interchange process.
+monotone for the interchange process.  ``octopus_form`` builds it as a
+dense matrix (up to 6 vertices); ``octopus_extremes`` reads its extreme
+eigenvalues from irrep blocks (up to 8).
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import itertools
 
 import numpy as np
 
-from .generators import GeneratorOperator, _check_permutation_capacity, _MatrixBuilder
+from .generators import GeneratorOperator, _PermutationSpace
 from .graphs import WeightedGraph
+from .irreps import block_spectrum
 
 
 def reduce_vertex(graph: WeightedGraph, i: int) -> WeightedGraph:
@@ -46,8 +49,30 @@ def embedded_reduced_graph(graph: WeightedGraph, i: int) -> WeightedGraph:
     return WeightedGraph(w)
 
 
+def _hub_coefficients(graph: WeightedGraph, i: int) -> dict[tuple[int, int], float]:
+    """Net coefficient c_ab of (I - T_ab) in the hub comparison form at i,
+    per unordered pair a < b (see ``octopus_form``)."""
+    n = graph.n
+    if not 0 <= i < n:
+        raise ValueError(f"vertex {i} outside 0..{n - 1}")
+    strength = graph.strength(i)
+    if strength <= 0:
+        raise ValueError(f"vertex {i} is isolated")
+    w = graph.weights
+    others = [v for v in range(n) if v != i]
+    coeff: dict[tuple[int, int], float] = {}
+    for l in others:
+        if w[i, l] > 0:
+            coeff[(min(i, l), max(i, l))] = coeff.get((min(i, l), max(i, l)), 0.0) + w[i, l]
+    for j, k in itertools.combinations(others, 2):
+        c = w[i, j] * w[i, k] / strength
+        if c != 0:
+            coeff[(j, k)] = coeff.get((j, k), 0.0) - c
+    return coeff
+
+
 def octopus_form(graph: WeightedGraph, i: int) -> GeneratorOperator:
-    """The hub-comparison matrix C on the permutation space.
+    """The hub-comparison matrix C on the permutation space, built densely.
 
     C = sum_l c(i,l) (I - T_il)
         - 1/2 sum_{j,k != i} (c(i,j) c(i,k) / sum_l c(i,l)) (I - T_jk)
@@ -57,36 +82,16 @@ def octopus_form(graph: WeightedGraph, i: int) -> GeneratorOperator:
     is symmetric with zero row sums but mixed-sign off-diagonals; it is not
     a generator, and its claimed property is positive semidefiniteness.
     """
-    n = graph.n
-    _check_permutation_capacity(n, "hub comparison form")
-    if not 0 <= i < n:
-        raise ValueError(f"vertex {i} outside 0..{n - 1}")
-    strength = graph.strength(i)
-    if strength <= 0:
-        raise ValueError(f"vertex {i} is isolated")
-    w = graph.weights
-    others = [v for v in range(n) if v != i]
-
-    # net coefficient per unordered transposition
-    coeff: dict[tuple[int, int], float] = {}
-    for l in others:
-        if w[i, l] > 0:
-            coeff[(min(i, l), max(i, l))] = coeff.get((min(i, l), max(i, l)), 0.0) + w[i, l]
-    for j, k in itertools.combinations(others, 2):
-        c = w[i, j] * w[i, k] / strength
-        if c != 0:
-            coeff[(j, k)] = coeff.get((j, k), 0.0) - c
-
-    states = tuple(itertools.permutations(range(n)))
-    index = {s: r for r, s in enumerate(states)}
-    builder = _MatrixBuilder(len(states))
-    for r, sigma in enumerate(states):
-        lst = list(sigma)
-        for (a, b), c in coeff.items():
-            lst[a], lst[b] = lst[b], lst[a]
-            # c * (I - T_ab): -c off-diagonal, +c on the diagonal
-            builder.add(r, index[tuple(lst)], c)
-            lst[a], lst[b] = lst[b], lst[a]
+    space = _PermutationSpace(graph.n, "hub comparison form")
+    for (a, b), c in _hub_coefficients(graph, i).items():
+        # c * (I - T_ab): -c off-diagonal, +c on the diagonal
+        space.swap(a, b, c)
     # the builder accumulates sum_c c (T - I); the comparison form is its negative
-    return GeneratorOperator("octopus_form", states, -builder.finish())
+    return GeneratorOperator("octopus_form", space.states, -space.finish())
 
+
+def octopus_extremes(graph: WeightedGraph, i: int) -> tuple[float, float]:
+    """(smallest, largest) eigenvalue of the hub comparison form at i, read
+    from its irrep blocks (up to ``irreps.MAX_VERTICES`` vertices)."""
+    eigenvalues = [ev for _, ev in block_spectrum(graph.n, _hub_coefficients(graph, i))]
+    return min(float(ev[0]) for ev in eigenvalues), max(float(ev[-1]) for ev in eigenvalues)

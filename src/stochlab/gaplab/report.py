@@ -1,19 +1,21 @@
-"""Aggregate gap computations for one graph, with identity checks."""
+"""Aggregate gap computations for one graph, with identity checks.
+
+The walk and exclusion gaps come from dense matrices.  The interchange and
+subset-shuffle gaps come from the operators' irrep blocks
+(``irreps.block_spectrum``, up to ``irreps.MAX_VERTICES`` vertices), whose
+(n-1, 1) block must reproduce the single-particle walk: a mismatch there
+is flagged, since it would mean the blocks themselves are wrong.
+"""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 
-from .generators import (
-    alpha_shuffle_generator,
-    alpha_single_particle_rates,
-    exclusion_generator,
-    interchange_generator,
-    rw_generator,
-)
+from .generators import alpha_single_particle_rates, exclusion_generator, rw_generator
 from .graphs import HyperWeights, WeightedGraph
-from .spectral import DEFAULT_TOL_ZERO, ReducibilityError, spectral_gap
+from .irreps import block_spectrum
+from .spectral import DEFAULT_TOL_ZERO, ReducibilityError, block_gap, spectral_gap
 
 DEFAULT_RTOL = 1e-8
 
@@ -72,7 +74,8 @@ def gap_report(graph: WeightedGraph, hyper: HyperWeights | None = None,
         raise ReducibilityError("gap report requires a connected graph")
     started = time.perf_counter()
     lam_rw = spectral_gap(rw_generator(graph), tol_zero)
-    lam_ip = spectral_gap(interchange_generator(graph), tol_zero)
+    blocks = block_spectrum(graph.n, {(i, j): w for i, j, w in graph.edges()})
+    lam_ip = block_gap(blocks, tol_zero)
     exclusion = [
         spectral_gap(exclusion_generator(graph, k), tol_zero)
         for k in range(1, graph.n)
@@ -82,7 +85,7 @@ def gap_report(graph: WeightedGraph, hyper: HyperWeights | None = None,
     identity_ok = abs(lam_ip - lam_rw) <= rtol * lam_rw
     exclusion_constant = all(abs(g - lam_rw) <= rtol * lam_rw for g in exclusion)
     contraction_ok = lam_ip <= lam_rw * (1 + rtol)
-    flags = []
+    flags = _standard_block_flags(blocks, lam_rw, rtol, "walk gap")
     if not identity_ok:
         flags.append("interchange gap deviates from walk gap")
     if not exclusion_constant:
@@ -121,7 +124,6 @@ def shuffle_gap_comparison(hyper: HyperWeights, tol_zero: float = DEFAULT_TOL_ZE
     The equality of the two is conjectural: disagreements are flagged in
     the result but never raised.
     """
-    flags = []
     single = alpha_single_particle_rates(hyper)
     if not any(rate > 0 for rate in hyper.rates.values()):
         return {
@@ -137,8 +139,10 @@ def shuffle_gap_comparison(hyper: HyperWeights, tol_zero: float = DEFAULT_TOL_ZE
             "shuffleIdentityOk": None,
             "flags": ["single-particle graph is disconnected"],
         }
-    lam_shuffle = spectral_gap(alpha_shuffle_generator(hyper), tol_zero)
+    blocks = block_spectrum(hyper.n, subset_rates=hyper.rates)
+    lam_shuffle = block_gap(blocks, tol_zero)
     lam_walk = spectral_gap(rw_generator(single), tol_zero)
+    flags = _standard_block_flags(blocks, lam_walk, rtol, "single-particle walk gap")
     agree = abs(lam_shuffle - lam_walk) <= rtol * max(lam_walk, 1e-300)
     if not agree:
         flags.append(
@@ -151,3 +155,13 @@ def shuffle_gap_comparison(hyper: HyperWeights, tol_zero: float = DEFAULT_TOL_ZE
         "shuffleIdentityOk": agree,
         "flags": flags,
     }
+
+
+def _standard_block_flags(blocks, lam_walk: float, rtol: float, walk: str) -> list[str]:
+    """A flag unless the (n-1, 1) block's smallest eigenvalue is the walk gap."""
+    shape, eigenvalues = blocks[1]  # partitions order: (n), then (n-1, 1)
+    low = float(eigenvalues[0])
+    if abs(low - lam_walk) <= rtol * lam_walk:
+        return []
+    return [f"irrep block {shape} has smallest eigenvalue {low:.12g}, not the {walk} "
+            f"{lam_walk:.12g}"]

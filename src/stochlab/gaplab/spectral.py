@@ -1,18 +1,15 @@
 """Spectral gaps, Dirichlet forms, and variance for symmetric generators.
 
-The solver follows the operator's format, which the generator builders
-pick from the state count.  Dense operators (up to 720 states) get a full
-symmetric eigendecomposition.  Sparse operators (the 5040-state
-permutation space) use a Lanczos solve for the smallest eigenvalue after
-deflating the constant vector: adding a rank-one shift on the all-ones
-direction moves the trivial zero eigenvalue out of the way without
-touching the rest of the spectrum.
+A dense operator gets a full symmetric eigendecomposition.  A
+permutation-space operator can instead be read from its irrep blocks
+(``irreps.block_spectrum``): ``block_gap`` takes the smallest eigenvalue
+outside the trivial block, which holds the one zero eigenvalue of the
+constant functions.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .generators import GeneratorOperator
 
@@ -29,8 +26,6 @@ def spectral_gap(op: GeneratorOperator, tol_zero: float = DEFAULT_TOL_ZERO) -> f
     Eigenvalues below ``tol_zero`` times the spectral radius count as zero;
     exactly one is allowed, otherwise ReducibilityError is raised.
     """
-    if op.is_sparse:
-        return _iterative_gap(op, tol_zero)
     eigenvalues = np.linalg.eigvalsh(-op.dense())
     radius = float(np.abs(eigenvalues).max()) if eigenvalues.size else 0.0
     if radius == 0.0:
@@ -46,50 +41,28 @@ def spectral_gap(op: GeneratorOperator, tol_zero: float = DEFAULT_TOL_ZERO) -> f
     return float(nonzero[0])
 
 
-def _iterative_gap(op: GeneratorOperator, tol_zero: float) -> float:
-    from scipy.sparse.csgraph import connected_components
+def block_gap(blocks, tol_zero: float = DEFAULT_TOL_ZERO) -> float:
+    """Spectral gap of a negated generator from its ``block_spectrum``.
 
-    q = op.matrix
-    dim = op.dim
-    diag = np.asarray(q.diagonal()).ravel()
-    radius_bound = 2.0 * float(np.abs(diag).max())  # Gershgorin for -Q
-    if radius_bound == 0.0:
+    The trivial block (n) holds the zero eigenvalue; the gap is the
+    smallest eigenvalue of every other block, and one below ``tol_zero``
+    times the spectral radius (the largest over all blocks) raises
+    ReducibilityError, as a second zero eigenvalue does in ``spectral_gap``.
+    """
+    radius = max(float(np.abs(ev).max()) for _, ev in blocks)
+    if radius == 0.0:
         raise ReducibilityError("zero generator has no spectral gap")
-    # for a symmetric generator the zero eigenvalue multiplicity equals the
-    # number of connected components of the state graph; Lanczos restarts
-    # can miss extra zeros, so count them structurally
-    pieces, _ = connected_components(q, directed=False)
-    if pieces != 1:
+    gap = min(float(ev[0]) for shape, ev in blocks if len(shape) > 1)
+    if gap <= tol_zero * radius:
         raise ReducibilityError(
-            f"state graph splits into {pieces} pieces; the chain is reducible"
+            f"a nontrivial irrep block has eigenvalue {gap:.3g}, below the zero "
+            "threshold; the chain is reducible"
         )
-    ones = np.full(dim, 1.0 / np.sqrt(dim))
-
-    def matvec(x):
-        return -(q @ x) + radius_bound * (ones @ x) * ones
-
-    operator = LinearOperator((dim, dim), matvec=matvec, dtype=float)
-    rng = np.random.default_rng(1729)  # fixed start vector for reproducibility
-    v0 = rng.standard_normal(dim)
-    smallest = eigsh(operator, k=1, which="SA", v0=v0, tol=1e-11,
-                     maxiter=50 * dim, return_eigenvectors=False)[0]
-    if smallest <= tol_zero * radius_bound:
-        raise ReducibilityError(
-            "deflated operator still has a near-zero eigenvalue; "
-            "the chain is reducible"
-        )
-    return float(smallest)
+    return gap
 
 
 def extreme_eigenvalues(matrix) -> tuple[float, float]:
-    """(smallest, largest) eigenvalue of a symmetric matrix, dense or sparse."""
-    import scipy.sparse as sp
-
-    if sp.issparse(matrix):
-        v0 = np.random.default_rng(1729).standard_normal(matrix.shape[0])
-        lo = eigsh(matrix, k=1, which="SA", v0=v0, return_eigenvectors=False)[0]
-        hi = eigsh(matrix, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
-        return float(lo), float(hi)
+    """(smallest, largest) eigenvalue of a dense symmetric matrix."""
     eigenvalues = np.linalg.eigvalsh(matrix)
     return float(eigenvalues[0]), float(eigenvalues[-1])
 

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +103,21 @@ class TestColorCommands:
             assert code == 2 and report is None
             assert "--nmax" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag,long,short", [
+        (("prob",), "--word", "1213121312131", "121312"),
+        (("sample", "--seed", "1"), "--n", "13", "6"),
+        (("sample", "--seed", "1"), "--n", str(10**12), "6"),  # refused without counting
+        (("marginal",), "--pattern", "1.3.1.3.1.3.1", "1.3.1."),
+    ])
+    def test_word_length_bounded_by_memory(self, monkeypatch, capsys, command, flag, long,
+                                           short):
+        monkeypatch.setattr(cli, "physical_memory_bytes", lambda: 2**20)
+        code, report = run("color", *command, flag, long)  # refused before any memo is built
+        assert code == 2 and report is None
+        assert f"{flag}: length " in capsys.readouterr().err
+        # 1 MiB holds the q=4 memo through length 6 (about 500 entries)
+        assert run("color", *command, flag, short)[0] == 0
+
     def test_marginal(self):
         code, report = run("color", "marginal", "--pattern", "1.3")
         assert code == 0 and report["value"] == "1/16"
@@ -168,12 +186,42 @@ class TestGapCommands:
         code, report = run("gap", "report", "--graph", str(p), "--expect", "identityOk=true")
         assert code == 0 and report["n"] == 7
 
-    def test_eight_vertices_exceed_capacity(self, tmp_path, capsys):
-        p = tmp_path / "path8.g"
-        p.write_text("n 8\n" + "".join(f"e {i} {i + 1} 1.0\n" for i in range(7)))
-        code, _ = run("gap", "report", "--graph", str(p))
-        assert code == 2
-        assert "at most 7 vertices" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", [
+        ("report",), ("octopus", "--vertex", "3"), ("shuffle",),
+    ])
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_seven_and_eight_vertices_run(self, tmp_path, command, n):
+        p = tmp_path / "path.g"
+        p.write_text(f"n {n}\n" + "".join(f"e {i} {i + 1} 1.0\nh 2 {i} {i + 1} 1.0\n"
+                                           for i in range(n - 1)))
+        code, report = run("gap", command[0], "--graph", str(p), *command[1:])
+        assert code == 0
+        if command[0] == "octopus":
+            assert report["psd"] is True
+        else:
+            assert report["flags"] == []
+
+    @pytest.mark.parametrize("command", [
+        ("report",), ("octopus", "--vertex", "3"), ("shuffle",),
+    ])
+    def test_nine_vertices_exceed_capacity(self, tmp_path, capsys, command):
+        p = tmp_path / "path9.g"
+        p.write_text("n 9\n" + "".join(f"e {i} {i + 1} 1.0\nh 2 {i} {i + 1} 1.0\n"
+                                        for i in range(8)))
+        code, report = run("gap", command[0], "--graph", str(p), *command[1:])
+        assert code == 2 and report is None
+        assert "2 to 8 vertices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record,token", [
+        ("e 0 1 nan", "'nan'"), ("e 0 1 inf", "'inf'"), ("h 2 0 1 -inf", "'-inf'"),
+    ])
+    def test_non_finite_values_rejected(self, tmp_path, capsys, record, token):
+        p = tmp_path / "bad.g"
+        p.write_text(f"n 3\ne 1 2 1.0\n{record}\n")
+        code, report = run("gap", "report", "--graph", str(p))
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert "line 3, column" in err and f"finite, got {token}" in err
 
     @pytest.mark.parametrize("command", [
         ("report",), ("octopus", "--vertex", "1"), ("shuffle",),
@@ -340,3 +388,11 @@ class TestReportPlumbing:
         code, _ = run("color", "check-dep", "--q", "4", "--k", "0", "--nmax", "3",
                       "--expect", "witness.joint=0")
         assert code == 0
+
+
+def test_cli_imports_no_scipy():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, stochlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

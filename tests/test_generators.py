@@ -67,16 +67,16 @@ class TestInterchange:
             assert_valid_generator(interchange_generator(g))
 
     def test_capacity_limits(self):
+        # the dense witness stops at 6! = 720 states; larger n use the blocks
         with pytest.raises(CapacityError):
-            interchange_generator(path_graph(8))
+            interchange_generator(path_graph(7))
         with pytest.raises(ValueError):
             interchange_generator(path_graph(1))
 
-    def test_seven_vertices_is_sparse(self):
-        op = interchange_generator(path_graph(7))
-        assert op.is_sparse
-        assert op.dim == 5040
-        assert abs(op.matrix - op.matrix.T).max() == 0
+    def test_six_vertices_is_the_dense_limit(self):
+        op = interchange_generator(path_graph(6))
+        assert isinstance(op.matrix, np.ndarray) and op.dim == 720
+        assert np.array_equal(op.matrix, op.matrix.T)
         assert np.abs(op.matrix.sum(axis=1)).max() <= 1e-12
 
 
@@ -163,12 +163,14 @@ class TestAlphaShuffle:
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            alpha_shuffle_generator(HyperWeights(8, {frozenset({0, 1}): 1.0}))
-        # seven vertices build sparse; pairs-only rates make the gap a theorem
-        h = HyperWeights(7, {frozenset({i, i + 1}): 1.0 + 0.1 * i for i in range(6)})
-        op = alpha_shuffle_generator(h)
-        assert op.is_sparse and op.dim == 5040
-        assert shuffle_gap_comparison(h)["shuffleIdentityOk"] is True
+            alpha_shuffle_generator(HyperWeights(7, {frozenset({0, 1}): 1.0}))
+        # seven and eight vertices go to the irrep blocks; pairs-only rates
+        # make the gap a theorem
+        for n in (7, 8):
+            h = HyperWeights(n, {frozenset({i, i + 1}): 1.0 + 0.1 * i for i in range(n - 1)})
+            assert shuffle_gap_comparison(h)["shuffleIdentityOk"] is True
+        with pytest.raises(CapacityError):
+            shuffle_gap_comparison(HyperWeights(9, {frozenset({i, i + 1}): 1.0 for i in range(8)}))
 
 
 class TestSingleParticleRates:

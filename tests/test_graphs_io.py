@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,11 @@ class TestWeightedGraph:
         assert g.strength(0) == 6.0
         assert g.strength(1) == 2.0
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match=f"finite, got {value} at \\(0, 1\\)"):
+            WeightedGraph.from_edges(3, [(0, 1, value), (1, 2, 1.0)])
+
     def test_duplicate_edges_summed(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0), (0, 1, 0.5)])
         assert g.weights[0, 1] == 1.5
@@ -58,6 +65,12 @@ class TestHyperWeights:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             HyperWeights(3, {frozenset({0, 1}): -2.0})
+
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, value):
+        with pytest.raises(ValueError, match=f"must be finite, got {value}"):
+            HyperWeights(3, {frozenset({0, 2}): value})
 
 
 class TestParsing:
@@ -101,6 +114,18 @@ class TestParsing:
             parse_network(text)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("text,token,column", [
+        ("n 2\ne 0 1 nan\n", "'nan'", 7),
+        ("n 2\ne 0 1 inf\n", "'inf'", 7),
+        ("n 3\ne 0 1 1.0\n  h 2 0 2 -inf  # hub\n", "'-inf'", 11),
+        ("n 3\nh 3 0 1 2 NaN\n", "'NaN'", 11),
+    ])
+    def test_non_finite_values_name_line_and_column(self, text, token, column):
+        with pytest.raises(GraphFormatError, match=f"finite, got {token}") as exc:
+            parse_network(text)
+        # the offending record is the last line
+        assert (exc.value.line, exc.value.column) == (len(text.splitlines()), column)
+
     def test_missing_n(self):
         with pytest.raises(GraphFormatError):
             parse_network("# nothing\n")
@@ -113,10 +138,39 @@ class TestParsing:
         assert net.hyper.rates == h.rates
 
 
+def reference_representatives(n: int) -> list[WeightedGraph]:
+    """The mask-by-mask loop that ``connected_graph_representatives``
+    vectorizes: the first mask of each class, canonical form by brute force."""
+    pairs = list(itertools.combinations(range(n), 2))
+    perms = list(itertools.permutations(range(n)))
+    seen: set[tuple[int, ...]] = set()
+    out = []
+    for mask in range(1 << len(pairs)):
+        edges = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]
+        g = WeightedGraph.from_edges(n, [(i, j, 1.0) for i, j in edges])
+        if not g.is_connected:
+            continue
+        canon = min(
+            tuple(1 if g.weights[p[i], p[j]] > 0 else 0 for i, j in pairs)
+            for p in perms
+        )
+        if canon not in seen:
+            seen.add(canon)
+            out.append(g)
+    return out
+
+
 class TestEnumeration:
     def test_connected_class_counts(self):
         # frozen from the brute-force canonical-form enumeration
-        assert [len(connected_graph_representatives(n)) for n in range(2, 6)] == [1, 2, 6, 21]
+        assert [len(connected_graph_representatives(n)) for n in range(1, 6)] == [1, 1, 2, 6, 21]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_the_reference_loop(self, n):
+        got = connected_graph_representatives(n)
+        want = reference_representatives(n)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a.weights, b.weights) for a, b in zip(got, want))
 
     def test_representatives_are_connected_and_distinct(self):
         reps = connected_graph_representatives(4)

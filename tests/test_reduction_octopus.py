@@ -9,6 +9,7 @@ from stochlab.gaplab import (
     embedded_reduced_graph,
     extreme_eigenvalues,
     interchange_generator,
+    octopus_extremes,
     octopus_form,
     path_graph,
     random_connected_graph,
@@ -130,10 +131,21 @@ class TestOctopusForm:
         with pytest.raises(ValueError):
             octopus_form(g, 2)
 
-    def test_seven_vertices_sparse_path(self):
-        form = octopus_form(path_graph(7), 3)
-        assert form.is_sparse and form.dim == 5040
-        lo, hi = extreme_eigenvalues(form.matrix)
-        assert lo >= -1e-9 * max(abs(lo), abs(hi))
+    def test_extremes_from_blocks_match_the_dense_form(self):
+        rng = np.random.default_rng(13)
+        for n in (3, 4, 5, 6):
+            g = random_connected_graph(n, rng)
+            for hub in range(n):
+                if g.strength(hub) > 0:
+                    dense = extreme_eigenvalues(octopus_form(g, hub).matrix)
+                    blocks = octopus_extremes(g, hub)
+                    assert np.allclose(blocks, dense, rtol=0, atol=1e-12 * abs(dense[1]))
+
+    def test_seven_and_eight_vertices_use_the_blocks(self):
         with pytest.raises(CapacityError):
-            octopus_form(path_graph(8), 3)
+            octopus_form(path_graph(7), 3)
+        for n in (7, 8):
+            lo, hi = octopus_extremes(path_graph(n), 3)
+            assert lo >= -1e-9 * max(abs(lo), abs(hi))
+        with pytest.raises(CapacityError):
+            octopus_extremes(path_graph(9), 3)

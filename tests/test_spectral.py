@@ -4,6 +4,8 @@ import pytest
 from stochlab.gaplab import (
     ReducibilityError,
     WeightedGraph,
+    block_gap,
+    block_spectrum,
     complete_graph,
     dirichlet_form,
     exclusion_generator,
@@ -49,32 +51,30 @@ class TestSpectralGap:
             assert spectral_gap(interchange_generator(g)) > 0
 
 
-class TestIterativePath:
+class TestBlockGap:
     def test_seven_vertex_path_matches_walk(self):
         g = path_graph(7)
-        op = interchange_generator(g)
-        assert op.is_sparse
-        gap_ip = spectral_gap(op)
+        gap_ip = block_gap(block_spectrum(7, {(i, j): w for i, j, w in g.edges()}))
         gap_rw = spectral_gap(rw_generator(g))
         assert gap_ip == pytest.approx(gap_rw, rel=1e-8)
+        assert gap_ip == pytest.approx(2 - 2 * np.cos(np.pi / 7), rel=1e-12)
 
-    def test_iterative_agrees_with_dense_on_small_case(self):
-        # force the sparse route by converting a dense generator
-        from scipy import sparse
-
-        from stochlab.gaplab.generators import GeneratorOperator
-
+    def test_agrees_with_dense_on_small_case(self):
         g = random_connected_graph(5, np.random.default_rng(8))
-        op = interchange_generator(g)
-        sparse_op = GeneratorOperator(op.kind, op.states, sparse.csr_matrix(op.matrix))
-        assert spectral_gap(sparse_op) == pytest.approx(spectral_gap(op), rel=1e-8)
+        blocks = block_spectrum(5, {(i, j): w for i, j, w in g.edges()})
+        assert block_gap(blocks) == pytest.approx(spectral_gap(interchange_generator(g)),
+                                                  rel=1e-12)
 
-    def test_sparse_disconnected_raises(self):
+    def test_disconnected_raises_at_seven_vertices(self):
         g = WeightedGraph.from_edges(
             7, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (5, 6, 1.0)]
         )
         with pytest.raises(ReducibilityError):
-            spectral_gap(interchange_generator(g))
+            block_gap(block_spectrum(7, {(i, j): w for i, j, w in g.edges()}))
+
+    def test_zero_operator_raises(self):
+        with pytest.raises(ReducibilityError):
+            block_gap(block_spectrum(4))
 
 
 class TestDirichletForm:
