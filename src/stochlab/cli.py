@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -247,9 +248,14 @@ def cmd_gap_shuffle(args):
 # --- sim subcommands ---------------------------------------------------------
 
 def _require(args, names):
+    """Every named option is given, and a float one is finite."""
     for name in names:
-        if getattr(args, name) is None:
-            raise ValueError(f"missing required option --{name.replace('_', '-')}")
+        value = getattr(args, name)
+        flag = "--lambda" if name == "lam" else f"--{name.replace('_', '-')}"
+        if value is None:
+            raise ValueError(f"missing required option {flag}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
 
 
 def cmd_sim_contact(args):

@@ -57,18 +57,18 @@ def proper_words(q: int, n: int):
         yield ()
         return
     word = [0] * n
-
-    def grow(i: int):
-        for a in range(1, q + 1):
-            if i > 0 and word[i - 1] == a:
-                continue
-            word[i] = a
-            if i + 1 == n:
-                yield tuple(word)
-            else:
-                yield from grow(i + 1)
-
-    yield from grow(0)
+    # depth-first on an explicit stack, so the length is not bounded by recursion
+    letters = range(q, 0, -1)  # pushed in reverse, popped in lexicographic order
+    stack = [(0, a) for a in letters]  # (position, letter)
+    while stack:
+        i, a = stack.pop()
+        word[i] = a
+        if i == n - 1:
+            yield tuple(word)
+            continue
+        for b in letters:
+            if b != a:
+                stack.append((i + 1, b))
 
 
 def _canonical_proper_words(q: int, n: int):
@@ -78,18 +78,16 @@ def _canonical_proper_words(q: int, n: int):
         yield (), 1
         return
     word = [0] * n
-
-    def grow(i: int, used: int):
-        for a in range(1, min(used + 1, q) + 1):
-            if i > 0 and word[i - 1] == a:
-                continue
-            word[i] = a
-            if i + 1 == n:
-                yield tuple(word), perm(q, max(used, a))
-            else:
-                yield from grow(i + 1, max(used, a))
-
-    yield from grow(0, 0)
+    stack = [(0, 1, 1)]  # (position, letter, colors used through it)
+    while stack:
+        i, a, used = stack.pop()
+        word[i] = a
+        if i == n - 1:
+            yield tuple(word), perm(q, used)
+            continue
+        for b in range(min(used + 1, q), 0, -1):
+            if b != a:
+                stack.append((i + 1, b, b if b > used else used))
 
 
 def memo_fits(q: int, n: int, budget: int) -> bool:
@@ -167,30 +165,29 @@ class CylinderMeasure:
         return self._total(n)
 
     def _total(self, n: int) -> int:
-        """T_n, after storing N for every canonical proper word of length
-        n (and, first, of every shorter length)."""
-        total = self._totals.get(n)
-        if total is not None:
-            return total
-        previous = self._total(n - 1)
-        total = 0
-        for word, orbit in _canonical_proper_words(self.q, n):
-            count = 0
-            for i in range(n):
-                # deleting an interior letter joins its two neighbors
-                if 0 < i < n - 1 and word[i - 1] == word[i + 1]:
-                    continue
-                count += self.table[canonical_form(word[:i] + word[i + 1:])]
-            self.table[word] = count
-            total += orbit * count
-        closed = n * (self.q - 2) + 2  # T_{n-1}/T_n = 1/closed
-        if self.q in NORMALIZER_CHECK_Q and n <= NORMALIZER_CHECK_N and total != closed * previous:
-            raise NormalizerMismatchError(
-                f"normalizer mismatch at q={self.q}, n={n}: "
-                f"mass-one gives {Fraction(previous, total)}, closed form gives 1/{closed}"
-            )
-        self._totals[n] = total
-        return total
+        """T_n, after storing N for every canonical proper word of each
+        length up to n, shortest first."""
+        for length in range(len(self._totals), n + 1):
+            total = 0
+            for word, orbit in _canonical_proper_words(self.q, length):
+                count = 0
+                for i in range(length):
+                    # deleting an interior letter joins its two neighbors
+                    if 0 < i < length - 1 and word[i - 1] == word[i + 1]:
+                        continue
+                    count += self.table[canonical_form(word[:i] + word[i + 1:])]
+                self.table[word] = count
+                total += orbit * count
+            previous = self._totals[length - 1]
+            closed = length * (self.q - 2) + 2  # T_{n-1}/T_n = 1/closed
+            if (self.q in NORMALIZER_CHECK_Q and length <= NORMALIZER_CHECK_N
+                    and total != closed * previous):
+                raise NormalizerMismatchError(
+                    f"normalizer mismatch at q={self.q}, n={length}: "
+                    f"mass-one gives {Fraction(previous, total)}, closed form gives 1/{closed}"
+                )
+            self._totals[length] = total
+        return self._totals[n]
 
     def normalizer(self, n: int) -> Fraction:
         """c_n = T_{n-1}/T_n, with p(w) = c_n * sum of p(w - i) over proper

@@ -8,17 +8,21 @@ count, which keeps both the total birth rate and the proportional pick
 exact (rates are integer multiples of the birth parameter) and makes every
 event O(neighborhood size).
 
-The finite mode uses sites 1..L with everything outside permanently
-vacant; births can never cross the boundary.  Occupation of site 1 or L is
-flagged so supercritical runs can detect that the edge touched the
-truncation.  The sparse mode has no boundary: only occupied / eligible
-sites are stored, which realizes a window that follows the support.
+One code map holds every site the run has touched: -1 if occupied, -2 if
+permanently vacant (the finite mode's sentinels just outside 1..L, so
+births never cross the boundary), else the vacant site's occupied-neighbor
+count.  Occupied sites and buckets are lists with swap-with-last removal,
+and one dict holds a vacant site's index in its bucket.  Occupying site 1
+or L is flagged so supercritical runs can detect that the edge touched the
+truncation.  The sparse mode places no sentinels, which realizes a window
+that follows the support; both modes run one loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 
 from .parallel import chunk_ranges, run_trials
 from .rng import UniformBuffer, binomial_ci, trial_generator
@@ -28,6 +32,8 @@ STANDARD = "standard"
 THRESHOLD = "threshold"
 DEFAULT_NEIGHBORHOOD = (-1, 1)
 THRESHOLD_NEIGHBORHOOD = (-2, -1, 1, 2)
+OCCUPIED = -1
+OUTSIDE = -2
 
 
 @dataclass(frozen=True)
@@ -38,8 +44,8 @@ class ContactConfig:
     mode: str = STANDARD
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("birth rate must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"birth rate must be finite and nonnegative, got {self.lam}")
         if self.mode not in (STANDARD, THRESHOLD):
             raise ValueError(f"unknown mode {self.mode!r}")
         offsets = tuple(sorted(self.neighborhood))
@@ -59,28 +65,9 @@ def threshold_config(lam: float, length: int | None = None) -> ContactConfig:
     return ContactConfig(lam, length, THRESHOLD_NEIGHBORHOOD, THRESHOLD)
 
 
-class _IndexedSet:
-    """Set with O(1) add/remove; ``items`` lists the members for uniform picks."""
-
-    __slots__ = ("items", "pos")
-
-    def __init__(self):
-        self.items: list[int] = []
-        self.pos: dict[int, int] = {}
-
-    def __contains__(self, x):
-        return x in self.pos
-
-    def add(self, x):
-        self.pos[x] = len(self.items)
-        self.items.append(x)
-
-    def remove(self, x):
-        i = self.pos.pop(x)
-        last = self.items.pop()
-        if i < len(self.items):
-            self.items[i] = last
-            self.pos[last] = i
+def _check_horizon(t_max: float):
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +83,7 @@ class ContactTrajectory:
 def simulate_contact(cfg: ContactConfig, init, t_max: float, seed: int,
                      record_dt: float | None = None) -> ContactTrajectory:
     """One trajectory from the occupied set ``init`` up to time ``t_max``."""
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    _check_horizon(t_max)
     rng = UniformBuffer(trial_generator(seed, 0))
     return _run(cfg, init, t_max, rng, record_dt)
 
@@ -106,125 +92,137 @@ def _run(cfg: ContactConfig, init, t_max: float, rng: UniformBuffer,
          record_dt: float | None) -> ContactTrajectory:
     lam = cfg.lam
     offsets = cfg.neighborhood
-    finite = cfg.length is not None
-    length = cfg.length or 0
     threshold = cfg.mode == THRESHOLD
-    nb_max = len(offsets)
-
-    def valid(x: int) -> bool:
-        return 1 <= x <= length if finite else True
-
-    occupied = _IndexedSet()
-    occupied_items = occupied.items
-    counts: dict[int, int] = {}
-    buckets = [_IndexedSet() for _ in range(nb_max + 1)]  # index = neighbor count
-    bucket_items = [b.items for b in buckets]
-    # birth rate in units of lam: the summed neighbor counts of the vacant
-    # sites, or in threshold mode the number of vacant sites with any
-    units = 0
-
-    def occupy(x: int):
-        nonlocal units
-        k = counts.pop(x, 0)
-        if k:
-            buckets[k].remove(x)
-            units -= 1 if threshold else k
-        occupied.add(x)
-        for d in offsets:
-            y = x + d
-            if valid(y) and y not in occupied:
-                ky = counts.get(y, 0)
-                if ky:
-                    buckets[ky].remove(y)
-                counts[y] = ky + 1
-                buckets[ky + 1].add(y)
-                if not threshold or not ky:
-                    units += 1
-
-    def die(x: int):
-        nonlocal units
-        occupied.remove(x)
-        k = 0
-        for d in offsets:
-            y = x + d
-            if not valid(y):
-                continue
-            if y in occupied:
-                k += 1
-            else:
-                ky = counts.get(y)
-                if ky:
-                    buckets[ky].remove(y)
-                    if ky > 1:
-                        counts[y] = ky - 1
-                        buckets[ky - 1].add(y)
-                    else:
-                        del counts[y]
-                    if not threshold or ky == 1:
-                        units -= 1
-        if k:
-            counts[x] = k
-            buckets[k].add(x)
-            units += 1 if threshold else k
-
+    draw = rng.next
+    log1p = math.log1p
+    born = sorted(set(init))  # the initial sites take the birth branch first
+    code: defaultdict[int, int] = defaultdict(int)
+    ends = () if cfg.length is None else (1, cfg.length)
+    if ends:
+        for x in born:
+            if not 1 <= x <= cfg.length:
+                raise ValueError(f"initial site {x} outside 1..{cfg.length}")
+        for j in range(1, offsets[-1] + 1):
+            code[1 - j] = code[cfg.length + j] = OUTSIDE
+    occupied: list[int] = []
+    buckets: list[list[int]] = [[] for _ in range(len(offsets) + 1)]  # index = count
+    # a vacant site's birth weight in units of lam: its count, or in threshold mode 1
+    weighted = [(1 if threshold else k, buckets[k]) for k in range(1, len(offsets) + 1)]
+    where: dict[int, int] = {}  # a vacant site's index in its bucket
+    units = 0  # the summed birth weights of the vacant sites
     boundary_hit = False
-    init = sorted(set(init))
-    for x in init:
-        if finite and not valid(x):
-            raise ValueError(f"initial site {x} outside 1..{length}")
-    for x in init:
-        occupy(x)
-        if finite and (x == 1 or x == length):
-            boundary_hit = True
 
-    def right_edge():
-        return max(occupied_items) if occupied_items else None
-
-    path: list[tuple[float, float | None]] = [(0.0, right_edge())]
+    path: list[tuple[float, float | None]] = [(0.0, born[-1] if born else None)]
     next_record = record_dt if record_dt else math.inf
-
     t = 0.0
     events = 0
     extinct_time = None
     while True:
-        n_occupied = len(occupied_items)
+        for x in born:
+            k = code[x]
+            if k:
+                bucket = buckets[k]
+                last = bucket.pop()
+                if last != x:
+                    i = where[x]
+                    bucket[i] = last
+                    where[last] = i
+                units -= 1 if threshold else k
+            code[x] = OCCUPIED
+            occupied.append(x)
+            if x in ends:
+                boundary_hit = True
+            for d in offsets:
+                y = x + d
+                k = code[y]
+                if k < 0:
+                    continue
+                if k:
+                    bucket = buckets[k]
+                    last = bucket.pop()
+                    if last != y:
+                        i = where[y]
+                        bucket[i] = last
+                        where[last] = i
+                if not threshold or not k:
+                    units += 1
+                code[y] = k + 1
+                bucket = buckets[k + 1]
+                where[y] = len(bucket)
+                bucket.append(y)
+
+        n_occupied = len(occupied)
         if not n_occupied:
             extinct_time = t
             break
         total = n_occupied + lam * units
-        t_next = t + rng.exponential(total)
-        while next_record <= min(t_next, t_max):
-            path.append((next_record, right_edge()))
+        t_next = t - log1p(-draw()) / total
+        while next_record <= t_next and next_record <= t_max:
+            path.append((next_record, max(occupied)))
             next_record += record_dt
         if t_next > t_max:
             t = t_max
             break
         t = t_next
         events += 1
-        r = rng.next() * total
+        r = draw() * total
         if r < n_occupied:
-            die(occupied_items[rng.below(n_occupied)])
+            i = int(draw() * n_occupied)
+            if i >= n_occupied:  # u * n can round up to n at the float edge
+                i = n_occupied - 1
+            x = occupied[i]
+            last = occupied.pop()
+            if last != x:
+                occupied[i] = last
+            k = 0
+            for d in offsets:
+                y = x + d
+                ky = code[y]
+                if ky == OCCUPIED:
+                    k += 1
+                elif ky > 0:
+                    bucket = buckets[ky]
+                    last = bucket.pop()
+                    if last != y:
+                        i = where[y]
+                        bucket[i] = last
+                        where[last] = i
+                    ky -= 1
+                    code[y] = ky
+                    if ky:
+                        bucket = buckets[ky]
+                        where[y] = len(bucket)
+                        bucket.append(y)
+                    if not threshold or not ky:
+                        units -= 1
+            code[x] = k
+            if k:
+                bucket = buckets[k]
+                where[x] = len(bucket)
+                bucket.append(x)
+                units += 1 if threshold else k
+            born = ()
         else:
             r -= n_occupied
-            for k in range(1, nb_max + 1):
-                size = len(bucket_items[k])
+            for weight, bucket in weighted:
+                size = len(bucket)
                 if size:
-                    chosen = k
-                    w = lam * size * (1 if threshold else k)
+                    chosen, chosen_size = bucket, size
+                    w = lam * size * weight
                     if r < w:
                         break
                     r -= w
             # with no break, the last nonempty bucket absorbs any float roundoff in r
-            x = bucket_items[chosen][rng.below(len(bucket_items[chosen]))]
-            occupy(x)
-            if finite and (x == 1 or x == length):
-                boundary_hit = True
+            i = int(draw() * chosen_size)
+            if i >= chosen_size:
+                i = chosen_size - 1
+            born = (chosen[i],)
 
-    path.append((t_max if extinct_time is None else extinct_time, right_edge()))
+    path.append((t, max(occupied) if occupied else None))
     return ContactTrajectory(
         alive_at_tmax=extinct_time is None,
         extinct_time=extinct_time,
-        final_occupied=tuple(sorted(occupied_items)),
+        final_occupied=tuple(sorted(occupied)),
         right_edge_path=tuple(path),
         boundary_hit=boundary_hit,
         n_events=events,
@@ -277,6 +275,7 @@ def estimate_survival(cfg: ContactConfig, t_max: float, trials: int, seed: int,
     seed-derived and the counts are order-independent, so the result is
     identical to the single-process run.
     """
+    _check_horizon(t_max)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if init is None:
@@ -323,8 +322,7 @@ def right_edge_speed(lam: float, t_max: float, trials: int, seed: int,
     slopes.  Trials whose population dies before producing two usable
     samples are excluded and counted.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    _check_horizon(t_max)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     cfg = ContactConfig(lam, None, neighborhood, STANDARD)

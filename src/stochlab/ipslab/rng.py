@@ -8,8 +8,8 @@ of scheduling order.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
-import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 
@@ -27,36 +27,26 @@ MAX_BLOCK = 8192
 class UniformBuffer:
     """Scalar uniforms on [0, 1) drawn from a Generator in blocks.
 
-    The first block holds FIRST_BLOCK uniforms and each refill doubles it
-    up to MAX_BLOCK, so a short trial pays only for what it reads.  Philox
-    spends one 64-bit word per double, so the values equal one long
-    ``gen.random`` call whatever the block sizes.
+    ``next`` is the bound ``__next__`` of one iterator over blocks of 64,
+    128, ... up to MAX_BLOCK uniforms, so a short trial pays only for what
+    it reads and a draw is one C-level call.  Philox spends one 64-bit word
+    per double, so the values equal one long ``gen.random`` call whatever
+    the block sizes.  Loops take exponentials as ``-math.log1p(-u) / rate``
+    (``np.log1p`` rounds differently) and indices as ``int(u * n)`` clamped
+    to n - 1.
     """
 
-    __slots__ = ("_gen", "_block", "_buf", "_pos")
+    __slots__ = ("next",)
 
     def __init__(self, gen: Generator):
-        self._gen = gen
-        self._block = FIRST_BLOCK
-        self._buf: list[float] = []
-        self._pos = 0
+        self.next = chain.from_iterable(_blocks(gen)).__next__
 
-    def next(self) -> float:
-        if self._pos == len(self._buf):
-            self._buf = self._gen.random(self._block).tolist()
-            self._block = min(2 * self._block, MAX_BLOCK)
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
 
-    def exponential(self, rate: float) -> float:
-        return -math.log1p(-self.next()) / rate
-
-    def below(self, n: int) -> int:
-        """Uniform integer in 0..n-1."""
-        i = int(self.next() * n)
-        return n - 1 if i >= n else i  # u*n can round up to n at the float edge
+def _blocks(gen: Generator):
+    block = FIRST_BLOCK
+    while True:
+        yield gen.random(block).tolist()
+        block = min(2 * block, MAX_BLOCK)
 
 
 def binomial_ci(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:

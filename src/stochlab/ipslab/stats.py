@@ -15,7 +15,6 @@ class TrialStats:
 
     trials: int
     survivals: int = 0
-    consensus_times: tuple[float, ...] = ()
     right_edge_samples: tuple[tuple[int, float, float], ...] = ()  # (trial, t, edge)
     master_seed: int = 0
     lane: str = ""

@@ -55,16 +55,14 @@ class VoterTrajectory:
     n_events: int
 
 
-def _initial_opinions(cfg: VoterConfig, rng: UniformBuffer) -> list[int]:
-    if cfg.opinions is not None:
-        return list(cfg.opinions)
-    return [1 if rng.next() < cfg.rho else 0 for _ in range(cfg.graph.n)]
+def _check_horizon(t_max: float):
+    if not 0 <= t_max < math.inf:
+        raise ValueError(f"t_max must be finite and nonnegative, got {t_max}")
 
 
 def simulate_voter(cfg: VoterConfig, t_max: float, seed: int,
                    record_dt: float | None = None) -> VoterTrajectory:
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
+    _check_horizon(t_max)
     rng = UniformBuffer(trial_generator(seed, 0))
     return _run_voter(cfg, adjacency_lists(cfg.graph), t_max, rng, record_dt)
 
@@ -72,7 +70,12 @@ def simulate_voter(cfg: VoterConfig, t_max: float, seed: int,
 def _run_voter(cfg: VoterConfig, adj: list[list[int]], t_max: float, rng: UniformBuffer,
                record_dt: float | None = None) -> VoterTrajectory:
     n = cfg.graph.n
-    opinions = _initial_opinions(cfg, rng)
+    draw = rng.next
+    log1p = math.log1p
+    if cfg.opinions is not None:
+        opinions = list(cfg.opinions)
+    else:
+        opinions = [1 if draw() < cfg.rho else 0 for _ in range(n)]
     ones = sum(opinions)
     path = [(0.0, ones / n)]
     next_record = record_dt if record_dt else math.inf
@@ -84,8 +87,8 @@ def _run_voter(cfg: VoterConfig, adj: list[list[int]], t_max: float, rng: Unifor
         if ones == 0 or ones == n:
             consensus_time = t
             break
-        t_next = t + rng.exponential(n)
-        while next_record <= min(t_next, t_max):
+        t_next = t - log1p(-draw()) / n
+        while next_record <= t_next and next_record <= t_max:
             path.append((next_record, ones / n))
             next_record += record_dt
         if t_next > t_max:
@@ -93,11 +96,18 @@ def _run_voter(cfg: VoterConfig, adj: list[list[int]], t_max: float, rng: Unifor
             break
         t = t_next
         events += 1
-        v = rng.below(n)
-        u = adj[v][rng.below(len(adj[v]))]
-        if opinions[v] != opinions[u]:
-            ones += opinions[u] - opinions[v]
-            opinions[v] = opinions[u]
+        v = int(draw() * n)
+        if v >= n:  # u * n can round up to n at the float edge
+            v = n - 1
+        neighbors = adj[v]
+        degree = len(neighbors)
+        j = int(draw() * degree)
+        if j >= degree:
+            j = degree - 1
+        new = opinions[neighbors[j]]
+        if opinions[v] != new:
+            ones += 1 if new else -1
+            opinions[v] = new
 
     path.append((t, ones / n))
     return VoterTrajectory(
@@ -125,23 +135,19 @@ class ConsensusEstimate:
 
 def consensus_rate(cfg: VoterConfig, t_max: float, trials: int, seed: int) -> ConsensusEstimate:
     """Fraction of trials reaching unanimity by t_max."""
+    _check_horizon(t_max)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     adj = adjacency_lists(cfg.graph)
     times = []
-    reached = 0
     for trial in range(trials):
         rng = UniformBuffer(trial_generator(seed, 2, trial))
         out = _run_voter(cfg, adj, t_max, rng)
         if out.consensus_time is not None:
-            reached += 1
             times.append(out.consensus_time)
-    stats = TrialStats(
-        trials=trials, survivals=reached, consensus_times=tuple(times),
-        master_seed=seed, lane="voter/2",
-    )
+    stats = TrialStats(trials=trials, survivals=len(times), master_seed=seed, lane="voter/2")
     mean_time = sum(times) / len(times) if times else None
-    return ConsensusEstimate(reached / trials, mean_time, stats)
+    return ConsensusEstimate(len(times) / trials, mean_time, stats)
 
 
 def coalescing_walk_survivors(graph: WeightedGraph, start, t_max: float,
@@ -151,28 +157,34 @@ def coalescing_walk_survivors(graph: WeightedGraph, start, t_max: float,
 
 
 def _walk_survivors(adj: list[list[int]], start, t_max: float, rng: UniformBuffer) -> int:
-    positions = sorted(set(start))
-    occupied_by: dict[int, int] = {x: i for i, x in enumerate(positions)}
-    alive = set(range(len(positions)))
-    where = dict(enumerate(positions))
-
+    draw = rng.next
+    log1p = math.log1p
+    walkers = sorted(set(start))  # positions, in the order a uniform pick indexes them
+    occupied = set(walkers)
+    alive = len(walkers)
     t = 0.0
-    while len(alive) > 1:
-        t_next = t + rng.exponential(len(alive))
-        if t_next > t_max:
+    while alive > 1:
+        t -= log1p(-draw()) / alive
+        if t > t_max:
             break
-        t = t_next
-        walker = sorted(alive)[rng.below(len(alive))]
-        old = where[walker]
-        new = adj[old][rng.below(len(adj[old]))]
-        del occupied_by[old]
-        if new in occupied_by:
-            alive.remove(walker)  # merged into the sitting walker
-            del where[walker]
+        i = int(draw() * alive)
+        if i >= alive:  # u * n can round up to n at the float edge
+            i = alive - 1
+        old = walkers[i]
+        neighbors = adj[old]
+        degree = len(neighbors)
+        j = int(draw() * degree)
+        if j >= degree:
+            j = degree - 1
+        new = neighbors[j]
+        occupied.remove(old)
+        if new in occupied:  # merged into the sitting walker
+            del walkers[i]
+            alive -= 1
         else:
-            occupied_by[new] = walker
-            where[walker] = new
-    return len(alive)
+            occupied.add(new)
+            walkers[i] = new
+    return alive
 
 
 @dataclass(frozen=True)
@@ -213,10 +225,8 @@ def _duality_chunk(packed):
         rng = UniformBuffer(trial_generator(seed, 3, trial))
         out = _run_voter(cfg, adj, t, rng)
         count += all(out.final_opinions[v] == 1 for v in target)
-    values = []
-    for trial in range(lo, hi):
-        rng = UniformBuffer(trial_generator(seed, 4, trial))
-        values.append(rho ** _walk_survivors(adj, target, t, rng))
+    values = [rho ** _walk_survivors(adj, target, t, UniformBuffer(trial_generator(seed, 4, i)))
+              for i in range(lo, hi)]
     return count, values
 
 
@@ -240,6 +250,7 @@ def duality_check(graph: WeightedGraph, target, t: float, rho: float,
         raise ValueError("target vertices outside the graph")
     if not 0 <= rho <= 1:
         raise ValueError("rho must lie in [0, 1]")
+    _check_horizon(t)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not graph.is_connected:

@@ -118,6 +118,10 @@ class TestColorCommands:
         # 1 MiB holds the q=4 memo through length 6 (about 500 entries)
         assert run("color", *command, flag, short)[0] == 0
 
+    def test_prob_long_q2_word(self):
+        code, report = run("color", "prob", "--q", "2", "--word", "12" * 600)
+        assert code == 0 and report["value"] == "1/2"
+
     def test_marginal(self):
         code, report = run("color", "marginal", "--pattern", "1.3")
         assert code == 0 and report["value"] == "1/16"
@@ -282,6 +286,36 @@ class TestSimCommands:
         code, report = run(*argv)
         assert code == 2 and report is None
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        (("sim", "contact", "--lambda", "nan", "--L", "50", "--tmax", "5"), "--lambda"),
+        (("sim", "contact", "--lambda", "inf", "--L", "50", "--tmax", "5"), "--lambda"),
+        (("sim", "contact", "--lambda", "1", "--L", "50", "--tmax", "nan"), "--tmax"),
+        (("sim", "contact", "--lambda", "1", "--L", "50", "--tmax", "inf"), "--tmax"),
+        (("sim", "contact", "--lambda", "1", "--edge-speed", "--tmax", "inf"), "--tmax"),
+        (("sim", "voter", "--graph", "{path3}", "--rho", "0.5", "--tmax", "nan"), "--tmax"),
+        (("sim", "duality", "--graph", "{path3}", "--set", "0,1", "--t", "nan",
+          "--rho", "0.5"), "--t"),
+        (("sim", "duality", "--graph", "{path3}", "--set", "0,1", "--t", "inf",
+          "--rho", "0.5"), "--t"),
+    ])
+    def test_non_finite_input_exits_two(self, capsys, path3, command, flag):
+        argv = [arg.format(path3=path3) for arg in command]
+        code, report = run(*argv, "--trials", "3", "--seed", "1")
+        assert code == 2 and report is None
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be finite")
+
+    def test_edge_speed_nan_horizon_exits_two_without_hanging(self):
+        # a NaN horizon is never passed and a supercritical run never dies, so this
+        # run once did not end: a fresh process bounds it by a timeout
+        src = Path(cli.__file__).resolve().parents[1]
+        argv = ["sim", "contact", "--lambda", "2", "--edge-speed", "--tmax", "nan",
+                "--trials", "3", "--seed", "1"]
+        out = subprocess.run([sys.executable, "-m", "stochlab.cli", *argv],
+                             capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+                             timeout=60)
+        assert out.returncode == 2
+        assert "--tmax" in out.stderr
 
     def test_contact_csv(self, tmp_path):
         csv = tmp_path / "traj.csv"

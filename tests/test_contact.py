@@ -101,6 +101,18 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_contact(ContactConfig(1.0, length=5), (1,), 0.0, seed=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        cfg = ContactConfig(1.0, length=5)
+        with pytest.raises(ValueError, match="birth rate"):
+            ContactConfig(bad, length=5)
+        with pytest.raises(ValueError, match="t_max"):
+            simulate_contact(cfg, (1,), bad, seed=0)
+        with pytest.raises(ValueError, match="t_max"):
+            estimate_survival(cfg, bad, 3, seed=0)
+        with pytest.raises(ValueError, match="t_max"):
+            right_edge_speed(1.0, bad, 3, seed=0)
+
     def test_record_grid(self):
         cfg = ContactConfig(1.0, length=30)
         out = simulate_contact(cfg, (15,), 3.0, seed=2, record_dt=1.0)

@@ -115,6 +115,13 @@ class TestRecursionExamples:
         with pytest.raises(ValueError):
             CylinderMeasure(1)
 
+    def test_long_word_needs_no_recursion(self):
+        # at q=2 there are two proper words per length, so 1,200 letters are
+        # cheap; enumerating them must not recurse once per letter or per length
+        measure = CylinderMeasure(2)
+        assert measure.prob((1, 2) * 600) == F(1, 2)
+        assert measure.window(1200) == {(1, 2) * 600: F(1, 2), (2, 1) * 600: F(1, 2)}
+
     def test_letters_outside_range_rejected(self):
         for letters in ((0, 1), (1, 5)):
             with pytest.raises(ValueError):

@@ -138,3 +138,13 @@ class TestDuality:
         disconnected = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(ValueError):
             duality_check(disconnected, (0,), 1.0, 0.5, 10, seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_horizon_must_be_finite_and_nonnegative(self, bad):
+        cfg = VoterConfig(cycle_graph(5), rho=0.5)
+        with pytest.raises(ValueError, match="t_max"):
+            simulate_voter(cfg, bad, seed=0)
+        with pytest.raises(ValueError, match="t_max"):
+            consensus_rate(cfg, bad, 3, seed=0)
+        with pytest.raises(ValueError, match="t_max"):
+            duality_check(cycle_graph(5), (0,), bad, 0.5, 10, seed=0)
