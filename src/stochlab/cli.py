@@ -7,9 +7,14 @@ report) and can write the full JSON report with ``--out``.  Exit codes:
 
 Words on the command line are digit strings ("1213"); wildcard positions
 are dots ("1.3").  Rationals print as "p/q" in lowest terms.  Seeds fully
-determine stochastic output: per-trial streams are seed-derived, and their
-random-number blocks grow from 64 to 8192 uniforms without changing the
-values drawn.  ``sim contact`` and ``sim duality`` take ``--parallel`` (or
+determine stochastic output: the stream of one trial is
+``Generator(Philox(SeedSequence((seed, *lane, trial))))``; estimators derive
+a chunk's keys in bulk and reseat one Philox per chunk, with the same values
+at any worker count, and ``--trials`` is capped at 2**32 (one 32-bit entropy
+word per trial index).  Random-number blocks grow from 64 to 8192 uniforms
+without changing the values drawn.  ``--config`` files key values by flag name,
+with ``_`` for inner dashes (``lambda``, ``edge_speed = true``, ``left_depth``).
+``sim contact`` and ``sim duality`` take ``--parallel`` (or
 the LIGGETT_LAB_THREADS environment variable; either must be >= 1) and
 split trials across at most one process per CPU and per chunk of trials,
 without changing the reported numbers, because the reduction replays
@@ -119,7 +124,7 @@ def _apply_config_file(args):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            attr = key.replace("-", "_")
+            attr = "lam" if key == "lambda" else key.replace("-", "_")  # --lambda sets lam
             if not hasattr(args, attr):
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
             if getattr(args, attr) is None:
@@ -131,10 +136,20 @@ def _apply_config_file(args):
                                      f"got {value!r}") from None
 
 
+def boolean(text: str) -> bool:
+    """A config-file truth value: true/false, yes/no, on/off or 1/0."""
+    lowered = text.lower()
+    if lowered in ("true", "yes", "on", "1"):
+        return True
+    if lowered in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(text)
+
+
 _CONFIG_TYPES = {
     "lam": float, "L": int, "tmax": float, "trials": int, "seed": int,
     "rho": float, "t": float, "mode": str, "graph": str, "set": str,
-    "parallel": int,
+    "parallel": int, "edge_speed": boolean, "left_depth": int,
 }
 
 
@@ -248,7 +263,8 @@ def cmd_gap_shuffle(args):
 # --- sim subcommands ---------------------------------------------------------
 
 def _require(args, names):
-    """Every named option is given, and a float one is finite."""
+    """Every named option is given, a float one is finite, and --trials is in
+    1..2**32 (one 32-bit entropy word per trial index)."""
     for name in names:
         value = getattr(args, name)
         flag = "--lambda" if name == "lam" else f"--{name.replace('_', '-')}"
@@ -256,13 +272,20 @@ def _require(args, names):
             raise ValueError(f"missing required option {flag}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
+        if name == "trials" and not 1 <= value <= ipslab.MAX_TRIALS:
+            raise ValueError(f"{flag} must be in 1..2**32, got {value}")
 
 
 def cmd_sim_contact(args):
     _apply_config_file(args)
+    args.edge_speed = bool(args.edge_speed)
+    if args.left_depth is None:
+        args.left_depth = ipslab.DEFAULT_LEFT_DEPTH
     _require(args, ["lam", "tmax", "trials", "seed"])
     workers = resolve_workers(args)
     if args.edge_speed:
+        if args.left_depth < 0:
+            raise ValueError(f"--left-depth must be >= 0, got {args.left_depth}")
         est = ipslab.right_edge_speed(args.lam, args.tmax, args.trials, args.seed,
                                       left_depth=args.left_depth)
         if args.csv:
@@ -403,9 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--mode", choices=["standard", "threshold"], default=None)
-    p.add_argument("--edge-speed", action="store_true",
+    p.add_argument("--edge-speed", action="store_true", default=None,
                    help="half-line start; fit the right-edge speed instead")
-    p.add_argument("--left-depth", type=int, default=400)
+    p.add_argument("--left-depth", type=int, default=None,
+                   help=f"--edge-speed start depth (default {ipslab.DEFAULT_LEFT_DEPTH})")
     p.add_argument("--csv", help="write a trajectory CSV here")
     p.add_argument("--config", help="key=value file with defaults")
     common(p)

@@ -2,6 +2,7 @@
 voter model, with coalescing-walk duality checks."""
 
 from .contact import (
+    DEFAULT_LEFT_DEPTH,
     ContactConfig,
     ContactTrajectory,
     EdgeSpeedEstimate,
@@ -13,7 +14,7 @@ from .contact import (
     threshold_config,
 )
 from .reference import tau_leap_occupancy
-from .rng import UniformBuffer, binomial_ci, trial_generator
+from .rng import MAX_TRIALS, UniformBuffer, binomial_ci, trial_generator
 from .stats import (
     CONSENSUS_RATE_FLOOR,
     DUALITY_Z_BOUND,
@@ -33,12 +34,14 @@ from .voter import (
 
 __all__ = [
     "CONSENSUS_RATE_FLOOR",
+    "DEFAULT_LEFT_DEPTH",
     "ConsensusEstimate",
     "ContactConfig",
     "ContactTrajectory",
     "DUALITY_Z_BOUND",
     "DualityReport",
     "EdgeSpeedEstimate",
+    "MAX_TRIALS",
     "SURVIVAL_FLOOR_SUPERCRITICAL",
     "SurvivalEstimate",
     "TrialStats",

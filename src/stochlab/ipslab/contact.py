@@ -25,7 +25,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .parallel import chunk_ranges, run_trials
-from .rng import UniformBuffer, binomial_ci, trial_generator
+from .rng import UniformBuffer, binomial_ci, check_trials, trial_buffers, trial_generator
 from .stats import TrialStats
 
 STANDARD = "standard"
@@ -34,6 +34,7 @@ DEFAULT_NEIGHBORHOOD = (-1, 1)
 THRESHOLD_NEIGHBORHOOD = (-2, -1, 1, 2)
 OCCUPIED = -1
 OUTSIDE = -2
+DEFAULT_LEFT_DEPTH = 400
 
 
 @dataclass(frozen=True)
@@ -257,8 +258,7 @@ class SurvivalEstimate:
 def _survival_chunk(packed):
     cfg, init, t_max, seed, lo, hi = packed
     survivals = boundary = 0
-    for trial in range(lo, hi):
-        rng = UniformBuffer(trial_generator(seed, 0, trial))
+    for rng in trial_buffers(seed, (0,), lo, hi):
         out = _run(cfg, init, t_max, rng, None)
         survivals += out.alive_at_tmax
         boundary += out.boundary_hit
@@ -276,8 +276,7 @@ def estimate_survival(cfg: ContactConfig, t_max: float, trials: int, seed: int,
     identical to the single-process run.
     """
     _check_horizon(t_max)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_trials(trials)
     if init is None:
         init = center_seed(cfg)
     init = tuple(init)
@@ -313,7 +312,7 @@ class EdgeSpeedEstimate:
 
 def right_edge_speed(lam: float, t_max: float, trials: int, seed: int,
                      neighborhood: tuple[int, ...] = DEFAULT_NEIGHBORHOOD,
-                     left_depth: int = 400, samples: int = 40) -> EdgeSpeedEstimate:
+                     left_depth: int = DEFAULT_LEFT_DEPTH, samples: int = 40) -> EdgeSpeedEstimate:
     """Least-squares speed of the rightmost occupied site from a half-line.
 
     Starts from sites -left_depth..0 occupied on the unbounded lattice (the
@@ -323,16 +322,16 @@ def right_edge_speed(lam: float, t_max: float, trials: int, seed: int,
     samples are excluded and counted.
     """
     _check_horizon(t_max)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_trials(trials)
+    if left_depth < 0:
+        raise ValueError(f"left_depth must be >= 0, got {left_depth}")
     cfg = ContactConfig(lam, None, neighborhood, STANDARD)
     init = range(-left_depth, 1)
     record_dt = t_max / samples
     slopes = []
     edge_samples = []
     excluded = 0
-    for trial in range(trials):
-        rng = UniformBuffer(trial_generator(seed, 1, trial))
+    for trial, rng in enumerate(trial_buffers(seed, (1,), 0, trials)):
         out = _run(cfg, init, t_max, rng, record_dt)
         points = [
             (t, e) for t, e in out.right_edge_path
@@ -344,7 +343,8 @@ def right_edge_speed(lam: float, t_max: float, trials: int, seed: int,
             continue
         slopes.append(_least_squares_slope(points))
     if not slopes:
-        raise RuntimeError("every trial died before the fitting window")
+        raise ValueError(f"every trial died before the fitting window t >= {t_max / 2}; "
+                         "nothing to fit")
     mean = sum(slopes) / len(slopes)
     if len(slopes) > 1:
         var = sum((s - mean) ** 2 for s in slopes) / (len(slopes) - 1)

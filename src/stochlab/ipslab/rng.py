@@ -1,8 +1,20 @@
 """Per-trial random streams on a counter-based generator.
 
-Streams derive deterministically from (master seed, lane indices), so any
-trial can be replayed in isolation and trials are independent regardless
-of scheduling order.
+A stream is defined as ``Generator(Philox(SeedSequence((seed, *lane,
+trial))))``: it derives deterministically from the master seed and its lane
+indices, so any trial can be replayed in isolation and trials are
+independent regardless of scheduling order.  ``trial_generator`` builds
+that generator for one trial and is the reference the tests compare with.
+
+Philox is counter-based (Salmon et al., SC 2011): a stream is its 128-bit
+key plus a block counter.  Estimators therefore do not build a generator
+per trial.  ``stream_keys`` derives the keys of a whole window of trials in
+one vectorized pass of the ``SeedSequence`` hash, and ``trial_buffers``
+hands out one ``UniformBuffer`` per trial, all drawing through one Philox
+that is reseated to (key, counter) before each block.  The values are the
+same as ``trial_generator``'s, bit for bit, at any worker count.  Trial
+indices are single 32-bit entropy words, so at most ``MAX_TRIALS`` = 2**32
+trials share a (seed, lane).
 """
 
 from __future__ import annotations
@@ -10,14 +22,93 @@ from __future__ import annotations
 import math
 from itertools import chain
 
+import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
+
+MAX_TRIALS = 2**32
+KEY_BLOCK = 4096  # keys derived per pass, so memory stays flat at any trial count
 
 
 def trial_generator(master_seed: int, *lane: int) -> Generator:
     """Independent stream for one (trial, purpose) lane of an experiment."""
+    _check_seed(master_seed)
+    return Generator(Philox(SeedSequence(entropy=(master_seed,) + tuple(lane))))
+
+
+def _check_seed(master_seed: int):
     if not 0 <= master_seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    return Generator(Philox(SeedSequence(entropy=(master_seed,) + tuple(lane))))
+
+
+def check_trials(trials: int):
+    """Trial counts run 1..MAX_TRIALS: each trial index is one entropy word."""
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in 1..2**32, got {trials}")
+
+
+# numpy's SeedSequence constants: a pool of four 32-bit words
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK = 0xFFFFFFFF
+
+
+def _words(value: int) -> list[int]:
+    """An entropy integer as SeedSequence reads it: little-endian 32-bit words."""
+    if value < 0:
+        raise ValueError(f"entropy words must be nonnegative, got {value}")
+    words = [value & _MASK]
+    while value > _MASK:
+        value >>= 32
+        words.append(value & _MASK)
+    return words
+
+
+def stream_keys(master_seed: int, lane: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
+    """Philox keys of the trials ``lo <= t < hi`` as a ``(hi - lo, 2)`` uint64 array.
+
+    Row t - lo equals ``SeedSequence((master_seed, *lane, t)).generate_state(2,
+    np.uint64)``: the same hashmix/mix pool and output hash, run on uint32
+    arrays with one lane per trial.
+    """
+    _check_seed(master_seed)
+    if not 0 <= lo <= hi <= MAX_TRIALS:
+        raise ValueError(f"trial window [{lo}, {hi}) outside [0, 2**32)")
+    entropy = [np.uint32(w) for v in (master_seed, *lane) for w in _words(v)]
+    entropy.append(np.arange(lo, hi, dtype=np.uint64).astype(np.uint32))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return out ^ (out >> np.uint32(16))
+
+    with np.errstate(over="ignore"):
+        pool = [hashmix(entropy[i] if i < len(entropy) else np.uint32(0)) for i in range(_POOL)]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[_POOL:]:
+            for dst in range(_POOL):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        const = _INIT_B
+        out = []
+        for word in pool:
+            word = word ^ np.uint32(const)
+            const = const * _MULT_B & _MASK
+            word = word * np.uint32(const)
+            word = word ^ (word >> np.uint32(16))
+            out.append(np.broadcast_to(word, (hi - lo,)).astype(np.uint64))
+    shift = np.uint64(32)
+    return np.stack([out[0] | out[1] << shift, out[2] | out[3] << shift], axis=1)
 
 
 FIRST_BLOCK = 64
@@ -42,10 +133,39 @@ class UniformBuffer:
         self.next = chain.from_iterable(_blocks(gen)).__next__
 
 
-def _blocks(gen: Generator):
+def trial_buffers(master_seed: int, lane: tuple[int, ...], lo: int, hi: int):
+    """One ``UniformBuffer`` per trial ``lo <= t < hi``, equal draw for draw to
+    ``UniformBuffer(trial_generator(master_seed, *lane, t))``.
+
+    All of them draw through one Philox that this call owns.  Before each
+    block it is reseated to the trial's key at counter (doubles read) / 4:
+    Philox makes four doubles per counter step and every block size is a
+    multiple of four, so buffers stay exact even when read interleaved.
+    """
+    gen = Generator(Philox(0))  # its seed is never read: every block reseats the key
+    for start in range(lo, hi, KEY_BLOCK):
+        for key in stream_keys(master_seed, lane, start, min(start + KEY_BLOCK, hi)).tolist():
+            buf = UniformBuffer.__new__(UniformBuffer)
+            buf.next = chain.from_iterable(_blocks(gen, key)).__next__
+            yield buf
+
+
+def _blocks(gen: Generator, key: list[int] | None = None):
+    """Blocks of 64, 128, ... MAX_BLOCK uniforms from ``gen``; with a Philox
+    ``key``, ``gen`` is first reseated to that key where this stream left off."""
+    if key is not None:
+        counter = [0, 0, 0, 0]
+        state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+                 "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        bitgen = gen.bit_generator
     block = FIRST_BLOCK
+    read = 0
     while True:
+        if key is not None:
+            counter[0] = read >> 2
+            bitgen.state = state
         yield gen.random(block).tolist()
+        read += block
         block = min(2 * block, MAX_BLOCK)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..gaplab.graphs import WeightedGraph
 from .parallel import chunk_ranges, run_trials
-from .rng import UniformBuffer, trial_generator
+from .rng import UniformBuffer, check_trials, trial_buffers, trial_generator
 from .stats import TrialStats
 
 
@@ -136,12 +136,10 @@ class ConsensusEstimate:
 def consensus_rate(cfg: VoterConfig, t_max: float, trials: int, seed: int) -> ConsensusEstimate:
     """Fraction of trials reaching unanimity by t_max."""
     _check_horizon(t_max)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_trials(trials)
     adj = adjacency_lists(cfg.graph)
     times = []
-    for trial in range(trials):
-        rng = UniformBuffer(trial_generator(seed, 2, trial))
+    for rng in trial_buffers(seed, (2,), 0, trials):
         out = _run_voter(cfg, adj, t_max, rng)
         if out.consensus_time is not None:
             times.append(out.consensus_time)
@@ -221,12 +219,11 @@ def _duality_chunk(packed):
     cfg = VoterConfig(graph, rho=rho)
     adj = adjacency_lists(graph)
     count = 0
-    for trial in range(lo, hi):
-        rng = UniformBuffer(trial_generator(seed, 3, trial))
+    for rng in trial_buffers(seed, (3,), lo, hi):
         out = _run_voter(cfg, adj, t, rng)
         count += all(out.final_opinions[v] == 1 for v in target)
-    values = [rho ** _walk_survivors(adj, target, t, UniformBuffer(trial_generator(seed, 4, i)))
-              for i in range(lo, hi)]
+    values = [rho ** _walk_survivors(adj, target, t, rng)
+              for rng in trial_buffers(seed, (4,), lo, hi)]
     return count, values
 
 
@@ -251,8 +248,7 @@ def duality_check(graph: WeightedGraph, target, t: float, rho: float,
     if not 0 <= rho <= 1:
         raise ValueError("rho must lie in [0, 1]")
     _check_horizon(t)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_trials(trials)
     if not graph.is_connected:
         raise ValueError("duality check requires a connected graph")
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from stochlab import cli
+from stochlab import cli, ipslab
 from stochlab.cli import parse_and_dispatch, parse_pattern, parse_word
 
 FLAG_NAMES = {"lam": "--lambda"}
@@ -385,6 +385,85 @@ class TestSimCommands:
         code, _ = run("sim", "contact", "--lambda", "1.0")
         assert code == 2
         assert "missing required option" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (("--lambda", "1", "--left-depth", "-5", "--tmax", "10"), "--left-depth"),
+        (("--lambda", "0.3", "--left-depth", "2", "--tmax", "40"), "fitting window"),
+    ])
+    def test_edge_speed_without_a_fit_exits_two(self, capsys, argv, named):
+        code, report = run("sim", "contact", "--edge-speed", *argv,
+                           "--trials", "5", "--seed", "1")
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert named in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", [
+        CONTACT,
+        ("sim", "contact", "--lambda", "2", "--edge-speed", "--tmax", "3", "--trials", "8",
+         "--seed", "4"),
+        ("sim", "voter", "--graph", "{path3}", "--rho", "0.5", "--tmax", "5",
+         "--trials", "8", "--seed", "4"),
+        DUALITY,
+    ])
+    def test_trials_beyond_two_to_the_32_exit_two(self, monkeypatch, capsys, path3, command):
+        for name in ("estimate_survival", "right_edge_speed", "consensus_rate",
+                     "duality_check"):  # the check starts no work
+            monkeypatch.setattr(ipslab, name, None)
+        argv = [arg.format(path3=path3) for arg in command]
+        code, report = run(*argv, "--trials", "4294967297")
+        assert code == 2 and report is None
+        assert capsys.readouterr().err.startswith("error: --trials must be in 1..2**32")
+
+    def test_config_edge_speed_and_left_depth_take_effect(self, tmp_path):
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("lambda = 2\nedge_speed = true\nleft_depth = 5\n"
+                       "tmax = 3\ntrials = 4\nseed = 4\n")
+        code, via_config = run("sim", "contact", "--config", str(cfg))
+        code_f, via_flags = run("sim", "contact", "--edge-speed", "--left-depth", "5",
+                                "--lambda", "2", "--tmax", "3", "--trials", "4", "--seed", "4")
+        assert code == code_f == 0
+        assert "slope" in via_config and via_config["inputs"]["left_depth"] == 5
+        via_config["inputs"].pop("config")
+        assert stable(via_config) == stable(via_flags)
+
+    def test_config_edge_speed_false_keeps_survival(self, tmp_path):
+        cfg = tmp_path / "survival.cfg"
+        cfg.write_text("edge_speed = no\n")
+        code, report = run(*self.CONTACT, "--config", str(cfg))
+        assert code == 0 and "fraction" in report and report["inputs"]["edge_speed"] is False
+
+    def test_flags_override_config_edge_settings(self, tmp_path):
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("edge_speed = true\nleft_depth = 5\n")
+        code, report = run("sim", "contact", "--config", str(cfg), "--left-depth", "7",
+                           "--lambda", "2", "--tmax", "3", "--trials", "4", "--seed", "4")
+        assert code == 0 and "slope" in report and report["inputs"]["left_depth"] == 7
+
+    @pytest.mark.parametrize("line, key", [("edge_speed = maybe", "edge_speed"),
+                                           ("left_depth = deep", "left_depth")])
+    def test_config_bad_edge_value_exits_two(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, report = run(*self.CONTACT, "--config", str(cfg))
+        assert code == 2 and report is None
+        assert f"{key} must be" in capsys.readouterr().err
+
+    def test_config_lambda_key(self, tmp_path):
+        cfg = tmp_path / "lambda.cfg"
+        cfg.write_text("lambda = 1.0\nL = 21\ntmax = 3\ntrials = 8\nseed = 4\n")
+        code, via_config = run("sim", "contact", "--config", str(cfg))
+        code_f, via_flags = run(*self.CONTACT)
+        assert code == code_f == 0
+        via_config["inputs"].pop("config")
+        assert stable(via_config) == stable(via_flags)
+
+    def test_config_lambda_key_unknown_without_lambda_flag(self, tmp_path, capsys, path3):
+        cfg = tmp_path / "lambda.cfg"
+        cfg.write_text("lambda = 1.0\n")
+        code, _ = run("sim", "voter", "--graph", path3, "--rho", "0.5", "--tmax", "5",
+                      "--trials", "3", "--seed", "1", "--config", str(cfg))
+        assert code == 2
+        assert "unknown option 'lambda'" in capsys.readouterr().err
 
 
 class TestReportPlumbing:

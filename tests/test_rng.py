@@ -1,0 +1,106 @@
+"""Bulk stream keys and reseated buffers against the per-trial definition
+``Generator(Philox(SeedSequence((seed, *lane, trial))))``."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import SeedSequence
+
+from stochlab import gaplab, ipslab
+from stochlab.ipslab import contact, rng, voter
+from stochlab.ipslab.rng import stream_keys, trial_buffers, trial_generator
+
+SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+LANES = [(), (0,), (3,), (4,), (1, 7)]
+WINDOWS = [(0, 5), (1000, 1010), (2**32 - 3, 2**32)]
+
+
+def seed_sequence_keys(seed, lane, lo, hi):
+    keys = [SeedSequence((seed, *lane, t)).generate_state(2, np.uint64) for t in range(lo, hi)]
+    return np.array(keys, dtype=np.uint64).reshape(hi - lo, 2)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("lane", LANES)
+@pytest.mark.parametrize("lo, hi", WINDOWS)
+def test_stream_keys_equal_seed_sequence(seed, lane, lo, hi):
+    got = stream_keys(seed, lane, lo, hi)
+    assert got.dtype == np.uint64
+    np.testing.assert_array_equal(got, seed_sequence_keys(seed, lane, lo, hi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       lane=st.lists(st.integers(0, 2**40), max_size=4).map(tuple),
+       lo=st.integers(0, 2**32), width=st.integers(0, 12))
+def test_stream_keys_property(seed, lane, lo, width):
+    hi = min(lo + width, 2**32)
+    np.testing.assert_array_equal(stream_keys(seed, lane, lo, hi),
+                                  seed_sequence_keys(seed, lane, lo, hi))
+
+
+def test_interleaved_buffers_equal_their_generators():
+    # 20,000 draws cross the 64, 128, ... 8192 blocks, and each refill of one
+    # buffer happens while the other has the shared Philox seated on its key
+    first, second = trial_buffers(2**63 + 11, (3,), 41, 43)
+    a, b = [], []
+    for _ in range(20_000):
+        a.append(first.next())
+        b.append(second.next())
+    assert a == trial_generator(2**63 + 11, 3, 41).random(20_000).tolist()
+    assert b == trial_generator(2**63 + 11, 3, 42).random(20_000).tolist()
+
+
+def test_buffers_past_one_key_block():
+    lo, hi = rng.KEY_BLOCK - 2, rng.KEY_BLOCK + 2
+    got = [buf.next() for buf in trial_buffers(5, (0,), lo, hi)]
+    assert got == [trial_generator(5, 0, t).random() for t in range(lo, hi)]
+
+
+def test_empty_window_yields_nothing():
+    assert list(trial_buffers(1, (0,), 7, 7)) == []
+    assert stream_keys(1, (0,), 7, 7).shape == (0, 2)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_raises_like_trial_generator(seed):
+    with pytest.raises(ValueError, match="unsigned 64-bit"):
+        trial_generator(seed, 0, 0)
+    with pytest.raises(ValueError, match="unsigned 64-bit"):
+        stream_keys(seed, (0,), 0, 1)
+    with pytest.raises(ValueError, match="unsigned 64-bit"):
+        next(trial_buffers(seed, (0,), 0, 1))
+
+
+@pytest.mark.parametrize("lo, hi", [(-1, 2), (3, 2), (0, 2**32 + 1)])
+def test_window_outside_trial_domain_raises(lo, hi):
+    with pytest.raises(ValueError, match="trial window"):
+        stream_keys(1, (0,), lo, hi)
+
+
+def test_trial_count_domain():
+    rng.check_trials(1)
+    rng.check_trials(ipslab.MAX_TRIALS)
+    for bad in (0, ipslab.MAX_TRIALS + 1):
+        with pytest.raises(ValueError, match="trials must be in 1..2\\*\\*32"):
+            rng.check_trials(bad)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a trial started")
+
+
+@pytest.mark.parametrize("estimator", [
+    lambda n: ipslab.estimate_survival(ipslab.ContactConfig(1.0, 11), 1.0, n, seed=1),
+    lambda n: ipslab.right_edge_speed(1.0, 1.0, n, seed=1),
+    lambda n: ipslab.consensus_rate(ipslab.VoterConfig(gaplab.cycle_graph(4), rho=0.5),
+                                    1.0, n, seed=1),
+    lambda n: ipslab.duality_check(gaplab.cycle_graph(4), (0, 1), 1.0, 0.5, n, seed=1),
+], ids=["survival", "edge-speed", "consensus", "duality"])
+def test_estimators_reject_more_than_two_to_the_32_trials(monkeypatch, estimator):
+    for module in (contact, voter):
+        monkeypatch.setattr(module, "trial_buffers", _no_work)
+        monkeypatch.setattr(module, "run_trials", _no_work, raising=False)
+    with pytest.raises(ValueError, match="trials must be in 1..2\\*\\*32"):
+        estimator(2**32 + 1)
