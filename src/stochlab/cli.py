@@ -1,24 +1,29 @@
 """Command-line interface: exact coloring queries, gap reports, simulators.
 
 Subcommands are grouped as ``color``, ``gap``, and ``sim``.  Every run
-prints its primary result to stdout (a rational, sampled words, or a JSON
-report) and can write the full JSON report with ``--out``.  Exit codes:
-0 success, 1 a ``--expect`` assertion failed, 2 argument or input errors.
+prints its primary result to stdout (a rational, sampled words, the reduced
+network, or a JSON report) and can write the full JSON report with ``--out``.
+Reports are strict JSON: a value with no JSON number, such as the standard
+error of a single fitted slope, is ``null``.  Exit codes: 0 success, 1 a
+``--expect`` assertion failed, 2 argument or input errors.
 
-Words on the command line are digit strings ("1213"); wildcard positions
-are dots ("1.3").  Rationals print as "p/q" in lowest terms.  Seeds fully
-determine stochastic output: the stream of one trial is
-``Generator(Philox(SeedSequence((seed, *lane, trial))))``; estimators derive
-a chunk's keys in bulk and reseat one Philox per chunk, with the same values
-at any worker count, and ``--trials`` is capped at 2**32 (one 32-bit entropy
-word per trial index).  Random-number blocks grow from 64 to 8192 uniforms
-without changing the values drawn.  ``--config`` files key values by flag name,
-with ``_`` for inner dashes (``lambda``, ``edge_speed = true``, ``left_depth``).
-``sim contact`` and ``sim duality`` take ``--parallel`` (or
-the LIGGETT_LAB_THREADS environment variable; either must be >= 1) and
-split trials across at most one process per CPU and per chunk of trials,
-without changing the reported numbers, because the reduction replays
-results in trial order.  No other subcommand accepts ``--parallel``.
+Each option is declared once, as an ``_Opt`` in ``_COMMANDS``: flag,
+converter, default and domain.  The parser, the ``--config`` loader and one
+check after merging all read it, so a config value is converted and checked
+like the same flag, and an out-of-domain value exits 2 naming the flag
+before any work starts.  A ``--config`` file (``sim`` commands) holds
+``key = value`` lines for options the command line left unset, keyed by the
+flag name with ``_`` for inner dashes (``lambda``, ``edge_speed = true``)
+or by the attribute name (``lam``).
+
+Words are digit strings ("1213"); wildcard positions are dots ("1.3").
+Rationals print as "p/q" in lowest terms.  Seeds fully determine stochastic
+output (``ipslab.rng`` defines the per-trial streams), and ``--trials`` is
+capped at 2**32, one 32-bit entropy word per trial index.  ``sim contact``
+and ``sim duality`` take ``--parallel`` (or the LIGGETT_LAB_THREADS
+environment variable; either must be >= 1) and split trials across at most
+one process per CPU and per chunk of trials; the reduction replays results
+in trial order, so the reported numbers do not change.
 """
 
 from __future__ import annotations
@@ -37,47 +42,32 @@ from .gaplab import CapacityError, GraphFormatError, ReducibilityError
 
 # --- small helpers ----------------------------------------------------------
 
+def _letters(q: int) -> set[str]:
+    """The digits a word over 1..q may use."""
+    return set("123456789"[:max(q, 0)])
+
+
 def parse_word(text: str, q: int) -> tuple[int, ...]:
-    letters = []
-    for ch in text:
-        if not ch.isdigit() or ch == "0":
-            raise ValueError(f"words are digit strings over 1..{q}, got {text!r}")
-        letters.append(int(ch))
-    for a in letters:
-        if a > q:
-            raise ValueError(f"letter {a} outside 1..{q} in {text!r}")
-    return tuple(letters)
+    if not set(text) <= _letters(q):
+        raise ValueError(f"words are digit strings over 1..{q}, got {text!r}")
+    return tuple(map(int, text))
 
 
 def parse_pattern(text: str, q: int) -> tuple[int | None, ...]:
-    out: list[int | None] = []
-    for ch in text:
-        if ch == ".":
-            out.append(None)
-        elif ch.isdigit() and ch != "0" and int(ch) <= q:
-            out.append(int(ch))
-        else:
-            raise ValueError(f"patterns use digits 1..{q} and '.', got {text!r}")
-    return tuple(out)
+    if not set(text) <= _letters(q) | {"."}:
+        raise ValueError(f"patterns use digits 1..{q} and '.', got {text!r}")
+    return tuple(None if ch == "." else int(ch) for ch in text)
 
 
 def format_word(letters) -> str:
     return "".join(str(a) for a in letters)
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "item") and not isinstance(value, (str, bytes)):
-        try:
-            return value.item()  # numpy scalars
-        except Exception:
-            return value
-    return value
+def _dumps(value) -> str:
+    """The one report writer: strict JSON, Fractions as "p/q", numpy scalars
+    as Python numbers."""
+    return json.dumps(value, indent=2, allow_nan=False,
+                      default=lambda v: str(v) if isinstance(v, Fraction) else v.item())
 
 
 def _flatten(prefix: str, value, out: dict[str, str]):
@@ -87,53 +77,23 @@ def _flatten(prefix: str, value, out: dict[str, str]):
     else:
         if isinstance(value, bool):
             text = "true" if value else "false"
-        elif isinstance(value, (list, tuple)):
-            text = json.dumps(_jsonable(value), separators=(",", ":"))
+        elif isinstance(value, list):
+            text = json.dumps(value, separators=(",", ":"))
         else:
             text = str(value)
         out[prefix] = text
 
 
-def resolve_workers(args) -> int:
-    if args.parallel is not None:
-        if args.parallel < 1:
-            raise ValueError(f"--parallel must be >= 1, got {args.parallel}")
-        return args.parallel
+def resolve_workers() -> int:
+    """Worker processes from LIGGETT_LAB_THREADS (an integer >= 1), else 1."""
     env = os.environ.get("LIGGETT_LAB_THREADS")
-    if not env:
-        return 1
     try:
-        workers = int(env)
+        workers = int(env) if env else 1
     except ValueError:
-        raise ValueError(f"LIGGETT_LAB_THREADS must be an integer, got {env!r}")
+        workers = 0
     if workers < 1:
-        raise ValueError(f"LIGGETT_LAB_THREADS must be >= 1, got {env!r}")
+        raise ValueError(f"LIGGETT_LAB_THREADS must be an integer >= 1, got {env!r}")
     return workers
-
-
-def _apply_config_file(args):
-    """key=value files supply defaults for flags the user left unset."""
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            attr = "lam" if key == "lambda" else key.replace("-", "_")  # --lambda sets lam
-            if not hasattr(args, attr):
-                raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-            if getattr(args, attr) is None:
-                kind = _CONFIG_TYPES.get(attr, str)
-                try:
-                    setattr(args, attr, kind(value))
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: {key} must be {kind.__name__}, "
-                                     f"got {value!r}") from None
 
 
 def boolean(text: str) -> bool:
@@ -144,13 +104,6 @@ def boolean(text: str) -> bool:
     if lowered in ("false", "no", "off", "0"):
         return False
     raise ValueError(text)
-
-
-_CONFIG_TYPES = {
-    "lam": float, "L": int, "tmax": float, "trials": int, "seed": int,
-    "rho": float, "t": float, "mode": str, "graph": str, "set": str,
-    "parallel": int, "edge_speed": boolean, "left_depth": int,
-}
 
 
 def physical_memory_bytes() -> int:
@@ -168,7 +121,14 @@ def _recursion_measure(q: int, length: int, flag: str):
     return colorlab.recursion_measure(q)
 
 
+def _vertices(text: str) -> tuple[int, ...]:
+    """A --set value such as "0,2"; empty items are skipped."""
+    return tuple(int(s) for s in text.split(",") if s != "")
+
+
 # --- color subcommands -------------------------------------------------------
+# A handler returns (payload, text): text is what stdout shows, or None when
+# stdout shows the payload as JSON.
 
 def cmd_color_prob(args):
     word = parse_word(args.word, args.q)
@@ -187,9 +147,7 @@ def cmd_color_checkdep(args):
             or colorlab.dependence.marginal_table_bytes(args.q, args.nmax) > have):
         raise ValueError(f"--nmax {args.nmax} is too large at --q {args.q}: its marginal "
                          f"tables need more than the {have / 2**30:.1f} GiB of physical memory")
-    report = colorlab.check_k_dependence(measure, args.k, args.nmax)
-    payload = report.to_dict()
-    return payload, json.dumps(_jsonable(payload), indent=2)
+    return colorlab.check_k_dependence(measure, args.k, args.nmax).to_dict(), None
 
 
 def cmd_color_marginal(args):
@@ -208,11 +166,10 @@ def cmd_color_sample(args):
 
 def cmd_color_pushforward(args):
     dist = colorlab.eliminate_fours_pushforward(args.n)
-    payload = {
+    return {
         "distribution": {format_word(w): str(p) for w, p in sorted(dist.items())},
         "mass": str(sum(dist.values())),
-    }
-    return payload, json.dumps(_jsonable(payload), indent=2)
+    }, None
 
 
 # --- gap subcommands ---------------------------------------------------------
@@ -222,8 +179,7 @@ def cmd_gap_report(args):
     hyper = net.hyper if (args.shuffle and net.hyper.rates) else None
     report = gaplab.gap_report(net.graph, hyper=hyper, tol_zero=args.tol_zero,
                                rtol=args.rtol)
-    payload = report.to_dict()
-    return payload, json.dumps(_jsonable(payload), indent=2)
+    return report.to_dict(), None
 
 
 def cmd_gap_reduce(args):
@@ -242,90 +198,58 @@ def cmd_gap_octopus(args):
     net = gaplab.parse_graph_file(args.graph)
     low, high = gaplab.octopus_extremes(net.graph, args.vertex)
     norm = max(abs(low), abs(high))
-    payload = {
+    return {
         "vertex": args.vertex,
         "minEigenvalue": low,
         "norm": norm,
         "psd": bool(low >= -1e-9 * norm),
-    }
-    return payload, json.dumps(_jsonable(payload), indent=2)
+    }, None
 
 
 def cmd_gap_shuffle(args):
     net = gaplab.parse_graph_file(args.graph)
     if not net.hyper.rates:
         raise ValueError(f"{args.graph} has no 'h' records; the shuffle needs subset rates")
-    payload = gaplab.shuffle_gap_comparison(net.hyper, tol_zero=args.tol_zero,
-                                            rtol=args.rtol)
-    return payload, json.dumps(_jsonable(payload), indent=2)
+    return gaplab.shuffle_gap_comparison(net.hyper, tol_zero=args.tol_zero,
+                                         rtol=args.rtol), None
 
 
 # --- sim subcommands ---------------------------------------------------------
 
-def _require(args, names):
-    """Every named option is given, a float one is finite, and --trials is in
-    1..2**32 (one 32-bit entropy word per trial index)."""
-    for name in names:
-        value = getattr(args, name)
-        flag = "--lambda" if name == "lam" else f"--{name.replace('_', '-')}"
-        if value is None:
-            raise ValueError(f"missing required option {flag}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value}")
-        if name == "trials" and not 1 <= value <= ipslab.MAX_TRIALS:
-            raise ValueError(f"{flag} must be in 1..2**32, got {value}")
-
-
 def cmd_sim_contact(args):
-    _apply_config_file(args)
-    args.edge_speed = bool(args.edge_speed)
-    if args.left_depth is None:
-        args.left_depth = ipslab.DEFAULT_LEFT_DEPTH
-    _require(args, ["lam", "tmax", "trials", "seed"])
-    workers = resolve_workers(args)
     if args.edge_speed:
-        if args.left_depth < 0:
-            raise ValueError(f"--left-depth must be >= 0, got {args.left_depth}")
         est = ipslab.right_edge_speed(args.lam, args.tmax, args.trials, args.seed,
                                       left_depth=args.left_depth)
         if args.csv:
             _write_csv(args.csv, ("trial", "t", "right_edge"), est.stats.right_edge_samples)
-        return est.to_dict(), json.dumps(_jsonable(est.to_dict()), indent=2)
-    _require(args, ["L"])
-    if args.mode == "threshold":
-        cfg = ipslab.threshold_config(args.lam, args.L)
-    else:
-        cfg = ipslab.ContactConfig(args.lam, args.L)
-    est = ipslab.estimate_survival(cfg, args.tmax, args.trials, args.seed, workers=workers)
+        return est.to_dict(), None
+    make = ipslab.threshold_config if args.mode == "threshold" else ipslab.ContactConfig
+    cfg = make(args.lam, args.L)
+    est = ipslab.estimate_survival(cfg, args.tmax, args.trials, args.seed,
+                                   workers=args.parallel or resolve_workers())
     if args.csv:
         out = ipslab.simulate_contact(cfg, ipslab.center_seed(cfg), args.tmax,
                                       args.seed, record_dt=args.tmax / 100)
         _write_csv(args.csv, ("t", "right_edge"),
                    [(t, "" if e is None else e) for t, e in out.right_edge_path])
-    return est.to_dict(), json.dumps(_jsonable(est.to_dict()), indent=2)
+    return est.to_dict(), None
 
 
 def cmd_sim_voter(args):
-    _apply_config_file(args)
-    _require(args, ["graph", "rho", "tmax", "trials", "seed"])
     net = gaplab.parse_graph_file(args.graph)
     cfg = ipslab.VoterConfig(net.graph, rho=args.rho)
     est = ipslab.consensus_rate(cfg, args.tmax, args.trials, args.seed)
     if args.csv:
         out = ipslab.simulate_voter(cfg, args.tmax, args.seed, record_dt=args.tmax / 100)
         _write_csv(args.csv, ("t", "ones_fraction"), out.ones_path)
-    return est.to_dict(), json.dumps(_jsonable(est.to_dict()), indent=2)
+    return est.to_dict(), None
 
 
 def cmd_sim_duality(args):
-    _apply_config_file(args)
-    _require(args, ["graph", "set", "t", "rho", "trials", "seed"])
     net = gaplab.parse_graph_file(args.graph)
-    target = tuple(int(s) for s in args.set.split(",") if s != "")
-    workers = resolve_workers(args)
-    rep = ipslab.duality_check(net.graph, target, args.t, args.rho, args.trials,
-                               args.seed, workers=workers)
-    return rep.to_dict(), json.dumps(_jsonable(rep.to_dict()), indent=2)
+    rep = ipslab.duality_check(net.graph, _vertices(args.set), args.t, args.rho, args.trials,
+                               args.seed, workers=args.parallel or resolve_workers())
+    return rep.to_dict(), None
 
 
 def _write_csv(path: str, header, rows):
@@ -335,7 +259,136 @@ def _write_csv(path: str, header, rows):
             fh.write(",".join(str(c) for c in row) + "\n")
 
 
-# --- parser -------------------------------------------------------------------
+# --- option declarations -------------------------------------------------------
+
+class _Opt:
+    """One option: ``kind`` converts its text (from argv or a config line;
+    ``boolean`` makes a switch), ``check(value, args)`` returns None inside
+    its domain and otherwise what the value "must be", and ``when(args)``
+    says whether the command uses it (an unused option is neither required
+    nor checked)."""
+
+    def __init__(self, flag, kind, check, *, default=None, required=False, when=None,
+                 dest=None, action=None, help=None):
+        self.flag, self.kind, self.check, self.default = flag, kind, check, default
+        self.required, self.when, self.action, self.help = required, when, action, help
+        self.dest = dest or flag[2:].replace("-", "_")
+
+
+def _rule(ok, text):
+    """The values with ok(value, args); ``text`` is formatted with the options."""
+    return lambda value, args: None if ok(value, args) else "must be " + text.format(**vars(args))
+
+
+def _number(ok, text):
+    """Finite numbers with ok(value)."""
+    def check(value, args):
+        if value != value or abs(value) == math.inf:
+            return "must be finite"
+        return None if ok(value) else "must be " + text
+    return check
+
+
+def _at_least(lo):
+    return _number(lambda v: v >= lo, f">= {lo}")
+
+
+def _one_of(*choices):
+    return _rule(lambda v, a: v in choices, "one of " + ", ".join(choices))
+
+
+def _vertex_set(text, args) -> bool:
+    try:
+        return min(_vertices(text), default=-1) >= 0
+    except ValueError:
+        return False
+
+
+_ANY = _rule(lambda v, a: True, "")
+_READ = _rule(lambda p, a: os.path.exists(p) and not os.path.isdir(p), "an existing file")
+_WRITE = _rule(lambda p, a: not os.path.isdir(p)
+               and os.path.isdir(os.path.dirname(os.path.abspath(p))),
+               "a file in an existing directory")
+_Q = _Opt("--q", int, _at_least(2), default=4)
+_GRAPH = _Opt("--graph", str, _READ, required=True)
+_VERTEX = _Opt("--vertex", int, _at_least(0), required=True)
+_TOLS = (_Opt("--tol-zero", float, _at_least(0), default=gaplab.DEFAULT_TOL_ZERO),
+         _Opt("--rtol", float, _at_least(0), default=gaplab.DEFAULT_RTOL))
+_TRIALS = _Opt("--trials", int, _number(lambda n: 1 <= n <= ipslab.MAX_TRIALS, "in 1..2**32"),
+               required=True)
+_SEED = _Opt("--seed", int, _number(lambda s: 0 <= s < 2**64, "in 0..2**64-1"), required=True)
+_RHO = _Opt("--rho", float, _number(lambda r: 0 <= r <= 1, "in 0..1"), required=True)
+_CSV = _Opt("--csv", str, _WRITE, help="write a trajectory CSV here")
+_CONFIG = _Opt("--config", str, _READ, help="key=value file with defaults")
+_PARALLEL = _Opt("--parallel", int, _at_least(1),
+                 help="worker processes (default: LIGGETT_LAB_THREADS or 1)")
+_COMMON = (_Opt("--out", str, _WRITE, help="write the full JSON report to this file"),
+           _Opt("--expect", str, _rule(lambda v, a: all("=" in e for e in v), "KEY=VALUE"),
+                default=(), action="append",
+                help="assert a report field KEY=VALUE (exit 1 on mismatch)"))
+
+_GROUPS = {"color": "exact coloring measure queries",
+           "gap": "generator spectra on weighted graphs",
+           "sim": "continuous-time Monte Carlo"}
+
+# op -> (handler, help, options); the _COMMON options follow every command's own
+_COMMANDS = {
+    "color.prob": (cmd_color_prob, "cylinder probability of a word", (
+        _Opt("--q", int, _rule(lambda q, a: q >= 2 or a.source == "formula",
+                               ">= 2 with --source recursion"), default=4),
+        _Opt("--word", str, _rule(lambda w, a: set(w) <= _letters(a.q), "digits 1..{q}"),
+             required=True),
+        _Opt("--source", str, _one_of("recursion", "formula"), default="recursion",
+             help="recursion (default) or formula"))),
+    "color.check-dep": (cmd_color_checkdep, "exhaustive k-dependence check", (
+        _Q, _Opt("--k", int, _at_least(0), required=True),
+        _Opt("--nmax", int, _rule(lambda n, a: n >= a.k + 2, ">= --k + 2"), required=True))),
+    "color.marginal": (cmd_color_marginal, "marginal probability of a dotted pattern", (
+        _Q, _Opt("--pattern", str, _rule(lambda p, a: set(p) <= _letters(a.q) | {"."},
+                                         "digits 1..{q} and '.'"), required=True))),
+    "color.sample": (cmd_color_sample, "draw words from the window law", (
+        _Q, _Opt("--n", int, _at_least(0), required=True),
+        _Opt("--seed", int, _ANY, required=True),
+        _Opt("--count", int, _at_least(0), default=1))),
+    "color.pushforward": (cmd_color_pushforward, "three-color image of the 4-color measure", (
+        _Opt("--n", int, _at_least(0), required=True),)),
+    "gap.report": (cmd_gap_report, "walk, interchange, and exclusion gaps", (
+        _GRAPH, _Opt("--shuffle", boolean, _ANY, default=False,
+                     help="include the subset-shuffle comparison"), *_TOLS)),
+    "gap.reduce": (cmd_gap_reduce, "remove one vertex, redistributing conductances",
+                   (_GRAPH, _VERTEX)),
+    "gap.octopus": (cmd_gap_octopus, "eigen-bounds of the hub comparison form",
+                    (_GRAPH, _VERTEX)),
+    "gap.shuffle": (cmd_gap_shuffle, "subset-shuffle gap vs its single-particle walk",
+                    (_GRAPH, *_TOLS)),
+    "sim.contact": (cmd_sim_contact, "contact process survival or edge speed", (
+        _Opt("--lambda", float, _at_least(0), dest="lam", required=True),
+        _Opt("--L", int, _at_least(1), required=True, when=lambda a: not a.edge_speed,
+             help="interval length (survival mode)"),
+        _Opt("--tmax", float, _number(lambda t: t > 0, "> 0"), required=True),
+        _TRIALS, _SEED,
+        _Opt("--mode", str, _one_of("standard", "threshold"),
+             help="standard (default) or threshold"),
+        _Opt("--edge-speed", boolean, _ANY, default=False,
+             help="half-line start; fit the right-edge speed instead"),
+        _Opt("--left-depth", int, _at_least(0), default=ipslab.DEFAULT_LEFT_DEPTH,
+             when=lambda a: a.edge_speed,
+             help=f"--edge-speed start depth (default {ipslab.DEFAULT_LEFT_DEPTH})"),
+        _CSV, _CONFIG, _PARALLEL)),
+    "sim.voter": (cmd_sim_voter, "voter model consensus statistics", (
+        _GRAPH, _RHO, _Opt("--tmax", float, _at_least(0), required=True), _TRIALS, _SEED,
+        _CSV, _CONFIG)),
+    "sim.duality": (cmd_sim_duality, "voter vs coalescing-walk two-sample check", (
+        _GRAPH, _Opt("--set", str, _rule(_vertex_set, "comma-separated vertices >= 0"),
+                     required=True, help="comma-separated target vertices, e.g. 0,1"),
+        _Opt("--t", float, _at_least(0), required=True), _RHO, _TRIALS, _SEED,
+        _CONFIG, _PARALLEL)),
+}
+
+
+def _options(op: str) -> tuple[_Opt, ...]:
+    return _COMMANDS[op][2] + _COMMON
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -343,181 +396,109 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact coloring measures, spectral-gap identities, and particle-system simulation",
     )
     top = parser.add_subparsers(dest="group", required=True)
-
-    def common(sub):
-        sub.add_argument("--out", help="write the full JSON report to this file")
-        sub.add_argument("--expect", action="append", default=[],
-                         metavar="KEY=VALUE", help="assert a report field (exit 1 on mismatch)")
-
-    def parallel(sub):
-        sub.add_argument("--parallel", type=int, default=None,
-                         help="worker processes (default: LIGGETT_LAB_THREADS or 1)")
-
-    color = parser_group(top, "color", "exact coloring measure queries")
-
-    p = color.add_parser("prob", help="cylinder probability of a word")
-    p.add_argument("--q", type=int, default=4)
-    p.add_argument("--word", required=True)
-    p.add_argument("--source", choices=["recursion", "formula"], default="recursion")
-    common(p)
-    p.set_defaults(handler=cmd_color_prob, op="color.prob")
-
-    p = color.add_parser("check-dep", help="exhaustive k-dependence check")
-    p.add_argument("--q", type=int, default=4)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=cmd_color_checkdep, op="color.check-dep")
-
-    p = color.add_parser("marginal", help="marginal probability of a dotted pattern")
-    p.add_argument("--q", type=int, default=4)
-    p.add_argument("--pattern", required=True)
-    common(p)
-    p.set_defaults(handler=cmd_color_marginal, op="color.marginal")
-
-    p = color.add_parser("sample", help="draw words from the window law")
-    p.add_argument("--q", type=int, default=4)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
-    common(p)
-    p.set_defaults(handler=cmd_color_sample, op="color.sample")
-
-    p = color.add_parser("pushforward", help="three-color image of the 4-color measure")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=cmd_color_pushforward, op="color.pushforward")
-
-    gap = parser_group(top, "gap", "generator spectra on weighted graphs")
-
-    p = gap.add_parser("report", help="walk, interchange, and exclusion gaps")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--shuffle", action="store_true", help="include the subset-shuffle comparison")
-    p.add_argument("--tol-zero", type=float, default=gaplab.DEFAULT_TOL_ZERO)
-    p.add_argument("--rtol", type=float, default=gaplab.DEFAULT_RTOL)
-    common(p)
-    p.set_defaults(handler=cmd_gap_report, op="gap.report")
-
-    p = gap.add_parser("reduce", help="remove one vertex, redistributing conductances")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--vertex", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=cmd_gap_reduce, op="gap.reduce")
-
-    p = gap.add_parser("octopus", help="eigen-bounds of the hub comparison form")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--vertex", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=cmd_gap_octopus, op="gap.octopus")
-
-    p = gap.add_parser("shuffle", help="subset-shuffle gap vs its single-particle walk")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--tol-zero", type=float, default=gaplab.DEFAULT_TOL_ZERO)
-    p.add_argument("--rtol", type=float, default=gaplab.DEFAULT_RTOL)
-    common(p)
-    p.set_defaults(handler=cmd_gap_shuffle, op="gap.shuffle")
-
-    sim = parser_group(top, "sim", "continuous-time Monte Carlo")
-
-    p = sim.add_parser("contact", help="contact process survival or edge speed")
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--L", type=int, help="interval length (survival mode)")
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=["standard", "threshold"], default=None)
-    p.add_argument("--edge-speed", action="store_true", default=None,
-                   help="half-line start; fit the right-edge speed instead")
-    p.add_argument("--left-depth", type=int, default=None,
-                   help=f"--edge-speed start depth (default {ipslab.DEFAULT_LEFT_DEPTH})")
-    p.add_argument("--csv", help="write a trajectory CSV here")
-    p.add_argument("--config", help="key=value file with defaults")
-    common(p)
-    parallel(p)
-    p.set_defaults(handler=cmd_sim_contact, op="sim.contact")
-
-    p = sim.add_parser("voter", help="voter model consensus statistics")
-    p.add_argument("--graph")
-    p.add_argument("--rho", type=float)
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--csv", help="write a trajectory CSV here")
-    p.add_argument("--config", help="key=value file with defaults")
-    common(p)
-    p.set_defaults(handler=cmd_sim_voter, op="sim.voter")
-
-    p = sim.add_parser("duality", help="voter vs coalescing-walk two-sample check")
-    p.add_argument("--graph")
-    p.add_argument("--set", help="comma-separated target vertices, e.g. 0,1")
-    p.add_argument("--t", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="key=value file with defaults")
-    common(p)
-    parallel(p)
-    p.set_defaults(handler=cmd_sim_duality, op="sim.duality")
-
+    groups = {name: top.add_parser(name, help=text).add_subparsers(dest="command", required=True)
+              for name, text in _GROUPS.items()}
+    for op, (_, help_text, _) in _COMMANDS.items():
+        group, command = op.split(".")
+        p = groups[group].add_parser(command, help=help_text)
+        for opt in _options(op):
+            how = {"action": "store_true"} if opt.kind is boolean else {
+                "type": opt.kind, "action": opt.action}
+            p.add_argument(opt.flag, dest=opt.dest, default=None, help=opt.help, **how)
+        p.set_defaults(op=op)
     return parser
 
 
-def parser_group(top, name, help_text):
-    sub = top.add_parser(name, help=help_text)
-    return sub.add_subparsers(dest="command", required=True)
+def _complain(opt: _Opt, args):
+    value = getattr(args, opt.dest)
+    complaint = opt.check(value, args)
+    if complaint:
+        raise ValueError(f"{opt.flag} {complaint}, got {value!r}")
+
+
+def _apply_config_file(args, opts):
+    """key=value lines fill the options the command line left unset."""
+    keys = {}
+    for opt in opts:
+        if opt.flag not in ("--config", "--expect"):
+            keys[opt.dest] = keys[opt.flag[2:].replace("-", "_")] = opt
+    path = args.config
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            opt = keys.get(key.replace("-", "_"))
+            if opt is None:
+                raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
+            if getattr(args, opt.dest) is None:
+                try:
+                    setattr(args, opt.dest, opt.kind(value))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: {key} must be {opt.kind.__name__}, "
+                                     f"got {value!r}") from None
+
+
+def _settle(args):
+    """Merge the --config file, fill defaults, then check, in declaration
+    order, that each option the command uses is given and in its domain."""
+    opts = _options(args.op)
+    if getattr(args, "config", None) is not None:
+        _complain(_CONFIG, args)
+        _apply_config_file(args, opts)
+    for opt in opts:
+        if getattr(args, opt.dest) is None:
+            setattr(args, opt.dest, opt.default)
+    for opt in opts:
+        if opt.when is not None and not opt.when(args):
+            continue
+        if getattr(args, opt.dest) is None:
+            if opt.required:
+                raise ValueError(f"missing required option {opt.flag}")
+            continue
+        _complain(opt, args)
 
 
 def _inputs_dict(args) -> dict:
-    skip = {"handler", "op", "group", "command", "out", "expect"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or value is None:
-            continue
-        out[key] = value
-    return out
+    skip = {"op", "group", "command", "out", "expect"}
+    return {key: value for key, value in sorted(vars(args).items())
+            if key not in skip and value is not None}
 
 
 def parse_and_dispatch(argv) -> tuple[int, dict | None]:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else 2), None
 
     started = time.perf_counter()
     try:
-        payload, text = args.handler(args)
+        _settle(args)
+        payload, text = _COMMANDS[args.op][0](args)
+        report = {"op": args.op, "inputs": _inputs_dict(args), **payload,
+                  "elapsed_ms": (time.perf_counter() - started) * 1e3}
+        body = _dumps(report)
+        if text is None:
+            text = _dumps(payload)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(body + "\n")
     except (ValueError, CapacityError, GraphFormatError, ReducibilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
 
-    report = {"op": args.op, "inputs": _inputs_dict(args)}
-    report.update(payload)
-    report["elapsed_ms"] = (time.perf_counter() - started) * 1e3
-    report = _jsonable(report)
-
     print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-
+    report = json.loads(body)
     flat: dict[str, str] = {}
     _flatten("", report, flat)
-    failed = []
-    for expectation in args.expect:
-        if "=" not in expectation:
-            print(f"error: --expect needs KEY=VALUE, got {expectation!r}", file=sys.stderr)
-            return 2, report
-        key, want = expectation.split("=", 1)
-        got = flat.get(key)
-        if got != want:
-            failed.append(f"expected {key}={want!r}, report has {got!r}")
-    if failed:
-        for line in failed:
-            print(f"check failed: {line}", file=sys.stderr)
-        return 1, report
-    return 0, report
+    failed = [f"expected {key}={want!r}, report has {flat.get(key)!r}"
+              for key, _, want in (e.partition("=") for e in args.expect) if flat.get(key) != want]
+    for line in failed:
+        print(f"check failed: {line}", file=sys.stderr)
+    return (1 if failed else 0), report
 
 
 def main(argv=None):

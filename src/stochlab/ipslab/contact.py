@@ -303,7 +303,7 @@ class EdgeSpeedEstimate:
     def to_dict(self) -> dict:
         return {
             "slope": self.slope,
-            "stderr": self.stderr,
+            "stderr": self.stderr if len(self.trial_slopes) > 1 else None,  # JSON has no inf
             "excludedTrials": self.excluded_trials,
             "finiteSizeSurrogate": True,
             **self.stats.to_dict(),

@@ -4,7 +4,8 @@ Every vertex wakes at rate one and copies the opinion of a uniformly
 chosen neighbor.  Unanimity is absorbing, so runs stop at consensus.  The
 dual system runs rate-one walkers that jump to uniform neighbors and merge
 on meeting; the two are tied together by the two-sided Monte Carlo check
-in ``duality_check``.
+in ``duality_check``.  Uniform choice ignores edge weights, so both refuse a
+graph with any edge weight other than 1.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ class VoterConfig:
     def __post_init__(self):
         if not self.graph.is_connected:
             raise ValueError("voter model requires a connected graph")
+        for i, j, w in self.graph.edges():
+            if w != 1:  # neighbors are picked uniformly
+                raise ValueError(f"the voter model needs unit edge weights; edge ({i}, {j}) "
+                                 f"has weight {w:g}")
         if self.opinions is not None:
             if len(self.opinions) != self.graph.n:
                 raise ValueError("one opinion per vertex required")
@@ -202,7 +207,7 @@ class DualityReport:
         return {
             "lhs": self.lhs,
             "rhs": self.rhs,
-            "zScore": self.z_score,
+            "zScore": self.z_score if math.isfinite(self.z_score) else None,
             "lhsStderr": self.lhs_stderr,
             "rhsStderr": self.rhs_stderr,
             "trials": self.trials,
@@ -245,12 +250,9 @@ def duality_check(graph: WeightedGraph, target, t: float, rho: float,
         raise ValueError("target set cannot be empty")
     if any(not 0 <= v < graph.n for v in target):
         raise ValueError("target vertices outside the graph")
-    if not 0 <= rho <= 1:
-        raise ValueError("rho must lie in [0, 1]")
+    VoterConfig(graph, rho=rho)  # a connected unit-weight graph and rho in [0, 1]
     _check_horizon(t)
     check_trials(trials)
-    if not graph.is_connected:
-        raise ValueError("duality check requires a connected graph")
 
     jobs = [(graph, target, t, rho, seed, lo, hi) for lo, hi in chunk_ranges(trials, workers)]
     parts = run_trials(_duality_chunk, jobs, workers)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -501,6 +502,177 @@ class TestReportPlumbing:
         code, _ = run("color", "check-dep", "--q", "4", "--k", "0", "--nmax", "3",
                       "--expect", "witness.joint=0")
         assert code == 0
+
+
+def strict_json(text):
+    """json.loads that refuses the non-JSON constants NaN, Infinity and -Infinity."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestDomains:
+    """Every option is declared with a domain, and a value outside it exits 2
+    naming the flag, whether it came from argv or from a --config file."""
+
+    @pytest.fixture()
+    def hyper(self, tmp_path):
+        p = tmp_path / "hyper.g"
+        p.write_text("n 3\nh 3 0 1 2 1.0\n")
+        return str(p)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("gap", "report", "--graph", "{path3}", "--rtol", "nan"), "--rtol"),
+        (("gap", "report", "--graph", "{path3}", "--rtol", "-1"), "--rtol"),
+        (("gap", "report", "--graph", "{path3}", "--tol-zero", "-1"), "--tol-zero"),
+        (("gap", "shuffle", "--graph", "{hyper}", "--rtol", "nan"), "--rtol"),
+        (("gap", "shuffle", "--graph", "{hyper}", "--rtol", "-1"), "--rtol"),
+        (("gap", "shuffle", "--graph", "{hyper}", "--tol-zero", "-1"), "--tol-zero"),
+        (TestSimCommands.CONTACT + ("--L", "0"), "--L"),
+        (TestSimCommands.CONTACT + ("--seed", "-1"), "--seed"),
+        (TestSimCommands.DUALITY + ("--rho", "2"), "--rho"),
+        (TestSimCommands.DUALITY + ("--set", "a,b"), "--set"),
+    ])
+    def test_library_domain_errors_name_the_flag(self, capsys, path3, hyper, argv, flag):
+        code, report = run(*(arg.format(path3=path3, hyper=hyper) for arg in argv))
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("color", "sample", "--n", "3", "--seed", "-1"),  # any integer seeds random.Random
+        ("color", "prob", "--q", "1", "--word", "1", "--source", "formula"),
+        ("sim", "voter", "--graph", "{path3}", "--rho", "0", "--tmax", "0", "--trials", "2",
+         "--seed", "1"),
+        ("sim", "duality", "--graph", "{path3}", "--set", " 2,,0", "--t", "0", "--rho", "1",
+         "--trials", "2", "--seed", "18446744073709551615"),
+        # options the chosen mode does not use are not checked
+        TestSimCommands.CONTACT + ("--left-depth", "-5"),
+        ("sim", "contact", "--lambda", "2", "--edge-speed", "--L", "0", "--tmax", "3",
+         "--trials", "2", "--seed", "4"),
+    ])
+    def test_domain_edges_the_library_accepts_still_run(self, path3, argv):
+        assert run(*(arg.format(path3=path3) for arg in argv))[0] == 0
+
+    @pytest.mark.parametrize("line, named", [
+        ("mode = thresold", "--mode must be one of standard, threshold, got 'thresold'"),
+        ("trials = 0", "--trials must be in 1..2**32"),
+        ("lambda = nan", "--lambda must be finite"),
+        ("seed = -1", "--seed must be in 0..2**64-1"),
+    ])
+    def test_config_values_are_checked_like_flags(self, tmp_path, capsys, line, named):
+        cfg = tmp_path / "exp.cfg"
+        valid = {"lambda": "1", "L": "21", "tmax": "3", "trials": "8", "seed": "4"}
+        valid.pop(line.split(" =")[0], None)  # the first line with a key is the one read
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in valid.items()) + line + "\n")
+        code, report = run("sim", "contact", "--config", str(cfg))
+        assert code == 2 and report is None
+        assert capsys.readouterr().err.startswith(f"error: {named}")
+
+    @pytest.mark.parametrize("argv", [
+        ("color", "prob", "--word", "12"),
+        ("gap", "reduce", "--graph", "{path3}", "--vertex", "1"),
+    ])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, path3, argv, where):
+        out = tmp_path / "no" / "such" / "x.json" if where == "missing-dir" else tmp_path
+        code, report = run(*(arg.format(path3=path3) for arg in argv), "--out", str(out))
+        assert code == 2 and report is None
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --out must be")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, field", [
+        # one fitted slope has no spread: the standard error is infinite
+        (("sim", "contact", "--lambda", "2", "--edge-speed", "--tmax", "3", "--trials", "1",
+          "--seed", "1"), "stderr"),
+        # no spread on either side at t=0 and lhs != rhs: the z score is infinite
+        (("sim", "duality", "--graph", "{path3}", "--set", "0", "--t", "0", "--rho", "0.5",
+          "--trials", "1", "--seed", "1"), "zScore"),
+    ])
+    def test_reports_are_strict_json(self, tmp_path, capsys, path3, argv, field):
+        out = tmp_path / "report.json"
+        code, report = run(*(arg.format(path3=path3) for arg in argv), "--out", str(out))
+        assert code == 0
+        printed = strict_json(capsys.readouterr().out)
+        saved = strict_json(out.read_text())
+        assert printed[field] is None and saved[field] is None and report[field] is None
+
+    @pytest.mark.parametrize("command", ["voter", "duality"])
+    def test_weighted_graph_refused_by_voter_commands(self, tmp_path, capsys, command):
+        p = tmp_path / "weighted.g"
+        p.write_text("n 3\ne 0 1 1.0\ne 1 2 2.0\n")
+        extra = ("--set", "0", "--t", "1") if command == "duality" else ("--tmax", "1")
+        code, report = run("sim", command, "--graph", str(p), "--rho", "0.5", *extra,
+                           "--trials", "2", "--seed", "1")
+        assert code == 2 and report is None
+        assert "edge (1, 2) has weight 2" in capsys.readouterr().err
+
+
+def _subcommands(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# every option of every subcommand that build_parser() makes, as (op, flag)
+PARSER_OPTIONS = sorted(
+    (f"{group}.{command}", flag)
+    for group, group_parser in _subcommands(cli.build_parser()).items()
+    for command, parser in _subcommands(group_parser).items()
+    for action in parser._actions for flag in action.option_strings
+    if flag not in ("-h", "--help"))
+
+# a cheap run of each subcommand with every required option in its domain
+VALID = {
+    "color.prob": ["--word", "12"],
+    "color.check-dep": ["--k", "1", "--nmax", "3"],
+    "color.marginal": ["--pattern", "1."],
+    "color.sample": ["--n", "2", "--seed", "1"],
+    "color.pushforward": ["--n", "1"],
+    "gap.report": ["--graph", "{path3}"],
+    "gap.reduce": ["--graph", "{path3}", "--vertex", "1"],
+    "gap.octopus": ["--graph", "{path3}", "--vertex", "1"],
+    "gap.shuffle": ["--graph", "{path3}"],
+    "sim.contact": ["--lambda", "1", "--L", "5", "--tmax", "1", "--trials", "2", "--seed", "1"],
+    "sim.voter": ["--graph", "{path3}", "--rho", "0.5", "--tmax", "1", "--trials", "2",
+                  "--seed", "1"],
+    "sim.duality": ["--graph", "{path3}", "--set", "0", "--t", "1", "--rho", "0.5",
+                    "--trials", "2", "--seed", "1"],
+}
+
+# arguments that put one option outside its domain, by flag or by (op, flag)
+OUTSIDE = {
+    "--q": ["--q", "1"], "--word": ["--word", "15"], "--source": ["--source", "exact"],
+    "--k": ["--k", "-1"], "--nmax": ["--nmax", "2"], "--pattern": ["--pattern", "1*"],
+    "--n": ["--n", "-1"], "--seed": ["--seed", "-1"], ("color.sample", "--seed"): ["--seed", "x"],
+    "--count": ["--count", "-1"], "--graph": ["--graph", "{missing}"],
+    "--vertex": ["--vertex", "-1"], "--shuffle": ["--shuffle=yes"],
+    "--tol-zero": ["--tol-zero", "-1"], "--rtol": ["--rtol", "nan"],
+    "--lambda": ["--lambda", "-1"], "--L": ["--L", "0"], "--tmax": ["--tmax", "-1"],
+    "--trials": ["--trials", "0"], "--mode": ["--mode", "thresold"],
+    "--edge-speed": ["--edge-speed=yes"], "--left-depth": ["--edge-speed", "--left-depth", "-1"],
+    "--csv": ["--csv", "{missing}"], "--config": ["--config", "{missing}"],
+    "--parallel": ["--parallel", "0"], "--rho": ["--rho", "2"], "--set": ["--set", "a,b"],
+    "--t": ["--t", "-1"], "--out": ["--out", "{missing}"], "--expect": ["--expect", "holds"],
+}
+
+
+def test_every_option_is_declared_with_a_domain():
+    declared = {(op, opt.flag): opt for op in cli._COMMANDS for opt in cli._options(op)}
+    assert sorted(declared) == PARSER_OPTIONS
+    assert all(callable(opt.check) for opt in declared.values())
+
+
+@pytest.mark.parametrize("op, flag", PARSER_OPTIONS)
+def test_each_domain_refuses_a_value_outside_it(tmp_path, capsys, path3, op, flag):
+    outside = OUTSIDE.get((op, flag)) or OUTSIDE[flag]
+    missing = str(tmp_path / "missing" / "file")
+    argv = op.split(".") + [arg.format(path3=path3, missing=missing)
+                            for arg in VALID[op] + outside]
+    code, report = run(*argv)
+    assert code == 2 and report is None
+    assert flag in capsys.readouterr().err
 
 
 def test_cli_imports_no_scipy():

@@ -36,6 +36,14 @@ class TestVoterConfig:
         with pytest.raises(ValueError):
             VoterConfig(cycle_graph(3), rho=1.5)
 
+    def test_non_unit_weights_rejected(self):
+        # neighbors are picked uniformly, so a weight other than 1 would be ignored
+        g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.5)])
+        with pytest.raises(ValueError, match=r"edge \(1, 2\) has weight 2.5"):
+            VoterConfig(g, rho=0.5)
+        with pytest.raises(ValueError, match=r"edge \(1, 2\) has weight 2.5"):
+            duality_check(g, (0,), 1.0, 0.5, 10, seed=0)
+
 
 class TestSimulateVoter:
     def test_unanimous_start_is_consensus_at_zero(self):
