@@ -5,7 +5,8 @@ prints its primary result to stdout (a rational, sampled words, the reduced
 network, or a JSON report) and can write the full JSON report with ``--out``.
 Reports are strict JSON: a value with no JSON number, such as the standard
 error of a single fitted slope, is ``null``.  Exit codes: 0 success, 1 a
-``--expect`` assertion failed, 2 argument or input errors.
+``--expect`` assertion failed, 2 argument or input errors, 141 (128 +
+SIGPIPE) when the reader closes stdout before the output is written.
 
 Each option is declared once, as an ``_Opt`` in ``_COMMANDS``: flag,
 converter, default and domain.  The parser, the ``--config`` loader and one
@@ -126,6 +127,13 @@ def _vertices(text: str) -> tuple[int, ...]:
     return tuple(int(s) for s in text.split(",") if s != "")
 
 
+def _in_graph(graph, vertices, name: str):
+    """Exit-2 check of vertices against the graph the handler just parsed."""
+    for v in vertices:
+        if v >= graph.n:
+            raise ValueError(f"{name} {v} outside 0..{graph.n - 1}")
+
+
 # --- color subcommands -------------------------------------------------------
 # A handler returns (payload, text): text is what stdout shows, or None when
 # stdout shows the payload as JSON.
@@ -184,6 +192,7 @@ def cmd_gap_report(args):
 
 def cmd_gap_reduce(args):
     net = gaplab.parse_graph_file(args.graph)
+    _in_graph(net.graph, (args.vertex,), "--vertex")
     reduced = gaplab.reduce_vertex(net.graph, args.vertex)
     text = gaplab.format_network(reduced)
     payload = {
@@ -196,6 +205,7 @@ def cmd_gap_reduce(args):
 
 def cmd_gap_octopus(args):
     net = gaplab.parse_graph_file(args.graph)
+    _in_graph(net.graph, (args.vertex,), "--vertex")
     low, high = gaplab.octopus_extremes(net.graph, args.vertex)
     norm = max(abs(low), abs(high))
     return {
@@ -247,7 +257,9 @@ def cmd_sim_voter(args):
 
 def cmd_sim_duality(args):
     net = gaplab.parse_graph_file(args.graph)
-    rep = ipslab.duality_check(net.graph, _vertices(args.set), args.t, args.rho, args.trials,
+    target = _vertices(args.set)
+    _in_graph(net.graph, target, "--set vertex")
+    rep = ipslab.duality_check(net.graph, target, args.t, args.rho, args.trials,
                                args.seed, workers=args.parallel or resolve_workers())
     return rep.to_dict(), None
 
@@ -423,6 +435,7 @@ def _apply_config_file(args, opts):
         if opt.flag not in ("--config", "--expect"):
             keys[opt.dest] = keys[opt.flag[2:].replace("-", "_")] = opt
     path = args.config
+    seen = {}  # option dest -> line that set it
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -434,6 +447,10 @@ def _apply_config_file(args, opts):
             opt = keys.get(key.replace("-", "_"))
             if opt is None:
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
+            if opt.dest in seen:
+                raise ValueError(f"{path}:{lineno}: {key} was already set on line "
+                                 f"{seen[opt.dest]}")
+            seen[opt.dest] = lineno
             if getattr(args, opt.dest) is None:
                 try:
                     setattr(args, opt.dest, opt.kind(value))
@@ -490,7 +507,13 @@ def parse_and_dispatch(argv) -> tuple[int, dict | None]:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
 
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        # stdout's buffer still holds output: point it at devnull so the flush
+        # at exit cannot raise again, then end like a process killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141, None  # 128 + SIGPIPE
     report = json.loads(body)
     flat: dict[str, str] = {}
     _flatten("", report, flat)

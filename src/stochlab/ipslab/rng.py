@@ -7,19 +7,26 @@ independent regardless of scheduling order.  ``trial_generator`` builds
 that generator for one trial and is the reference the tests compare with.
 
 Philox is counter-based (Salmon et al., SC 2011): a stream is its 128-bit
-key plus a block counter.  Estimators therefore do not build a generator
-per trial.  ``stream_keys`` derives the keys of a whole window of trials in
-one vectorized pass of the ``SeedSequence`` hash, and ``trial_buffers``
-hands out one ``UniformBuffer`` per trial, all drawing through one Philox
-that is reseated to (key, counter) before each block.  The values are the
-same as ``trial_generator``'s, bit for bit, at any worker count.  Trial
-indices are single 32-bit entropy words, so at most ``MAX_TRIALS`` = 2**32
-trials share a (seed, lane).
+key plus a block counter, so any stretch of any trial's stream can be read
+directly.  Estimators therefore do not build a generator per trial.
+``stream_keys`` derives the keys of a whole window of trials in one
+vectorized pass of the ``SeedSequence`` hash (``trial_keys`` hands them
+out ``KEY_BLOCK`` trials per pass), and a ``StreamReader`` owns one Philox
+that it reseats to (key, counter) for each read: ``read`` returns one
+stretch of one stream, ``rows`` the same stretch of many streams as one
+2-D array.  ``trial_buffers`` hands out one ``UniformBuffer`` per trial,
+reading its blocks through one reader, for the event loops that draw a
+uniform at a time (contact process, coalescing walks); the voter kernel
+reads whole windows of trials with ``rows``.  The values are the same as
+``trial_generator``'s, bit for bit, at any worker count.  Trial indices
+are single 32-bit entropy words, so at most ``MAX_TRIALS`` = 2**32 trials
+share a (seed, lane).
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -75,6 +82,8 @@ def stream_keys(master_seed: int, lane: tuple[int, ...], lo: int, hi: int) -> np
     _check_seed(master_seed)
     if not 0 <= lo <= hi <= MAX_TRIALS:
         raise ValueError(f"trial window [{lo}, {hi}) outside [0, 2**32)")
+    if hi - lo == 1:  # one trial: SeedSequence itself costs a tenth of the vectorized pass
+        return SeedSequence((master_seed, *lane, lo)).generate_state(2, np.uint64)[None]
     entropy = [np.uint32(w) for v in (master_seed, *lane) for w in _words(v)]
     entropy.append(np.arange(lo, hi, dtype=np.uint64).astype(np.uint32))
     const = _INIT_A
@@ -130,42 +139,82 @@ class UniformBuffer:
     __slots__ = ("next",)
 
     def __init__(self, gen: Generator):
-        self.next = chain.from_iterable(_blocks(gen)).__next__
+        self.next = chain.from_iterable(_blocks(lambda start, size: gen.random(size))).__next__
 
 
 def trial_buffers(master_seed: int, lane: tuple[int, ...], lo: int, hi: int):
     """One ``UniformBuffer`` per trial ``lo <= t < hi``, equal draw for draw to
     ``UniformBuffer(trial_generator(master_seed, *lane, t))``.
 
-    All of them draw through one Philox that this call owns.  Before each
-    block it is reseated to the trial's key at counter (doubles read) / 4:
-    Philox makes four doubles per counter step and every block size is a
-    multiple of four, so buffers stay exact even when read interleaved.
+    All of them read through one ``StreamReader`` that this call owns, so
+    buffers stay exact even when read interleaved.
     """
-    gen = Generator(Philox(0))  # its seed is never read: every block reseats the key
+    read = StreamReader().read
+    for key in trial_keys(master_seed, lane, lo, hi):
+        buf = UniformBuffer.__new__(UniformBuffer)
+        buf.next = chain.from_iterable(_blocks(partial(read, key))).__next__
+        yield buf
+
+
+def trial_keys(master_seed: int, lane: tuple[int, ...], lo: int, hi: int):
+    """The Philox keys of trials ``lo <= t < hi`` in order, as ``[k0, k1]``
+    lists, derived ``KEY_BLOCK`` trials per ``stream_keys`` pass."""
     for start in range(lo, hi, KEY_BLOCK):
-        for key in stream_keys(master_seed, lane, start, min(start + KEY_BLOCK, hi)).tolist():
-            buf = UniformBuffer.__new__(UniformBuffer)
-            buf.next = chain.from_iterable(_blocks(gen, key)).__next__
-            yield buf
+        yield from stream_keys(master_seed, lane, start, min(start + KEY_BLOCK, hi)).tolist()
 
 
-def _blocks(gen: Generator, key: list[int] | None = None):
-    """Blocks of 64, 128, ... MAX_BLOCK uniforms from ``gen``; with a Philox
-    ``key``, ``gen`` is first reseated to that key where this stream left off."""
-    if key is not None:
-        counter = [0, 0, 0, 0]
-        state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
-                 "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        bitgen = gen.bit_generator
+class StreamReader:
+    """Any stretch of any trial's stream, read through one reseated Philox.
+
+    Philox makes four doubles per counter step, so a read seats the Philox
+    on the stream's key at counter ``start // 4`` and drops the first
+    ``start % 4`` doubles it makes: it returns the stream's doubles
+    ``start, start + 1, ...`` whatever was read before, from this stream or
+    another.
+    """
+
+    __slots__ = ("_random", "_bitgen", "_counter", "_state")
+
+    def __init__(self):
+        gen = Generator(Philox(0))  # its seed is never read: every read reseats the key
+        self._random = gen.random
+        self._bitgen = gen.bit_generator
+        self._counter = [0, 0, 0, 0]
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": self._counter, "key": None},
+                       "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def _reseat(self, key, start: int):
+        self._counter[0] = start >> 2
+        self._state["state"]["key"] = key
+        self._bitgen.state = self._state
+
+    def read(self, key, start: int, size: int) -> np.ndarray:
+        """Doubles ``start .. start + size - 1`` of the stream with Philox ``key``."""
+        self._reseat(key, start)
+        skip = start & 3
+        return self._random(size + skip)[skip:] if skip else self._random(size)
+
+    def rows(self, keys, start: int, size: int) -> np.ndarray:
+        """Doubles ``start .. start + size - 1`` of each stream in ``keys``, one
+        row each; the rows are a view that hides the ``start % 4`` dropped
+        columns."""
+        skip = start & 3
+        out = np.empty((len(keys), size + skip))
+        for key, row in zip(keys, out):
+            self._reseat(key, start)
+            self._random(out=row)
+        return out[:, skip:]
+
+
+def _blocks(read):
+    """Blocks of 64, 128, ... MAX_BLOCK uniforms as lists; ``read(start,
+    size)`` returns a stream's doubles from ``start`` on."""
     block = FIRST_BLOCK
-    read = 0
+    start = 0
     while True:
-        if key is not None:
-            counter[0] = read >> 2
-            bitgen.state = state
-        yield gen.random(block).tolist()
-        read += block
+        yield read(start, block).tolist()
+        start += block
         block = min(2 * block, MAX_BLOCK)
 
 

@@ -6,16 +6,47 @@ dual system runs rate-one walkers that jump to uniform neighbors and merge
 on meeting; the two are tied together by the two-sided Monte Carlo check
 in ``duality_check``.  Uniform choice ignores edge weights, so both refuse a
 graph with any edge weight other than 1.
+
+One kernel, ``_voter_runs``, runs every voter trial: ``simulate_voter``
+(one trial, path recorded), ``consensus_rate`` and the voter side of
+``duality_check``.  A voter event reads three uniforms of its trial's
+stream: the exponential step ``-log1p(-u) / n`` (the total rate is n in
+every state), the vertex ``int(u * n)`` and the neighbor ``int(u * deg)``.
+None of them reads the opinions, so the draws are state-free: the kernel
+reads the next block of uniforms of a window of trials as one 2-D array
+(``rng.StreamReader.rows``) and computes the event times, vertices and
+sources of the whole block with numpy.  Times are a ``np.cumsum`` of the
+steps, which adds in order as a one-event-at-a-time loop does; the steps
+map ``math.log1p`` over the column, because ``np.log1p`` rounds differently
+on a few percent of inputs.  Only the opinion copies stay in Python, in one
+tight loop per trial that copies an opinion, updates the count of ones and
+stops at consensus or at the horizon.  Trials still running get blocks
+twice as long, as long as a window's array holds at most
+``WINDOW_UNIFORMS`` doubles.  Every seeded value is that of the one-event
+loop, bit for bit; the tests keep that loop as the reference.
+
+Coalescing walks stay on an event loop (``_walk_survivors``): the step
+rate and the index of the walker that moves both depend on how many
+walkers are left, so their draws are not state-free.  A lockstep across
+trials, one numpy step per event index for every live trial, was rejected:
+the slowest trial sets the number of steps.  The 150 consensus trials of
+the benchmark's ``sim-many-trials`` workload at seed 17 average 894 events
+but the longest has 5173, and the lockstep took 0.25-0.32 s against this
+kernel's 0.044 s (2-vCPU VM).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
+
+import numpy as np
 
 from ..gaplab.graphs import WeightedGraph
 from .parallel import chunk_ranges, run_trials
-from .rng import UniformBuffer, check_trials, trial_buffers, trial_generator
+from .rng import StreamReader, UniformBuffer, check_trials, trial_buffers, trial_keys
 from .stats import TrialStats
 
 
@@ -68,60 +99,142 @@ def _check_horizon(t_max: float):
 def simulate_voter(cfg: VoterConfig, t_max: float, seed: int,
                    record_dt: float | None = None) -> VoterTrajectory:
     _check_horizon(t_max)
-    rng = UniformBuffer(trial_generator(seed, 0))
-    return _run_voter(cfg, adjacency_lists(cfg.graph), t_max, rng, record_dt)
-
-
-def _run_voter(cfg: VoterConfig, adj: list[list[int]], t_max: float, rng: UniformBuffer,
-               record_dt: float | None = None) -> VoterTrajectory:
-    n = cfg.graph.n
-    draw = rng.next
-    log1p = math.log1p
-    if cfg.opinions is not None:
-        opinions = list(cfg.opinions)
-    else:
-        opinions = [1 if draw() < cfg.rho else 0 for _ in range(n)]
-    ones = sum(opinions)
-    path = [(0.0, ones / n)]
-    next_record = record_dt if record_dt else math.inf
-
-    t = 0.0
-    events = 0
-    consensus_time = None
-    while True:
-        if ones == 0 or ones == n:
-            consensus_time = t
-            break
-        t_next = t - log1p(-draw()) / n
-        while next_record <= t_next and next_record <= t_max:
-            path.append((next_record, ones / n))
-            next_record += record_dt
-        if t_next > t_max:
-            t = t_max
-            break
-        t = t_next
-        events += 1
-        v = int(draw() * n)
-        if v >= n:  # u * n can round up to n at the float edge
-            v = n - 1
-        neighbors = adj[v]
-        degree = len(neighbors)
-        j = int(draw() * degree)
-        if j >= degree:
-            j = degree - 1
-        new = opinions[neighbors[j]]
-        if opinions[v] != new:
-            ones += 1 if new else -1
-            opinions[v] = new
-
-    path.append((t, ones / n))
+    [(time, opinions, events, path)] = _voter_runs(cfg, adjacency_lists(cfg.graph), t_max,
+                                                   seed, (), 0, 1, record_dt)
     return VoterTrajectory(
-        consensus_time=consensus_time,
-        consensus_value=(opinions[0] if consensus_time is not None else None),
+        consensus_time=time,
+        consensus_value=(opinions[0] if time is not None else None),
         final_opinions=tuple(opinions),
         ones_path=tuple(path),
         n_events=events,
     )
+
+
+WINDOW_UNIFORMS = 16_384  # the most uniforms a window array holds (128 KiB), unless one
+                          # trial's opinion draws alone need more (above 16,285 vertices)
+FIRST_EVENTS = 32         # events read per trial in its first block; later blocks double
+
+
+class _Trial:
+    """One trial: its Philox key, opinions and count of ones, the time and
+    number of its events so far, its recorded path, and the consensus time
+    once unanimous (``ended`` is set at consensus or at the horizon)."""
+
+    __slots__ = ("key", "opinions", "ones", "t", "events", "path", "next_record",
+                 "consensus", "ended")
+
+    def __init__(self, key, opinions: list[int], n: int, record_dt: float | None):
+        self.key = key
+        self.opinions = opinions
+        self.ones = sum(opinions)
+        self.t = 0.0
+        self.events = 0
+        self.path = [(0.0, self.ones / n)]
+        self.next_record = record_dt if record_dt else math.inf
+        self.consensus = 0.0 if self.ones == 0 or self.ones == n else None
+        self.ended = self.consensus is not None
+
+
+def _voter_runs(cfg: VoterConfig, adj: list[list[int]], t_max: float, seed: int,
+                lane: tuple[int, ...], lo: int, hi: int, record_dt: float | None = None):
+    """Trials lo..hi-1 of (seed, lane), in trial order, each as (consensus
+    time or None, final opinions, events, recorded path)."""
+    n = cfg.graph.n
+    degree = np.array([len(row) for row in adj], dtype=np.intp)
+    graph = (n, np.array([j for row in adj for j in row], dtype=np.intp), degree,
+             np.cumsum(degree) - degree)
+    init = 0 if cfg.opinions is not None else n
+    first = init + 3 * FIRST_EVENTS  # uniforms a trial reads in its first block
+    reader = StreamReader()
+    window = max(1, WINDOW_UNIFORMS // first)
+    streams = trial_keys(seed, lane, lo, hi)
+    while keys := list(islice(streams, window)):
+        uniforms = reader.rows(keys, 0, first)
+        opinions = ((uniforms[:, :init] < cfg.rho).view(np.int8).tolist() if init
+                    else [list(cfg.opinions) for _ in keys])
+        trials = [_Trial(key, ops, n, record_dt) for key, ops in zip(keys, opinions)]
+        live = [i for i, trial in enumerate(trials) if not trial.ended]
+        if live:
+            _voter_block([trials[i] for i in live], uniforms[live, init:], t_max, record_dt,
+                         graph)
+        events, read = FIRST_EVENTS, first
+        while running := [trial for trial in trials if not trial.ended]:
+            # rows() holds up to 3 more doubles per row when read is off a 4-double step
+            events = min(2 * events, (WINDOW_UNIFORMS // len(running) - 3) // 3)
+            _voter_block(running, reader.rows([trial.key for trial in running], read, 3 * events),
+                         t_max, record_dt, graph)
+            read += 3 * events
+        for trial in trials:
+            trial.path.append((trial.t, trial.ones / n))
+            yield trial.consensus, trial.opinions, trial.events, trial.path
+
+
+def _voter_block(running: list[_Trial], uniforms, t_max: float, record_dt: float | None,
+                 graph):
+    """The next events of each running trial, from one row of uniforms per
+    trial: exponential step, vertex and neighbor of each event in turn."""
+    n, neighbors, degree, first = graph
+    count, events = len(running), uniforms.shape[1] // 3
+    uniforms = uniforms.reshape(count, events, 3)
+    log1p = math.log1p
+    steps = np.fromiter(map(log1p, (-uniforms[:, :, 0]).ravel().tolist()), float,
+                        count * events).reshape(count, events)
+    steps /= -n  # the loop's t - log1p(-u) / n, added in order by cumsum
+    steps[:, 0] += [trial.t for trial in running]
+    times = np.cumsum(steps, axis=1, out=steps)
+    cuts = np.count_nonzero(times <= t_max, axis=1).tolist()  # events within the horizon
+    vertex = (uniforms[:, :, 1] * n).astype(np.intp)
+    np.minimum(vertex, n - 1, out=vertex)  # u * n can round up to n at the float edge
+    deg = degree[vertex]
+    pick = (uniforms[:, :, 2] * deg).astype(np.intp)
+    np.minimum(pick, deg - 1, out=pick)
+    vertices = vertex.tolist()
+    sources = neighbors[first[vertex] + pick].tolist()
+    for trial, vs, ss, cut, row in zip(running, vertices, sources, cuts, times):
+        ops = trial.opinions
+        ones = trial.ones
+        done = 0
+        hit = -1
+        if trial.next_record <= t_max:
+            # a path point takes the opinions before the first event at or after it
+            ts = row.tolist()
+            while trial.next_record <= t_max and trial.next_record <= ts[-1]:
+                at = bisect_left(ts, trial.next_record)
+                ones, hit = _copy_opinions(ops, ones, n, vs, ss, done, at)
+                done = at
+                if hit >= 0:
+                    break
+                trial.path.append((trial.next_record, ones / n))
+                trial.next_record += record_dt
+        if hit < 0:
+            ones, hit = _copy_opinions(ops, ones, n, vs, ss, done, cut)
+        trial.ones = ones
+        if hit >= 0:
+            trial.consensus = trial.t = row.item(hit)
+            trial.events += hit + 1
+            trial.ended = True
+        elif cut < events:
+            trial.t = t_max
+            trial.events += cut
+            trial.ended = True
+        else:
+            trial.t = row.item(events - 1)
+            trial.events += events
+
+
+def _copy_opinions(opinions: list[int], ones: int, n: int, vertices, sources, lo: int, hi: int):
+    """Events lo..hi-1 in turn: vertex ``vertices[k]`` takes the opinion of
+    ``sources[k]``.  Returns the count of ones and the event that made the
+    opinions unanimous, or -1 if none did."""
+    for k in range(lo, hi):
+        new = opinions[sources[k]]
+        v = vertices[k]
+        if opinions[v] != new:
+            opinions[v] = new
+            ones += 1 if new else -1
+            if ones == 0 or ones == n:
+                return ones, k
+    return ones, -1
 
 
 @dataclass(frozen=True)
@@ -144,10 +257,9 @@ def consensus_rate(cfg: VoterConfig, t_max: float, trials: int, seed: int) -> Co
     check_trials(trials)
     adj = adjacency_lists(cfg.graph)
     times = []
-    for rng in trial_buffers(seed, (2,), 0, trials):
-        out = _run_voter(cfg, adj, t_max, rng)
-        if out.consensus_time is not None:
-            times.append(out.consensus_time)
+    for time, _, _, _ in _voter_runs(cfg, adj, t_max, seed, (2,), 0, trials):
+        if time is not None:
+            times.append(time)
     stats = TrialStats(trials=trials, survivals=len(times), master_seed=seed, lane="voter/2")
     mean_time = sum(times) / len(times) if times else None
     return ConsensusEstimate(len(times) / trials, mean_time, stats)
@@ -224,9 +336,8 @@ def _duality_chunk(packed):
     cfg = VoterConfig(graph, rho=rho)
     adj = adjacency_lists(graph)
     count = 0
-    for rng in trial_buffers(seed, (3,), lo, hi):
-        out = _run_voter(cfg, adj, t, rng)
-        count += all(out.final_opinions[v] == 1 for v in target)
+    for _, opinions, _, _ in _voter_runs(cfg, adj, t, seed, (3,), lo, hi):
+        count += all(opinions[v] == 1 for v in target)
     values = [rho ** _walk_survivors(adj, target, t, rng)
               for rng in trial_buffers(seed, (4,), lo, hi)]
     return count, values
@@ -248,8 +359,9 @@ def duality_check(graph: WeightedGraph, target, t: float, rho: float,
     target = tuple(sorted(set(target)))
     if not target:
         raise ValueError("target set cannot be empty")
-    if any(not 0 <= v < graph.n for v in target):
-        raise ValueError("target vertices outside the graph")
+    for v in target:
+        if not 0 <= v < graph.n:
+            raise ValueError(f"target vertex {v} outside 0..{graph.n - 1}")
     VoterConfig(graph, rho=rho)  # a connected unit-weight graph and rho in [0, 1]
     _check_horizon(t)
     check_trials(trials)

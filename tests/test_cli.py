@@ -559,15 +559,31 @@ class TestDomains:
         ("trials = 0", "--trials must be in 1..2**32"),
         ("lambda = nan", "--lambda must be finite"),
         ("seed = -1", "--seed must be in 0..2**64-1"),
+        # a repeated key is refused, not read once
+        ("trials = 8\ntrials = 0", "{cfg}:6: trials was already set on line 5"),
+        ("lam = 1\nlambda = 2", "{cfg}:6: lambda was already set on line 5"),
     ])
     def test_config_values_are_checked_like_flags(self, tmp_path, capsys, line, named):
         cfg = tmp_path / "exp.cfg"
         valid = {"lambda": "1", "L": "21", "tmax": "3", "trials": "8", "seed": "4"}
-        valid.pop(line.split(" =")[0], None)  # the first line with a key is the one read
+        valid.pop(line.split("\n")[-1].split(" =")[0], None)  # the line under test sets its key
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in valid.items()) + line + "\n")
         code, report = run("sim", "contact", "--config", str(cfg))
         assert code == 2 and report is None
-        assert capsys.readouterr().err.startswith(f"error: {named}")
+        assert capsys.readouterr().err.startswith(f"error: {named.format(cfg=cfg)}")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("gap", "reduce", "--graph", "{path3}", "--vertex", "3"), "--vertex 3 outside 0..2"),
+        (("gap", "octopus", "--graph", "{path3}", "--vertex", "3"), "--vertex 3 outside 0..2"),
+        (("sim", "duality", "--graph", "{cycle10}", "--set", "0,12", "--t", "1", "--rho", "0.5",
+          "--trials", "2", "--seed", "1"), "--set vertex 12 outside 0..9"),
+    ])
+    def test_vertex_past_the_graph_names_the_flag(self, tmp_path, capsys, path3, argv, message):
+        cycle10 = tmp_path / "cycle10.g"
+        cycle10.write_text("n 10\ne 0 9 1.0\n" + "".join(f"e {i} {i + 1} 1.0\n" for i in range(9)))
+        code, report = run(*(arg.format(path3=path3, cycle10=cycle10) for arg in argv))
+        assert code == 2 and report is None
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv", [
         ("color", "prob", "--word", "12"),
@@ -673,6 +689,21 @@ def test_each_domain_refuses_a_value_outside_it(tmp_path, capsys, path3, op, fla
     code, report = run(*argv)
     assert code == 2 and report is None
     assert flag in capsys.readouterr().err
+
+
+def test_closed_stdout_ends_quietly_with_sigpipe_status():
+    # `stochlab color sample ... | head -c 10`: the reader leaves after 10 bytes
+    src = Path(cli.__file__).resolve().parents[1]
+    argv = [sys.executable, "-m", "stochlab.cli", "color", "sample", "--q", "4", "--n", "7",
+            "--count", "50000", "--seed", "1"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={"PYTHONPATH": str(src)})
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert len(head) == 10 and err == b""
 
 
 def test_cli_imports_no_scipy():

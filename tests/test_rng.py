@@ -9,7 +9,7 @@ from numpy.random import SeedSequence
 
 from stochlab import gaplab, ipslab
 from stochlab.ipslab import contact, rng, voter
-from stochlab.ipslab.rng import stream_keys, trial_buffers, trial_generator
+from stochlab.ipslab.rng import StreamReader, stream_keys, trial_buffers, trial_generator
 
 SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
 LANES = [(), (0,), (3,), (4,), (1, 7)]
@@ -58,6 +58,18 @@ def test_buffers_past_one_key_block():
     assert got == [trial_generator(5, 0, t).random() for t in range(lo, hi)]
 
 
+@pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 101])
+def test_reader_reads_any_stretch_of_any_stream(start):
+    # starts off a 4-double Philox step drop the doubles before them
+    keys = stream_keys(9, (2,), 3, 6).tolist()
+    reader = StreamReader()
+    rows = reader.rows(keys, start, 7)
+    for trial, key, row in zip(range(3, 6), keys, rows):
+        want = trial_generator(9, 2, trial).random(start + 7)[start:].tolist()
+        assert row.tolist() == want
+        assert reader.read(key, start, 7).tolist() == want
+
+
 def test_empty_window_yields_nothing():
     assert list(trial_buffers(1, (0,), 7, 7)) == []
     assert stream_keys(1, (0,), 7, 7).shape == (0, 2)
@@ -102,5 +114,6 @@ def test_estimators_reject_more_than_two_to_the_32_trials(monkeypatch, estimator
     for module in (contact, voter):
         monkeypatch.setattr(module, "trial_buffers", _no_work)
         monkeypatch.setattr(module, "run_trials", _no_work, raising=False)
+    monkeypatch.setattr(voter, "_voter_runs", _no_work)
     with pytest.raises(ValueError, match="trials must be in 1..2\\*\\*32"):
         estimator(2**32 + 1)

@@ -139,8 +139,8 @@ class TestDuality:
     def test_validation(self):
         with pytest.raises(ValueError):
             duality_check(cycle_graph(5), (), 1.0, 0.5, 10, seed=0)
-        with pytest.raises(ValueError):
-            duality_check(cycle_graph(5), (9,), 1.0, 0.5, 10, seed=0)
+        with pytest.raises(ValueError, match=r"target vertex 9 outside 0\.\.4"):
+            duality_check(cycle_graph(5), (0, 9), 1.0, 0.5, 10, seed=0)
         with pytest.raises(ValueError):
             duality_check(cycle_graph(5), (0,), 1.0, 1.5, 10, seed=0)
         disconnected = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
