@@ -509,11 +509,9 @@ def parse_and_dispatch(argv) -> tuple[int, dict | None]:
 
     try:
         print(text, flush=True)
+        code = 0
     except BrokenPipeError:  # the reader closed stdout early, as `| head` does
-        # stdout's buffer still holds output: point it at devnull so the flush
-        # at exit cannot raise again, then end like a process killed by SIGPIPE
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141, None  # 128 + SIGPIPE
+        code = 141  # 128 + SIGPIPE, the status of a process the signal killed
     report = json.loads(body)
     flat: dict[str, str] = {}
     _flatten("", report, flat)
@@ -521,11 +519,19 @@ def parse_and_dispatch(argv) -> tuple[int, dict | None]:
               for key, _, want in (e.partition("=") for e in args.expect) if flat.get(key) != want]
     for line in failed:
         print(f"check failed: {line}", file=sys.stderr)
-    return (1 if failed else 0), report
+    return (1 if failed else code), report
 
 
 def main(argv=None):
     code, _ = parse_and_dispatch(sys.argv[1:] if argv is None else argv)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's buffer still holds output for a closed reader: point it at
+        # devnull so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     sys.exit(code)
 
 

@@ -12,11 +12,11 @@ directly.  Estimators therefore do not build a generator per trial.
 ``stream_keys`` derives the keys of a whole window of trials in one
 vectorized pass of the ``SeedSequence`` hash (``trial_keys`` hands them
 out ``KEY_BLOCK`` trials per pass), and a ``StreamReader`` owns one Philox
-that it reseats to (key, counter) for each read: ``read`` returns one
-stretch of one stream, ``rows`` the same stretch of many streams as one
-2-D array.  ``trial_buffers`` hands out one ``UniformBuffer`` per trial,
-reading its blocks through one reader, for the event loops that draw a
-uniform at a time (contact process, coalescing walks); the voter kernel
+that it reseats to (key, counter) for each stream it reads: ``rows``
+returns the same stretch of many streams as one 2-D array.
+``trial_buffers`` hands out one ``UniformBuffer`` per trial, reading its
+blocks as one-row reads through one reader, for the event loops that draw
+a uniform at a time (contact process, coalescing walks); the voter kernel
 reads whole windows of trials with ``rows``.  The values are the same as
 ``trial_generator``'s, bit for bit, at any worker count.  Trial indices
 are single 32-bit entropy words, so at most ``MAX_TRIALS`` = 2**32 trials
@@ -82,8 +82,6 @@ def stream_keys(master_seed: int, lane: tuple[int, ...], lo: int, hi: int) -> np
     _check_seed(master_seed)
     if not 0 <= lo <= hi <= MAX_TRIALS:
         raise ValueError(f"trial window [{lo}, {hi}) outside [0, 2**32)")
-    if hi - lo == 1:  # one trial: SeedSequence itself costs a tenth of the vectorized pass
-        return SeedSequence((master_seed, *lane, lo)).generate_state(2, np.uint64)[None]
     entropy = [np.uint32(w) for v in (master_seed, *lane) for w in _words(v)]
     entropy.append(np.arange(lo, hi, dtype=np.uint64).astype(np.uint32))
     const = _INIT_A
@@ -149,11 +147,15 @@ def trial_buffers(master_seed: int, lane: tuple[int, ...], lo: int, hi: int):
     All of them read through one ``StreamReader`` that this call owns, so
     buffers stay exact even when read interleaved.
     """
-    read = StreamReader().read
+    rows = StreamReader().rows
     for key in trial_keys(master_seed, lane, lo, hi):
         buf = UniformBuffer.__new__(UniformBuffer)
-        buf.next = chain.from_iterable(_blocks(partial(read, key))).__next__
+        buf.next = chain.from_iterable(_blocks(partial(_one_row, rows, [key]))).__next__
         yield buf
+
+
+def _one_row(rows, keys, start: int, size: int) -> np.ndarray:
+    return rows(keys, start, size)[0]
 
 
 def trial_keys(master_seed: int, lane: tuple[int, ...], lo: int, hi: int):
@@ -184,25 +186,17 @@ class StreamReader:
                        "state": {"counter": self._counter, "key": None},
                        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
-    def _reseat(self, key, start: int):
-        self._counter[0] = start >> 2
-        self._state["state"]["key"] = key
-        self._bitgen.state = self._state
-
-    def read(self, key, start: int, size: int) -> np.ndarray:
-        """Doubles ``start .. start + size - 1`` of the stream with Philox ``key``."""
-        self._reseat(key, start)
-        skip = start & 3
-        return self._random(size + skip)[skip:] if skip else self._random(size)
-
     def rows(self, keys, start: int, size: int) -> np.ndarray:
         """Doubles ``start .. start + size - 1`` of each stream in ``keys``, one
         row each; the rows are a view that hides the ``start % 4`` dropped
         columns."""
         skip = start & 3
         out = np.empty((len(keys), size + skip))
+        self._counter[0] = start >> 2
+        state = self._state
         for key, row in zip(keys, out):
-            self._reseat(key, start)
+            state["state"]["key"] = key
+            self._bitgen.state = state
             self._random(out=row)
         return out[:, skip:]
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -691,19 +692,40 @@ def test_each_domain_refuses_a_value_outside_it(tmp_path, capsys, path3, op, fla
     assert flag in capsys.readouterr().err
 
 
-def test_closed_stdout_ends_quietly_with_sigpipe_status():
-    # `stochlab color sample ... | head -c 10`: the reader leaves after 10 bytes
+@pytest.mark.parametrize("expect, status, err", [
+    ([], 141, b""),
+    (["--expect", "seed=2"], 1, b"check failed: expected seed='2', report has '1'\n"),
+])
+def test_closed_stdout_ends_quietly_with_sigpipe_status(expect, status, err):
+    # `stochlab color sample ... | head -c 10`: the reader leaves after 10 bytes;
+    # a failed --expect still reports and exits 1
     src = Path(cli.__file__).resolve().parents[1]
     argv = [sys.executable, "-m", "stochlab.cli", "color", "sample", "--q", "4", "--n", "7",
-            "--count", "50000", "--seed", "1"]
+            "--count", "50000", "--seed", "1", *expect]
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env={"PYTHONPATH": str(src)})
     head = proc.stdout.read(10)
     proc.stdout.close()
-    err = proc.stderr.read()
+    got = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=60) == 141
-    assert len(head) == 10 and err == b""
+    assert proc.wait(timeout=60) == status
+    assert len(head) == 10 and got == err
+
+
+def test_closed_stdout_in_process_leaves_the_descriptors_alone(monkeypatch):
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError
+
+        flush = write
+
+    before = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", Closed())
+    code, report = run("color", "prob", "--word", "12")
+    monkeypatch.undo()
+    assert code == 141 and report["op"] == "color.prob"
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
 
 
 def test_cli_imports_no_scipy():

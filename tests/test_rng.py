@@ -67,7 +67,7 @@ def test_reader_reads_any_stretch_of_any_stream(start):
     for trial, key, row in zip(range(3, 6), keys, rows):
         want = trial_generator(9, 2, trial).random(start + 7)[start:].tolist()
         assert row.tolist() == want
-        assert reader.read(key, start, 7).tolist() == want
+        assert reader.rows([key], start, 7)[0].tolist() == want
 
 
 def test_empty_window_yields_nothing():
