@@ -530,8 +530,10 @@ def main(argv=None):
         # stdout's buffer still holds output for a closed reader: point it at
         # devnull so the flush at exit cannot raise again
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
     sys.exit(code)
 
 
