@@ -141,6 +141,10 @@ def _in_graph(graph, vertices, name: str):
 def cmd_color_prob(args):
     word = parse_word(args.word, args.q)
     if args.source == "formula":
+        have = physical_memory_bytes()
+        if colorlab.measure.formula_table_bytes(word) > have:
+            raise ValueError(f"--word: the formula's Dyck-word table for this word is larger "
+                             f"than the {have / 2**30:.1f} GiB of physical memory")
         value = colorlab.formula_cylinder_probability(word)
     else:
         value = _recursion_measure(args.q, len(word), "--word").prob(word)

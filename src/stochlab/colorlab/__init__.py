@@ -10,7 +10,6 @@ from .measure import (
     marginalize,
     memo_fits,
     proper_words,
-    recursion_cylinder_probability,
     recursion_measure,
 )
 from .pushforward import (
@@ -18,20 +17,8 @@ from .pushforward import (
     eliminate_fours_letter,
     eliminate_fours_pushforward,
 )
-from .sampling import sample_window, sample_windows
-from .words import (
-    CLOSE,
-    NEUTRAL,
-    OPEN,
-    DispersedDyckWord,
-    RunDecomposition,
-    SignMatrix,
-    boundary_sign_product,
-    dispersed_dyck_words,
-    flip_runs,
-    is_proper,
-    run_decomposition,
-)
+from .sampling import sample_windows
+from .words import CLOSE, NEUTRAL, OPEN, SignMatrix, is_proper
 
 __all__ = [
     "CLOSE",
@@ -40,27 +27,19 @@ __all__ = [
     "CylinderMeasure",
     "DependenceReport",
     "DependenceWitness",
-    "DispersedDyckWord",
     "EliminateFoursMeasure",
     "NormalizerMismatchError",
-    "RunDecomposition",
     "SignMatrix",
-    "boundary_sign_product",
     "canonical_form",
     "check_k_dependence",
     "descent_set_probability",
-    "dispersed_dyck_words",
     "eliminate_fours_letter",
     "eliminate_fours_pushforward",
-    "flip_runs",
     "formula_cylinder_probability",
     "is_proper",
     "marginalize",
     "memo_fits",
     "proper_words",
-    "recursion_cylinder_probability",
     "recursion_measure",
-    "run_decomposition",
-    "sample_window",
     "sample_windows",
 ]

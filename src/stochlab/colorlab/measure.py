@@ -23,7 +23,7 @@ use from threads is safe and agrees with sequential evaluation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, perm
+from math import comb, factorial, perm
 
 from .descent import descent_count
 from .words import CLOSE, NEUTRAL, OPEN, SignMatrix, _enum_dispersed, is_proper
@@ -252,6 +252,24 @@ def _formula_numerator(letters: tuple[int, ...]) -> int:
     return total << (n - len(runs))
 
 
+def formula_table_bytes(letters) -> int:
+    """Bytes of the tables the q=4 formula keeps after evaluating ``letters``.
+
+    With m internal run boundaries in the top sign row (the top sign is +
+    for colors 1 and 2), ``_enum_dispersed`` caches all C(m, m // 2)
+    dispersed Dyck words of length m, and ``descent_count`` at most one
+    count per word.  A length-n word charges each Dyck word
+    160 + n * n.bit_length() / 8 bytes (a count is below (n+1)!, so it has
+    about n log2(n) bits): tracemalloc measured 87-182 bytes per
+    Dyck word (its string, its tuple slot and its share of the counts) for
+    alternating 13... words of 16-22 letters and for words of 30-100
+    letters with 10-15 boundaries.
+    """
+    n = len(letters)
+    m = sum((a > 2) != (b > 2) for a, b in zip(letters, letters[1:]))
+    return comb(m, m // 2) * (160 + n * n.bit_length() // 8)
+
+
 def formula_cylinder_probability(letters) -> Fraction:
     """Evaluate the explicit q=4 formula on a proper word.
 
@@ -281,11 +299,6 @@ def recursion_measure(q: int) -> CylinderMeasure:
     return m
 
 
-def recursion_cylinder_probability(q: int, letters) -> Fraction:
-    """Deletion-recursion probability of a word over {1..q}."""
-    return recursion_measure(q).prob(letters)
-
-
 def marginalize(measure: CylinderMeasure, pattern) -> Fraction:
     """Probability of a window pattern with wildcards (None) summed out.
 
@@ -296,22 +309,23 @@ def marginalize(measure: CylinderMeasure, pattern) -> Fraction:
     holes = [i for i, a in enumerate(pattern) if a is None]
     filled = list(pattern)
     total = ZERO
-
-    def fill(h: int):
-        nonlocal total
+    # depth-first on an explicit stack of (holes filled, color of the last
+    # one), so the number of holes is not bounded by recursion
+    stack = [(0, None)]
+    while stack:
+        h, color = stack.pop()
+        if h:
+            filled[holes[h - 1]] = color
         if h == len(holes):
             total += measure.prob(tuple(filled))
-            return
+            continue
         i = holes[h]
         for a in range(1, measure.q + 1):
-            # skip completions that are already improper at this hole
+            # skip completions that are already improper at this hole (a
+            # hole to its right is still open)
             if i > 0 and filled[i - 1] == a:
                 continue
-            if i + 1 < len(filled) and filled[i + 1] == a:
+            if i + 1 < len(pattern) and pattern[i + 1] == a:
                 continue
-            filled[i] = a
-            fill(h + 1)
-        filled[i] = None
-
-    fill(0)
+            stack.append((h + 1, a))
     return total

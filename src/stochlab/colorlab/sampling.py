@@ -43,8 +43,3 @@ def sample_windows(measure, n: int, count: int, seed: int) -> list[tuple[int, ..
             word = word + (a + 1,)
         out.append(word)
     return out
-
-
-def sample_window(measure, n: int, seed: int) -> tuple[int, ...]:
-    """Draw one length-n word from the measure's window law."""
-    return sample_windows(measure, n, 1, seed)[0]

@@ -26,7 +26,6 @@ DENSE_STATE_LIMIT = 720  # 6!
 class GeneratorOperator:
     """A symmetric rate matrix together with its ranked state space."""
 
-    kind: str
     states: tuple
     matrix: np.ndarray
 
@@ -96,7 +95,7 @@ def interchange_generator(graph: WeightedGraph) -> GeneratorOperator:
     space = _PermutationSpace(graph.n, "interchange process")
     for i, j, w in graph.edges():
         space.swap(i, j, w)
-    return GeneratorOperator("interchange", space.states, space.finish())
+    return GeneratorOperator(space.states, space.finish())
 
 
 def rw_generator(graph: WeightedGraph) -> GeneratorOperator:
@@ -106,7 +105,7 @@ def rw_generator(graph: WeightedGraph) -> GeneratorOperator:
     w = graph.weights
     q = w.copy()
     np.fill_diagonal(q, -w.sum(axis=1))
-    return GeneratorOperator("random_walk", tuple(range(graph.n)), q)
+    return GeneratorOperator(tuple(range(graph.n)), q)
 
 
 def exclusion_generator(graph: WeightedGraph, k: int) -> GeneratorOperator:
@@ -127,7 +126,7 @@ def exclusion_generator(graph: WeightedGraph, k: int) -> GeneratorOperator:
             if (i in members) != (j in members):
                 swapped = tuple(sorted(members.symmetric_difference((i, j))))
                 builder.add(r, index[swapped], w)
-    return GeneratorOperator("exclusion", states, builder.finish())
+    return GeneratorOperator(states, builder.finish())
 
 
 def alpha_shuffle_generator(hyper: HyperWeights) -> GeneratorOperator:
@@ -150,7 +149,7 @@ def alpha_shuffle_generator(hyper: HyperWeights) -> GeneratorOperator:
             for p, source in zip(positions, arrangement):
                 moved[p] = source
             space.move(moved, per)
-    return GeneratorOperator("alpha_shuffle", space.states, space.finish())
+    return GeneratorOperator(space.states, space.finish())
 
 
 def alpha_single_particle_rates(hyper: HyperWeights) -> WeightedGraph:

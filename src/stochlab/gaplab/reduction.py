@@ -40,15 +40,6 @@ def reduce_vertex(graph: WeightedGraph, i: int) -> WeightedGraph:
     return WeightedGraph(reduced)
 
 
-def embedded_reduced_graph(graph: WeightedGraph, i: int) -> WeightedGraph:
-    """The reduced graph placed back on the full vertex set, i isolated."""
-    reduced = reduce_vertex(graph, i)
-    keep = [v for v in range(graph.n) if v != i]
-    w = np.zeros((graph.n, graph.n))
-    w[np.ix_(keep, keep)] = reduced.weights
-    return WeightedGraph(w)
-
-
 def _hub_coefficients(graph: WeightedGraph, i: int) -> dict[tuple[int, int], float]:
     """Net coefficient c_ab of (I - T_ab) in the hub comparison form at i,
     per unordered pair a < b (see ``octopus_form``)."""
@@ -87,7 +78,7 @@ def octopus_form(graph: WeightedGraph, i: int) -> GeneratorOperator:
         # c * (I - T_ab): -c off-diagonal, +c on the diagonal
         space.swap(a, b, c)
     # the builder accumulates sum_c c (T - I); the comparison form is its negative
-    return GeneratorOperator("octopus_form", space.states, -space.finish())
+    return GeneratorOperator(space.states, -space.finish())
 
 
 def octopus_extremes(graph: WeightedGraph, i: int) -> tuple[float, float]:

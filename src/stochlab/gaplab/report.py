@@ -9,7 +9,6 @@ is flagged, since it would mean the blocks themselves are wrong.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from .generators import alpha_single_particle_rates, exclusion_generator, rw_generator
@@ -36,7 +35,6 @@ class GapReport:
     lambda_shuffle: float | None = None
     lambda_shuffle_rw: float | None = None
     shuffle_identity_ok: bool | None = None
-    elapsed_ms: float = 0.0
     flags: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -72,7 +70,6 @@ def gap_report(graph: WeightedGraph, hyper: HyperWeights | None = None,
     """
     if not graph.is_connected:
         raise ReducibilityError("gap report requires a connected graph")
-    started = time.perf_counter()
     lam_rw = spectral_gap(rw_generator(graph), tol_zero)
     blocks = block_spectrum(graph.n, {(i, j): w for i, j, w in graph.edges()})
     lam_ip = block_gap(blocks, tol_zero)
@@ -113,7 +110,6 @@ def gap_report(graph: WeightedGraph, hyper: HyperWeights | None = None,
         if shuffle_report["flags"]:
             flags.extend(shuffle_report["flags"])
     report.flags = flags
-    report.elapsed_ms = (time.perf_counter() - started) * 1e3
     return report
 
 

@@ -1,4 +1,4 @@
-"""Spectral gaps, Dirichlet forms, and variance for symmetric generators.
+"""Spectral gaps and extreme eigenvalues of symmetric generators.
 
 A dense operator gets a full symmetric eigendecomposition.  A
 permutation-space operator can instead be read from its irrep blocks
@@ -66,18 +66,3 @@ def extreme_eigenvalues(matrix) -> tuple[float, float]:
     eigenvalues = np.linalg.eigvalsh(matrix)
     return float(eigenvalues[0]), float(eigenvalues[-1])
 
-
-def dirichlet_form(op: GeneratorOperator, f) -> float:
-    """Energy -<f, Qf> under the uniform measure on the state space."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (op.dim,):
-        raise ValueError(f"test vector has shape {f.shape}, expected ({op.dim},)")
-    return float(-(f @ (op.matrix @ f)) / op.dim)
-
-
-def variance(f) -> float:
-    """Variance of a test vector under the uniform measure."""
-    f = np.asarray(f, dtype=float)
-    if f.size == 0:
-        raise ValueError("empty test vector")
-    return float((f * f).mean() - f.mean() ** 2)

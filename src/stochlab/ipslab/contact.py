@@ -25,7 +25,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .parallel import chunk_ranges, run_trials
-from .rng import UniformBuffer, binomial_ci, check_trials, trial_buffers, trial_generator
+from .rng import UniformBuffer, binomial_ci, check_trials, trial_buffers
 from .stats import TrialStats
 
 STANDARD = "standard"
@@ -83,10 +83,15 @@ class ContactTrajectory:
 
 def simulate_contact(cfg: ContactConfig, init, t_max: float, seed: int,
                      record_dt: float | None = None) -> ContactTrajectory:
-    """One trajectory from the occupied set ``init`` up to time ``t_max``."""
+    """One trajectory from the occupied set ``init`` up to time ``t_max``,
+    recording the right edge every ``record_dt`` (None or 0: no path points).
+
+    The stream is ``trial_generator(seed, 0)``'s: trial 0 of the empty lane.
+    """
     _check_horizon(t_max)
-    rng = UniformBuffer(trial_generator(seed, 0))
-    return _run(cfg, init, t_max, rng, record_dt)
+    if record_dt is not None and not 0 <= record_dt < math.inf:
+        raise ValueError(f"record_dt must be finite and nonnegative, got {record_dt}")
+    return _run(cfg, init, t_max, next(trial_buffers(seed, (), 0, 1)), record_dt)
 
 
 def _run(cfg: ContactConfig, init, t_max: float, rng: UniformBuffer,

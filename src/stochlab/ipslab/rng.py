@@ -4,7 +4,11 @@ A stream is defined as ``Generator(Philox(SeedSequence((seed, *lane,
 trial))))``: it derives deterministically from the master seed and its lane
 indices, so any trial can be replayed in isolation and trials are
 independent regardless of scheduling order.  ``trial_generator`` builds
-that generator for one trial and is the reference the tests compare with.
+that generator for one trial and is the reference the tests compare with;
+in the library only the tau-leap twin (``reference.py``) still draws from
+it.  Every other stream, a single ``simulate_contact`` or
+``simulate_voter`` trajectory's included, goes through the keyed reader
+below.
 
 Philox is counter-based (Salmon et al., SC 2011): a stream is its 128-bit
 key plus a block counter, so any stretch of any trial's stream can be read

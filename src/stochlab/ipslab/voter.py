@@ -98,7 +98,11 @@ def _check_horizon(t_max: float):
 
 def simulate_voter(cfg: VoterConfig, t_max: float, seed: int,
                    record_dt: float | None = None) -> VoterTrajectory:
+    """One trajectory up to time ``t_max``, recording the fraction of ones
+    every ``record_dt`` (None or 0: no path points)."""
     _check_horizon(t_max)
+    if record_dt is not None and not 0 <= record_dt < math.inf:
+        raise ValueError(f"record_dt must be finite and nonnegative, got {record_dt}")
     [(time, opinions, events, path)] = _voter_runs(cfg, adjacency_lists(cfg.graph), t_max,
                                                    seed, (), 0, 1, record_dt)
     return VoterTrajectory(

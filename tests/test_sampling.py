@@ -3,23 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from stochlab.colorlab import (
-    is_proper,
-    recursion_measure,
-    sample_window,
-    sample_windows,
-)
+from stochlab.colorlab import is_proper, recursion_measure, sample_windows
 
 
 def test_same_seed_same_word():
     m = recursion_measure(4)
-    assert sample_window(m, 6, seed=123) == sample_window(m, 6, seed=123)
+    assert sample_windows(m, 6, 1, seed=123) == sample_windows(m, 6, 1, seed=123)
     assert sample_windows(m, 4, 50, seed=9) == sample_windows(m, 4, 50, seed=9)
 
 
 def test_different_seeds_differ_somewhere():
     m = recursion_measure(4)
-    words = {sample_window(m, 8, seed=s) for s in range(20)}
+    words = {sample_windows(m, 8, 1, seed=s)[0] for s in range(20)}
     assert len(words) > 1
 
 
@@ -61,12 +56,12 @@ def test_pair_frequencies_within_four_sigma():
 
 def test_zero_length_window():
     m = recursion_measure(4)
-    assert sample_window(m, 0, seed=1) == ()
+    assert sample_windows(m, 0, 1, seed=1) == [()]
 
 
 def test_bad_arguments():
     m = recursion_measure(4)
     with pytest.raises(ValueError):
-        sample_window(m, -1, seed=1)
+        sample_windows(m, -1, 1, seed=1)
     with pytest.raises(ValueError):
         sample_windows(m, 2, -5, seed=1)

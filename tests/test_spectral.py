@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from references import dirichlet_form, variance
 from stochlab.gaplab import (
     ReducibilityError,
     WeightedGraph,
     block_gap,
     block_spectrum,
     complete_graph,
-    dirichlet_form,
     exclusion_generator,
     interchange_generator,
     path_graph,
@@ -15,7 +15,6 @@ from stochlab.gaplab import (
     rw_generator,
     single_edge,
     spectral_gap,
-    variance,
 )
 
 
