@@ -5,8 +5,11 @@ prints its primary result to stdout (a rational, sampled words, the reduced
 network, or a JSON report) and can write the full JSON report with ``--out``.
 Reports are strict JSON: a value with no JSON number, such as the standard
 error of a single fitted slope, is ``null``.  Exit codes: 0 success, 1 a
-``--expect`` assertion failed, 2 argument or input errors, 141 (128 +
-SIGPIPE) when the reader closes stdout before the output is written.
+``--expect`` assertion failed, 2 argument or input errors, 3 an internal
+or numerical failure (any other exception, such as
+``NormalizerMismatchError`` or ``MemoryError``, reported as one line
+``internal error: <Type>: <message>`` on stderr with no traceback), 141
+(128 + SIGPIPE) when the reader closes stdout before the output is written.
 
 Each option is declared once, as an ``_Opt`` in ``_COMMANDS``: flag,
 converter, default and domain.  The parser, the ``--config`` loader and one
@@ -39,6 +42,7 @@ from fractions import Fraction
 
 from . import colorlab, gaplab, ipslab
 from .gaplab import CapacityError, GraphFormatError, ReducibilityError
+from .memory import physical_memory_bytes
 
 
 # --- small helpers ----------------------------------------------------------
@@ -107,11 +111,6 @@ def boolean(text: str) -> bool:
     raise ValueError(text)
 
 
-def physical_memory_bytes() -> int:
-    """Installed memory, the bound on the tables ``color`` commands build."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 def _recursion_measure(q: int, length: int, flag: str):
     """The shared recursion measure, once its memo through ``length`` is
     known to fit in physical memory (exit 2 naming ``flag`` otherwise)."""
@@ -177,6 +176,12 @@ def cmd_color_sample(args):
 
 
 def cmd_color_pushforward(args):
+    have = physical_memory_bytes()
+    # the int64 source window of length n+2 and the image index of each of its
+    # proper words: 17-21 bytes per source entry at peak (n = 7..9), charged 24
+    if args.n + 2 >= have.bit_length() or 24 * 4 ** (args.n + 2) > have:
+        raise ValueError(f"--n: length {args.n} needs a length-{args.n + 2} source window "
+                         f"larger than the {have / 2**30:.1f} GiB of physical memory")
     dist = colorlab.eliminate_fours_pushforward(args.n)
     return {
         "distribution": {format_word(w): str(p) for w, p in sorted(dist.items())},
@@ -510,6 +515,9 @@ def parse_and_dispatch(argv) -> tuple[int, dict | None]:
     except (ValueError, CapacityError, GraphFormatError, ReducibilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
+    except Exception as exc:  # a failure inside the labs, not in the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3, None
 
     try:
         print(text, flush=True)

@@ -18,7 +18,7 @@ from .pushforward import (
     eliminate_fours_pushforward,
 )
 from .sampling import sample_windows
-from .words import CLOSE, NEUTRAL, OPEN, SignMatrix, is_proper
+from .words import CLOSE, NEUTRAL, OPEN, is_proper
 
 __all__ = [
     "CLOSE",
@@ -29,7 +29,6 @@ __all__ = [
     "DependenceWitness",
     "EliminateFoursMeasure",
     "NormalizerMismatchError",
-    "SignMatrix",
     "canonical_form",
     "check_k_dependence",
     "descent_set_probability",

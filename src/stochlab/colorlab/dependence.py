@@ -1,21 +1,33 @@
 """Exhaustive finite-window independence checks for exact window measures.
 
 A measure here is anything with a color count ``q`` and a
-``scaled_window(n)`` method returning integer numerators over a common
-denominator for every proper word of length ``n``.  A window becomes a
-dense ``(q,) * n`` integer array (zero at improper words) whose axis sums
-are the marginals.  Distances are over window positions; a pair of position
-sets is tested by comparing joint marginal times denominator against the
-product of the two marginals, for all color assignments at once, exactly.
+``window_array(n)`` method returning a dense ``(q,) * n`` int64 array of
+numerators (zero at improper words) and their common denominator T, below
+2**63; the check reads it as uint64.  The axis sums of the window are the marginals.  Distances are over
+window positions; a pair of position sets is tested by comparing joint
+marginal times denominator against the product of the two marginals, for
+all color assignments at once, exactly.
+
+Every marginal is at most T, so only the two compared products can leave
+64 bits.  They are compared modulo 2**64, as wrapping uint64 products, and
+modulo as many fixed primes below 2**31 as it takes for the moduli's
+product to exceed T**2 (none while T**2 < 2**64, when the uint64
+comparison is the plain one).  Both products lie in [0, T**2], so by the
+Chinese remainder theorem they are equal exactly when every residue
+agrees; the witness's rationals are then recomputed in Python integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
+
+# the three largest primes below 2**31: two residues multiply within int64,
+# and 2**64 times their product (about 2**157) exceeds any T**2 with T < 2**63
+PRIMES = (2147483647, 2147483629, 2147483587)
 
 
 @dataclass(frozen=True)
@@ -54,19 +66,18 @@ class DependenceReport:
         return out
 
 
-def window_array(scaled: dict[tuple[int, ...], int], denom: int, n: int,
-                 q: int) -> tuple[np.ndarray, int]:
-    """The window as an array indexed by colors minus one, and its
-    denominator, both divided by their gcd.  Marginals are at most the
-    denominator and compared products at most its square, so the dtype is
-    int64 only when that square is below 2**63, else Python ints."""
-    g = gcd(denom, *scaled.values())
-    denom //= g
-    dtype = np.int64 if denom * denom < 2**63 else object
-    table = np.zeros((q,) * n, dtype=dtype)
-    index = np.array(list(scaled), dtype=np.intp) - 1
-    table[tuple(index.T)] = np.array([v // g for v in scaled.values()], dtype=dtype)
-    return table, denom
+def _reduced(window: np.ndarray, denom: int) -> tuple[np.ndarray, int]:
+    """The window and its denominator divided by their gcd, the window as
+    uint64 (its entries are below 2**63), whose products wrap modulo 2**64."""
+    g = gcd(denom, int(np.gcd.reduce(window, axis=None)))
+    return (window // g if g > 1 else window).view(np.uint64), denom // g
+
+
+def _moduli(denom: int) -> tuple[int, ...]:
+    """The fewest of ``PRIMES`` that, with the 2**64 of wrapping uint64
+    products, have a product above denom**2 (none while denom**2 < 2**64)."""
+    count = next(c for c in range(len(PRIMES) + 1) if prod(PRIMES[:c]) << 64 > denom * denom)
+    return PRIMES[:count]
 
 
 def marginal_tables(window: np.ndarray) -> dict[int, np.ndarray]:
@@ -86,9 +97,8 @@ def marginal_tables(window: np.ndarray) -> dict[int, np.ndarray]:
 
 
 def marginal_table_bytes(q: int, n: int) -> int:
-    """Bytes of a length-n window's (q+1)^n marginal-table entries, at 48
-    each: an object slot and an int of up to 120 bits (int64 takes 8)."""
-    return 48 * (q + 1) ** n
+    """Bytes of a length-n window's (q+1)^n int64 marginal-table entries."""
+    return 8 * (q + 1) ** n
 
 
 def _too_close(mask_a: int, mask_b: int, k: int) -> bool:
@@ -108,10 +118,13 @@ def check_k_dependence(measure, k: int, nmax: int) -> DependenceReport:
     sets, then assignments in lexicographic order).
 
     Cost: ~3^nmax pairs, each compared over its q^|A u B| assignments in
-    one broadcast, on (q+1)^nmax table entries.  From a cold measure at
-    q = 4, k = 1 it takes 0.02 s at nmax = 7, 0.06 s at 8, 0.2 s at 9 and
-    0.8 s at 10 (2-vCPU VM).  A report with holds=True certifies only the
+    one broadcast, on (q+1)^nmax table entries of 8 bytes.  From a cold
+    measure at q = 4, k = 1 it takes 0.008 s at nmax = 7, 0.03 s at 8,
+    0.1 s at 9, 0.22-0.4 s at 10 and 2.5-3.3 s at 11, where the products
+    pass 2**64 and one prime joins (520 MiB peak RSS; 2-vCPU VM, the
+    ranges spanning its load).  A report with holds=True certifies only the
     windows up to nmax; it is evidence, not a proof, for larger separations.
+    Raises ValueError for a window whose denominator would reach 2**63.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -119,8 +132,9 @@ def check_k_dependence(measure, k: int, nmax: int) -> DependenceReport:
         raise ValueError(f"nmax must be at least k+2={k + 2} to contain a testable pair")
     pairs_checked = 0
     for n in range(2, nmax + 1):
-        window, denom = window_array(*measure.scaled_window(n), n, measure.q)
+        window, denom = _reduced(*measure.window_array(n))
         tables = marginal_tables(window)
+        moduli = _moduli(denom)
         for mask_a in range(1, 1 << n):
             comp = ((1 << n) - 1) & ~mask_a
             mask_b = comp
@@ -128,29 +142,33 @@ def check_k_dependence(measure, k: int, nmax: int) -> DependenceReport:
                 # dedupe unordered pairs: A holds the smallest position
                 if (mask_b & -mask_b) > (mask_a & -mask_a) and not _too_close(mask_a, mask_b, k):
                     pairs_checked += 1
-                    witness = _check_pair(tables, denom, mask_a, mask_b)
+                    witness = _check_pair(tables, denom, moduli, mask_a, mask_b)
                     if witness is not None:
                         return DependenceReport(k, nmax, False, witness, pairs_checked)
                 mask_b = (mask_b - 1) & comp
     return DependenceReport(k, nmax, True, None, pairs_checked)
 
 
-def _check_pair(tables, denom, mask_a, mask_b):
+def _check_pair(tables, denom, moduli, mask_a, mask_b):
     mask_u = mask_a | mask_b
-    joint = tables[mask_u]
-    product = tables[mask_a] * tables[mask_b]
-    bad = joint * denom != product
+    joint, a, b = tables[mask_u], tables[mask_a], tables[mask_b]
+    # the products modulo 2**64 (uint64 multiplication wraps), and modulo
+    # each prime in ``moduli``
+    bad = joint * denom != a * b
+    for p in moduli:
+        bad |= joint % p * (denom % p) % p != a % p * (b % p) % p
     # C order over the axes is lexicographic order of the assignments
     first = int(bad.argmax())
     if not bad.flat[first]:
         return None
     colors = np.unravel_index(first, bad.shape)
     positions = range(bad.ndim)
+    a_value, b_value = (int(np.broadcast_to(t, bad.shape)[colors]) for t in (a, b))
     return DependenceWitness(
         window=bad.ndim,
         set_a=tuple(p + 1 for p in positions if mask_a >> p & 1),
         set_b=tuple(p + 1 for p in positions if mask_b >> p & 1),
         assignment=tuple((p + 1, int(colors[p]) + 1) for p in positions if mask_u >> p & 1),
-        joint=Fraction(int(joint.flat[first]), denom),
-        product=Fraction(int(product.flat[first]), denom * denom),
+        joint=Fraction(int(joint[colors]), denom),
+        product=Fraction(a_value * b_value, denom * denom),
     )

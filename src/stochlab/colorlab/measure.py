@@ -12,7 +12,22 @@ word's probability as an integer over one denominator per length:
 
 * ``formula``: for ``q = 4`` only, the explicit sign-matrix formula: a
   signed sum over dispersed Dyck words of run-flip descent-set counts.  It
-  shares no table with the recursion, so the two check each other.
+  shares no table with the recursion, so the two check each other.  The
+  Dyck-word terms depend on the word only through its top sign row, up to
+  a sign read off the bottom row, so they are kept once per top row.
+
+``window_array(n)`` gives every word of length n at once: a ``(q,) * n``
+int64 array of numerators (zero at improper words, indexed by colors
+minus one) and the length's denominator.  The recursion builds it length
+by length by broadcasting: N_n = P_n * sum_i E_i(N_{n-1}), where E_i
+inserts axis i and P_n masks improper words.  An interior deletion that
+joins two equal letters lands on an improper word, where N_{n-1} is
+already zero, so E_i needs no mask of its own.  Counting the insertions
+that undo a deletion gives T_n = (n(q-2)+2) T_{n-1} (``_window_total``),
+so a window whose denominator would reach 2**63 is refused before it is
+built; below that every entry and every sum of entries is exact in int64.
+The formula fills its array word by word from its own numerators and
+never reads the recursion's.
 
 Everything in this module is exact integer/rational arithmetic; floats
 never appear.  Memo tables are plain dicts: reads and same-key inserts are
@@ -23,10 +38,13 @@ use from threads is safe and agrees with sequential evaluation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, perm
 
+import numpy as np
+
 from .descent import descent_count
-from .words import CLOSE, NEUTRAL, OPEN, SignMatrix, _enum_dispersed, is_proper
+from .words import CLOSE, NEUTRAL, OPEN, _enum_dispersed, is_proper
 
 ZERO = Fraction(0)
 
@@ -38,6 +56,32 @@ NORMALIZER_CHECK_N = 10
 
 class NormalizerMismatchError(RuntimeError):
     """The mass-computed normalizer disagrees with the closed form."""
+
+
+def _check_normalizer(q: int, n: int, previous: int, total: int):
+    """Raise NormalizerMismatchError unless T_n = (n(q-2)+2) T_{n-1}, for q
+    in NORMALIZER_CHECK_Q and n <= NORMALIZER_CHECK_N."""
+    closed = n * (q - 2) + 2  # T_{n-1}/T_n = 1/closed
+    if q in NORMALIZER_CHECK_Q and n <= NORMALIZER_CHECK_N and total != closed * previous:
+        raise NormalizerMismatchError(
+            f"normalizer mismatch at q={q}, n={n}: "
+            f"mass-one gives {Fraction(previous, total)}, closed form gives 1/{closed}"
+        )
+
+
+def _window_total(q: int, n: int) -> int:
+    """T_n = prod over k = 1..n of (k(q-2)+2), the denominator of a
+    length-n window; (n+1)! 2^n at q = 4.
+
+    Each proper word of length n-1 comes back from q-1 insertions at either
+    end and q-2 at each of the n-2 interior gaps, so summing the deletion
+    recursion over all proper words of length n gives
+    T_n = (n(q-2)+2) T_{n-1}.
+    """
+    total = 1
+    for k in range(1, n + 1):
+        total *= k * (q - 2) + 2
+    return total
 
 
 def canonical_form(letters) -> tuple[int, ...]:
@@ -121,6 +165,7 @@ class CylinderMeasure:
     chain counts N keyed by ``canonical_form`` (N is invariant under
     relabeling colors) and T_n sums orbit size times N over those keys.
     The formula's holds numerators over (n+1)! 2^n keyed by the word.
+    ``window_array`` keeps its arrays per length, apart from ``table``.
     """
 
     def __init__(self, q: int, source: str = "recursion"):
@@ -134,6 +179,8 @@ class CylinderMeasure:
         self.source = source
         self.table: dict[tuple[int, ...], int] = {(): 1}
         self._totals: dict[int, int] = {0: 1}  # recursion: T_n by length
+        # window_array: (numerators, denominator) by length
+        self._arrays = {0: (_frozen(np.ones((), dtype=np.int64)), 1)}
 
     def prob(self, letters) -> Fraction:
         """Exact probability of observing ``letters`` in a window.
@@ -178,14 +225,7 @@ class CylinderMeasure:
                     count += self.table[canonical_form(word[:i] + word[i + 1:])]
                 self.table[word] = count
                 total += orbit * count
-            previous = self._totals[length - 1]
-            closed = length * (self.q - 2) + 2  # T_{n-1}/T_n = 1/closed
-            if (self.q in NORMALIZER_CHECK_Q and length <= NORMALIZER_CHECK_N
-                    and total != closed * previous):
-                raise NormalizerMismatchError(
-                    f"normalizer mismatch at q={self.q}, n={length}: "
-                    f"mass-one gives {Fraction(previous, total)}, closed form gives 1/{closed}"
-                )
+            _check_normalizer(self.q, length, self._totals[length - 1], total)
             self._totals[length] = total
         return self._totals[n]
 
@@ -204,52 +244,130 @@ class CylinderMeasure:
         """Probabilities of every proper word of length n (improper omitted)."""
         return {w: self.prob(w) for w in proper_words(self.q, n)}
 
+    def window_array(self, n: int) -> tuple[np.ndarray, int]:
+        """Numerators of every word of length n as a read-only ``(q,) * n``
+        int64 array indexed by colors minus one (zero at improper words),
+        and the one denominator of length n (for the recursion, the array's
+        own sum T_n).
+
+        Raises ValueError when that denominator would reach 2**63.
+        """
+        if n < 0:
+            raise ValueError("window length must be nonnegative")
+        got = self._arrays.get(n)
+        if got is None:
+            if _window_total(self.q, n) >= 2**63:
+                raise ValueError(f"window length {n} at q={self.q}: its denominator reaches "
+                                 "2**63, past the exact int64 window arrays")
+            if self.source == "formula":
+                array = np.zeros((4,) * n, dtype=np.int64)
+                for w in proper_words(4, n):
+                    array[tuple(a - 1 for a in w)] = self._numerator(w)
+                got = self._arrays[n] = (_frozen(array), self._denominator(n))
+            else:
+                for length in range(len(self._arrays), n + 1):
+                    got = self._arrays[length] = self._extend(*self._arrays[length - 1])
+        return got
+
+    def _extend(self, prev: np.ndarray, previous: int) -> tuple[np.ndarray, int]:
+        """(N_n, T_n) from (N_{n-1}, T_{n-1}): the sum over deletion
+        positions i of N_{n-1} broadcast along a new axis i, zeroed at
+        improper words."""
+        n, q = prev.ndim + 1, self.q
+        out = np.zeros((q,) * n, dtype=np.int64)
+        for i in range(n):
+            out += np.expand_dims(prev, i)
+        differ = ~np.eye(q, dtype=bool)
+        for i in range(n - 1):
+            out *= differ.reshape((1,) * i + (q, q) + (1,) * (n - i - 2))
+        total = int(out.sum())
+        _check_normalizer(q, n, previous, total)
+        return _frozen(out), total
+
     def scaled_window(self, n: int) -> tuple[dict[tuple[int, ...], int], int]:
         """Every proper word of length n mapped to its integer numerator,
-        with the one denominator of length n (T_n for the recursion)."""
-        return ({w: self._numerator(w) for w in proper_words(self.q, n)},
-                self._denominator(n))
+        with the one denominator of length n: ``window_array`` as a dict."""
+        return _as_dict(*self.window_array(n))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _as_dict(array: np.ndarray, denom: int) -> tuple[dict[tuple[int, ...], int], int]:
+    """The nonzero entries of a window array keyed by their words, in
+    lexicographic order, with the denominator."""
+    if array.ndim == 0:
+        return ({(): int(array)} if array else {}), denom
+    index = np.nonzero(array)
+    words = (np.stack(index, axis=-1) + 1).tolist()
+    return dict(zip(map(tuple, words), array[index].tolist())), denom
 
 
 def _formula_numerator(letters: tuple[int, ...]) -> int:
     """The q=4 formula on a proper word of length n, over (n+1)! 2^n.
 
-    One pass over each dispersed Dyck word aligned with the internal run
-    boundaries of the top row yields both the descent set of the flipped
-    row and the product of the bottom signs its brackets pick.
+    The top sign is - for colors 3 and 4, the bottom sign for colors 2 and
+    4.  An open bracket at a run boundary contributes -1 times the bottom
+    sign left of it, a close bracket the bottom sign right of it, so a
+    Dyck word's term is its top-row count, negated when an odd number of
+    its open brackets have + on the left and its close brackets - on the
+    right.
     """
     n = len(letters)
     if n == 0:
         return 1
-    sm = SignMatrix.from_letters(letters)
-    top, bottom = sm.top, sm.bottom
-    # per run: its positions as a bitmask, whether its sign is minus, and
-    # the bottom signs left and right of the boundary that opens it (never
-    # read for the first run, which gets a neutral symbol below)
-    runs: list[tuple[int, bool, int, int]] = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or top[i] != top[i - 1]:
-            runs.append(((1 << i) - (1 << start), top[start] < 0,
-                         bottom[start - 1], bottom[start]))
-            start = i
+    top = 0
+    for i, a in enumerate(letters):
+        if a > 2:
+            top |= 1 << i
+    starts, terms = _top_row_terms(n, top)
+    left_plus = right_minus = 0
+    for j, start in enumerate(starts):
+        if letters[start - 1] & 1:
+            left_plus |= 1 << j
+        if not letters[start] & 1:
+            right_minus |= 1 << j
     total = 0
-    for symbols in _enum_dispersed(len(runs) - 1):
-        flip, coeff, descents = False, 1, 0
-        for ch, (bits, minus, left, right) in zip(NEUTRAL + symbols, runs):
-            # an open bracket contributes -1 times the bottom sign left of
-            # its boundary, a close bracket the sign right of it; either one
-            # flips every later run
+    for opens, closes, count in terms:
+        if ((opens & left_plus).bit_count() + (closes & right_minus).bit_count()) & 1:
+            total -= count
+        else:
+            total += count
+    return total << (n - len(starts) - 1)
+
+
+@lru_cache(maxsize=None)
+def _top_row_terms(n: int, top: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """What the formula needs of a top sign row (bit i set where position i
+    is -): the first position of every run after the first, and for each
+    dispersed Dyck word aligned with those run boundaries, its open and
+    close brackets as boundary bitmasks with the descent count of the
+    row whose runs it flips.
+
+    Run 1 is never flipped, and each bracket flips every later run.
+    """
+    starts = tuple(i for i in range(1, n) if (top >> i ^ top >> (i - 1)) & 1)
+    runs = []  # per run: its positions as a bitmask, whether its sign is minus
+    for first, end in zip((0, *starts), (*starts, n)):
+        runs.append(((1 << end) - (1 << first), bool(top >> first & 1)))
+    terms = []
+    for symbols in _enum_dispersed(len(starts)):
+        flip, opens, closes = False, 0, 0
+        descents = runs[0][0] if runs[0][1] else 0
+        for j, ch in enumerate(symbols):
             if ch == OPEN:
-                flip = not flip
-                coeff = -coeff * left
+                opens |= 1 << j
             elif ch == CLOSE:
+                closes |= 1 << j
+            if ch != NEUTRAL:
                 flip = not flip
-                coeff *= right
+            bits, minus = runs[j + 1]
             if minus != flip:
                 descents |= bits
-        total += coeff * descent_count(n, descents)
-    return total << (n - len(runs))
+        terms.append((opens, closes, descent_count(n, descents)))
+    return starts, tuple(terms)
 
 
 def formula_table_bytes(letters) -> int:
@@ -257,17 +375,18 @@ def formula_table_bytes(letters) -> int:
 
     With m internal run boundaries in the top sign row (the top sign is +
     for colors 1 and 2), ``_enum_dispersed`` caches all C(m, m // 2)
-    dispersed Dyck words of length m, and ``descent_count`` at most one
-    count per word.  A length-n word charges each Dyck word
-    160 + n * n.bit_length() / 8 bytes (a count is below (n+1)!, so it has
-    about n log2(n) bits): tracemalloc measured 87-182 bytes per
-    Dyck word (its string, its tuple slot and its share of the counts) for
-    alternating 13... words of 16-22 letters and for words of 30-100
-    letters with 10-15 boundaries.
+    dispersed Dyck words of length m, ``descent_count`` at most one count
+    per word, and ``_top_row_terms`` one (open mask, close mask, count)
+    triple per word.  A length-n word charges each Dyck word
+    280 + n * n.bit_length() / 8 bytes (a count is below (n+1)!, so it has
+    about n log2(n) bits): tracemalloc measured 160-245 bytes per Dyck
+    word (its string, its triple, their slots and its share of the counts)
+    for alternating 13... words of 12-18 letters and for words of 30-100
+    letters with 10-13 boundaries.
     """
     n = len(letters)
     m = sum((a > 2) != (b > 2) for a, b in zip(letters, letters[1:]))
-    return comb(m, m // 2) * (160 + n * n.bit_length() // 8)
+    return comb(m, m // 2) * (280 + n * n.bit_length() // 8)
 
 
 def formula_cylinder_probability(letters) -> Fraction:

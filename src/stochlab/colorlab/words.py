@@ -1,51 +1,28 @@
-"""Finite color words, their sign-matrix encoding, and dispersed Dyck words.
+"""Finite color words and dispersed Dyck words.
 
 A color word is a finite sequence over ``{1..q}``.  For ``q = 4`` a word is
 equivalently a 2-row matrix of signs: color ``1 = (+,+)``, ``2 = (+,-)``,
 ``3 = (-,+)``, ``4 = (-,-)``, with the top row driving the run structure
-used by the explicit cylinder-probability formula.
+used by the explicit cylinder-probability formula (``measure`` reads the
+signs off the colors directly).
 
-Signs are stored as integers ``+1`` / ``-1``.  Dispersed Dyck words are
-stored as strings over the alphabet ``o < >`` where ``o`` is the neutral
-symbol; the canonical symbol order is ``o`` before ``<`` before ``>``.
+Dispersed Dyck words are stored as strings over the alphabet ``o < >``
+where ``o`` is the neutral symbol; the canonical symbol order is ``o``
+before ``<`` before ``>``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 NEUTRAL = "o"
 OPEN = "<"
 CLOSE = ">"
 
-# color <-> (top sign, bottom sign) for q = 4
-_COLOR_TO_SIGNS = {1: (+1, +1), 2: (+1, -1), 3: (-1, +1), 4: (-1, -1)}
-
 
 def is_proper(letters) -> bool:
     """True when no two adjacent letters are equal."""
     return all(a != b for a, b in zip(letters, letters[1:]))
-
-
-@dataclass(frozen=True)
-class SignMatrix:
-    """Two aligned sign rows encoding a 4-color word column by column."""
-
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.top) != len(self.bottom):
-            raise ValueError("rows must have equal length")
-        for s in self.top + self.bottom:
-            if s not in (+1, -1):
-                raise ValueError(f"signs must be +1/-1, got {s!r}")
-
-    @classmethod
-    def from_letters(cls, letters) -> "SignMatrix":
-        cols = [_COLOR_TO_SIGNS[a] for a in letters]
-        return cls(tuple(c[0] for c in cols), tuple(c[1] for c in cols))
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .parallel import chunk_ranges, run_trials
 from .rng import UniformBuffer, binomial_ci, check_trials, trial_buffers
-from .stats import TrialStats
+from .stats import TrialStats, check_record_dt
 
 STANDARD = "standard"
 THRESHOLD = "threshold"
@@ -89,8 +89,7 @@ def simulate_contact(cfg: ContactConfig, init, t_max: float, seed: int,
     The stream is ``trial_generator(seed, 0)``'s: trial 0 of the empty lane.
     """
     _check_horizon(t_max)
-    if record_dt is not None and not 0 <= record_dt < math.inf:
-        raise ValueError(f"record_dt must be finite and nonnegative, got {record_dt}")
+    check_record_dt(t_max, record_dt)
     return _run(cfg, init, t_max, next(trial_buffers(seed, (), 0, 1)), record_dt)
 
 

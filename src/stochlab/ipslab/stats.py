@@ -1,8 +1,26 @@
-"""Shared trial bookkeeping for the simulators."""
+"""Shared trial bookkeeping and argument checks for the simulators."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+from ..memory import physical_memory_bytes
+
+# bytes a recorded path point holds until the trajectory is returned: its
+# (t, value) tuple, the float and value in it, and a slot in the path list
+# and in the returned tuple (tracemalloc: 90-120 bytes at peak)
+PATH_POINT_BYTES = 128
+
+
+def check_record_dt(t_max: float, record_dt: float | None):
+    """ValueError naming ``record_dt`` unless it is None, 0 or a finite
+    positive step whose t_max / record_dt path points fit in physical memory."""
+    if record_dt is not None and not 0 <= record_dt < math.inf:
+        raise ValueError(f"record_dt must be finite and nonnegative, got {record_dt}")
+    if record_dt and t_max / record_dt * PATH_POINT_BYTES > physical_memory_bytes():
+        raise ValueError(f"record_dt {record_dt} asks for {t_max / record_dt:.3g} path points, "
+                         "more than physical memory holds")
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ import numpy as np
 from ..gaplab.graphs import WeightedGraph
 from .parallel import chunk_ranges, run_trials
 from .rng import StreamReader, UniformBuffer, check_trials, trial_buffers, trial_keys
-from .stats import TrialStats
+from .stats import TrialStats, check_record_dt
 
 
 def adjacency_lists(graph: WeightedGraph) -> list[list[int]]:
@@ -101,8 +101,7 @@ def simulate_voter(cfg: VoterConfig, t_max: float, seed: int,
     """One trajectory up to time ``t_max``, recording the fraction of ones
     every ``record_dt`` (None or 0: no path points)."""
     _check_horizon(t_max)
-    if record_dt is not None and not 0 <= record_dt < math.inf:
-        raise ValueError(f"record_dt must be finite and nonnegative, got {record_dt}")
+    check_record_dt(t_max, record_dt)
     [(time, opinions, events, path)] = _voter_runs(cfg, adjacency_lists(cfg.graph), t_max,
                                                    seed, (), 0, 1, record_dt)
     return VoterTrajectory(

@@ -4,11 +4,14 @@ None of this is called by the library, the CLI or the benchmark: each
 piece restates a definition term by term so that a test can check the
 optimized code in ``src/`` against it.
 
-* colorlab: the run decomposition of a sign row, dispersed Dyck words as
-  validated objects, the run flips and boundary sign products of the
-  explicit q=4 formula, and the sign-matrix-to-word decoding.  The
-  library's formula (``measure._formula_numerator``) fuses all of these
-  into one pass per Dyck word.
+* colorlab: the sign-matrix encoding of a 4-color word, the run
+  decomposition of a sign row, dispersed Dyck words as validated objects,
+  the run flips and boundary sign products of the explicit q=4 formula,
+  the formula itself summed term by term from them, and the pushforward
+  map applied word by word.  The library's formula
+  (``measure._formula_numerator``) keeps each top row's Dyck-word terms
+  once and reads only a sign per term off the bottom row; its pushforward
+  maps whole window arrays.
 * gaplab: the Dirichlet form and variance of the variational gap
   characterization, and the reduced graph embedded back on the full
   vertex set, for the reduction's monotonicity checks.
@@ -17,15 +20,39 @@ optimized code in ``src/`` against it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from stochlab.colorlab.words import CLOSE, NEUTRAL, OPEN, SignMatrix, _enum_dispersed
+from stochlab.colorlab import descent_set_probability, eliminate_fours_letter
+from stochlab.colorlab.words import CLOSE, NEUTRAL, OPEN, _enum_dispersed
 from stochlab.gaplab import GeneratorOperator, WeightedGraph, reduce_vertex
 
 # --- colorlab ----------------------------------------------------------------
 
-_SIGNS_TO_COLOR = {(+1, +1): 1, (+1, -1): 2, (-1, +1): 3, (-1, -1): 4}
+# color <-> (top sign, bottom sign) for q = 4
+_COLOR_TO_SIGNS = {1: (+1, +1), 2: (+1, -1), 3: (-1, +1), 4: (-1, -1)}
+_SIGNS_TO_COLOR = {signs: color for color, signs in _COLOR_TO_SIGNS.items()}
+
+
+@dataclass(frozen=True)
+class SignMatrix:
+    """Two aligned sign rows encoding a 4-color word column by column."""
+
+    top: tuple[int, ...]
+    bottom: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.top) != len(self.bottom):
+            raise ValueError("rows must have equal length")
+        for s in self.top + self.bottom:
+            if s not in (+1, -1):
+                raise ValueError(f"signs must be +1/-1, got {s!r}")
+
+    @classmethod
+    def from_letters(cls, letters) -> "SignMatrix":
+        cols = [_COLOR_TO_SIGNS[a] for a in letters]
+        return cls(tuple(c[0] for c in cols), tuple(c[1] for c in cols))
 
 
 def to_letters(sm: SignMatrix) -> tuple[int, ...]:
@@ -162,6 +189,35 @@ def boundary_sign_product(word: DispersedDyckWord, top, bottom) -> int:
         elif ch == CLOSE:
             prod *= bottom[left + 1]
     return prod
+
+
+def reference_formula(letters) -> Fraction:
+    """The q=4 formula term by term: 2^-m times the signed sum, over the
+    dispersed Dyck words aligned with the m - 1 internal run boundaries of
+    the top row, of (-1)^(open brackets) times the boundary sign product
+    times the descent-set probability of the run-flipped top row."""
+    if not letters:
+        return Fraction(1)
+    sm = SignMatrix.from_letters(letters)
+    runs = run_decomposition(sm.top).m
+    total = Fraction(0)
+    for w in dispersed_dyck_words(runs - 1):
+        sign = -1 if w.open_count % 2 else 1
+        total += (sign * boundary_sign_product(w, sm.top, sm.bottom)
+                  * descent_set_probability(flip_runs(sm.top, w)))
+    return total / 2**runs
+
+
+def pushforward_window(source_window: dict, n: int) -> dict:
+    """The length-n image window of the four-color elimination, mapping
+    each word of a length-(n+2) source window (word -> mass) one at a time
+    and summing the masses that land on the same image."""
+    out: dict = {}
+    for word, mass in source_window.items():
+        image = tuple(eliminate_fours_letter(word[i - 1], word[i], word[i + 1])
+                      for i in range(1, n + 1))
+        out[image] = out.get(image, 0) + mass
+    return out
 
 
 # --- gaplab ------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from stochlab import cli, ipslab
+from stochlab import cli, colorlab, ipslab
 from stochlab.cli import parse_and_dispatch, parse_pattern, parse_word
 
 FLAG_NAMES = {"lam": "--lambda"}
@@ -99,8 +99,8 @@ class TestColorCommands:
     def test_check_dep_nmax_bounded_by_memory(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "physical_memory_bytes", lambda: 2**20)
         base = ("color", "check-dep", "--q", "4", "--k", "1")
-        assert run(*base, "--nmax", "5")[0] == 0  # 48 * 5**5 bytes fit in 1 MiB
-        for nmax in ("7", str(10**12)):  # 48 * 5**7 do not; 10**12 is never powered
+        assert run(*base, "--nmax", "7")[0] == 0  # 8 * 5**7 bytes fit in 1 MiB
+        for nmax in ("8", str(10**12)):  # 8 * 5**8 do not; 10**12 is never powered
             code, report = run(*base, "--nmax", nmax)
             assert code == 2 and report is None
             assert "--nmax" in capsys.readouterr().err
@@ -110,6 +110,8 @@ class TestColorCommands:
         (("sample", "--seed", "1"), "--n", "13", "6"),
         (("sample", "--seed", "1"), "--n", str(10**12), "6"),  # refused without counting
         (("marginal",), "--pattern", "1.3.1.3.1.3.1", "1.3.1."),
+        (("pushforward",), "--n", "6", "2"),  # source windows of 4**(n+2) entries
+        (("pushforward",), "--n", str(10**12), "2"),
     ])
     def test_word_length_bounded_by_memory(self, monkeypatch, capsys, command, flag, long,
                                            short):
@@ -138,7 +140,7 @@ class TestColorCommands:
     def test_formula_bounded_by_memory(self, monkeypatch, capsys):
         formula = ("color", "prob", "--source", "formula", "--word")
         monkeypatch.setattr(cli, "physical_memory_bytes", lambda: 2**20)
-        # 17 run boundaries: 24,310 Dyck words at 171 bytes do not fit in 1 MiB; 12 do
+        # 17 run boundaries: 24,310 Dyck words at 291 bytes do not fit in 1 MiB; 12 do
         code, report = run(*formula, "13" * 9)
         assert code == 2 and report is None
         assert "--word" in capsys.readouterr().err
@@ -525,6 +527,21 @@ class TestReportPlumbing:
         code, _ = run("color", "check-dep", "--q", "4", "--k", "0", "--nmax", "3",
                       "--expect", "witness.joint=0")
         assert code == 0
+
+    @pytest.mark.parametrize("error", [
+        colorlab.NormalizerMismatchError("normalizer mismatch at q=4, n=3"),
+        MemoryError("cannot allocate"),
+    ])
+    def test_internal_failure_exits_three_in_one_line(self, monkeypatch, capsys, error):
+        def fail(args):
+            raise error
+
+        _, help_text, options = cli._COMMANDS["color.prob"]
+        monkeypatch.setitem(cli._COMMANDS, "color.prob", (fail, help_text, options))
+        assert run("color", "prob", "--word", "12") == (3, None)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: {type(error).__name__}: {error}\n"
 
 
 def strict_json(text):

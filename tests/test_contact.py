@@ -121,8 +121,9 @@ class TestSimulate:
         lambda dt: simulate_voter(VoterConfig(cycle_graph(6), rho=0.5), 5.0, 1, record_dt=dt),
     ], ids=["contact", "voter"])
     def test_record_dt_domain(self, simulate):
-        # a negative step used to record path points until memory ran out
-        for bad in (-0.5, math.nan, math.inf):
+        # a negative step used to record path points until memory ran out, and
+        # a tiny positive one asks for more points than any memory holds
+        for bad in (-0.5, math.nan, math.inf, 1e-300):
             with pytest.raises(ValueError, match="record_dt"):
                 simulate(bad)
         assert simulate(0) == simulate(None)  # no path points either way

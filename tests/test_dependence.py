@@ -5,10 +5,11 @@ import pytest
 
 from stochlab.colorlab import (
     CylinderMeasure,
+    EliminateFoursMeasure,
     check_k_dependence,
     recursion_measure,
 )
-from stochlab.colorlab.dependence import marginal_tables, window_array
+from stochlab.colorlab.dependence import PRIMES, _moduli, _reduced, marginal_tables
 
 F = Fraction
 
@@ -76,7 +77,7 @@ def test_report_dict_shape():
 
 def test_marginal_tables_consistency():
     m = CylinderMeasure(4)
-    window, denom = window_array(*m.scaled_window(3), 3, 4)
+    window, denom = m.window_array(3)
     tables = marginal_tables(window)
     # empty-set marginal is the total mass
     assert tables[0].shape == (1, 1, 1) and tables[0].item() == denom
@@ -99,16 +100,18 @@ class _WideWindow:
 
     q = 2
 
-    def scaled_window(self, n):
-        return {(1, 1): 2**32, (1, 2): 1, (2, 2): 2**32}, 2**33 + 1
+    def window_array(self, n):
+        return np.array([[2**32, 1], [0, 2**32]], dtype=np.int64), 2**33 + 1
 
 
 def test_wide_denominator_takes_the_exact_path():
-    window, denom = window_array(*_WideWindow().scaled_window(2), 2, 2)
-    assert denom == 2**33 + 1 and window.dtype == object
-    joint, a, b = window[0, 0], window[0].sum(), window[:, 0].sum()
+    window, denom = _WideWindow().window_array(2)
+    # D**2 needs 67 bits: past uint64, so one prime joins the 2**64
+    assert window.dtype == np.int64 and _moduli(denom) == PRIMES[:1]
+    joint, a, b = (int(v) for v in (window[0, 0], window[0].sum(), window[:, 0].sum()))
     assert joint * denom - a * b == 2**64
-    # int64 array products wrap modulo 2**64 without a warning
+    # int64 array products wrap modulo 2**64 without a warning, so only the
+    # prime tells the two products apart
     wrapped = np.array([joint, a], dtype=np.int64) * np.array([denom, b], dtype=np.int64)
     assert wrapped[0] == wrapped[1]
     report = check_k_dependence(_WideWindow(), k=0, nmax=2)
@@ -116,3 +119,14 @@ def test_wide_denominator_takes_the_exact_path():
     assert not report.holds and report.pairs_checked == 1
     assert w.assignment == ((1, 1), (2, 1))
     assert (w.joint, w.product) == (F(2**32, denom), F((2**32 + 1) * 2**32, denom**2))
+
+
+def test_three_dependence_past_uint64_holds_through_residues():
+    pf = EliminateFoursMeasure()
+    # the length-9 image window's reduced denominator is 30,656,102,400,
+    # whose square is past 2**64
+    assert _reduced(*pf.window_array(9))[1] == 30656102400
+    assert _moduli(30656102400) == PRIMES[:1]
+    report = check_k_dependence(pf, k=3, nmax=9)
+    # as the exact Python-integer comparison found
+    assert report.holds and report.pairs_checked == 202

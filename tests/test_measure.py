@@ -1,19 +1,13 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from references import (
-    boundary_sign_product,
-    dispersed_dyck_words,
-    flip_runs,
-    run_decomposition,
-    to_letters,
-)
+from references import SignMatrix, reference_formula, to_letters
 from stochlab.colorlab import (
     CylinderMeasure,
     NormalizerMismatchError,
-    SignMatrix,
     canonical_form,
     descent_set_probability,
     formula_cylinder_probability,
@@ -43,20 +37,6 @@ def reference_recursion(q):
         return memo[w]
 
     return prob
-
-
-def reference_formula(letters):
-    """The q=4 formula term by term, through the reference sign-word helpers."""
-    if not letters:
-        return F(1)
-    sm = SignMatrix.from_letters(letters)
-    runs = run_decomposition(sm.top).m
-    total = F(0)
-    for w in dispersed_dyck_words(runs - 1):
-        sign = -1 if w.open_count % 2 else 1
-        total += (sign * boundary_sign_product(w, sm.top, sm.bottom)
-                  * descent_set_probability(flip_runs(sm.top, w)))
-    return total / 2**runs
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +152,50 @@ class TestEquivalenceAndSigns:
 
     def test_formula_measure_zero_on_improper(self, form4):
         assert form4.prob((1, 1)) == 0
+
+
+class TestWindowArrays:
+    @pytest.mark.parametrize("q,nmax", [(2, 6), (3, 8), (4, 7), (5, 5)])
+    def test_broadcast_windows_equal_the_word_numerators(self, q, nmax):
+        arrays, words = CylinderMeasure(q), CylinderMeasure(q)
+        for n in range(nmax + 1):
+            window, denom = arrays.window_array(n)
+            assert window.shape == (q,) * n and window.dtype == np.int64
+            assert int(window.sum()) == denom
+            got = {w: F(int(window[tuple(a - 1 for a in w)]), denom)
+                   for w in itertools.product(range(1, q + 1), repeat=n)}
+            assert got == {w: words.prob(w) for w in got}
+            assert arrays.scaled_window(n) == ({w: v * denom for w, v in got.items() if v},
+                                               denom)
+
+    def test_formula_windows_equal_the_recursion_windows_to_length_nine(self):
+        # every proper word of up to 9 letters: each top sign row's shared
+        # terms against the independent recursion (the term-by-term
+        # reference above takes seconds per length past 7)
+        formula, recursion = CylinderMeasure(4, "formula"), CylinderMeasure(4)
+        for n in range(10):
+            (got, denom), (want, total) = formula.window_array(n), recursion.window_array(n)
+            assert denom == total and np.array_equal(got, want)
+
+    def test_window_arrays_are_read_only(self):
+        window, _ = CylinderMeasure(3).window_array(2)
+        with pytest.raises(ValueError):
+            window[0, 1] = 0
+
+    @pytest.mark.parametrize("source", ["recursion", "formula"])
+    def test_denominators_from_two_to_the_63_are_refused_unbuilt(self, source):
+        # T_16 = 2**16 * 17! > 2**63 at q = 4; nothing of length 1..15 is built
+        measure = CylinderMeasure(4, source)
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            measure.window_array(16)
+        assert list(measure._arrays) == [0]
+
+    def test_array_path_checks_the_normalizer(self):
+        m = CylinderMeasure(4)
+        window, total = m.window_array(3)
+        m._arrays[3] = (window, total + 1)  # a wrong T_3 makes T_3/T_4 miss 1/10
+        with pytest.raises(NormalizerMismatchError):
+            m.window_array(4)
 
 
 class TestMeasureInvariants:

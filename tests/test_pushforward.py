@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+
+from references import pushforward_window
 
 from stochlab.colorlab import (
     EliminateFoursMeasure,
@@ -68,6 +71,16 @@ def test_projection_consistency():
             right[w[:-1]] = right.get(w[:-1], F(0)) + p
         assert left == shorter
         assert right == shorter
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_array_map_equals_the_word_by_word_map(n):
+    src = recursion_measure(4)
+    want = pushforward_window({w: src.prob(w) for w in proper_words(4, n + 2)}, n)
+    window, denom = EliminateFoursMeasure().window_array(n)
+    assert window.shape == (3,) * n and window.dtype == np.int64
+    assert {w: F(v, denom) for w, v in EliminateFoursMeasure().scaled_window(n)[0].items()} == want
+    assert np.count_nonzero(window) == len(want)
 
 
 def test_three_dependence_holds_small():

@@ -5,13 +5,14 @@ from hypothesis import given, strategies as st
 
 from references import (
     DispersedDyckWord,
+    SignMatrix,
     boundary_sign_product,
     dispersed_dyck_words,
     flip_runs,
     run_decomposition,
     to_letters,
 )
-from stochlab.colorlab import SignMatrix, is_proper
+from stochlab.colorlab import is_proper
 
 
 def signs(text: str) -> tuple[int, ...]:
