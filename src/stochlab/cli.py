@@ -155,9 +155,10 @@ def cmd_color_checkdep(args):
     have = physical_memory_bytes()
     # (q+1)**nmax >= 2**nmax: a huge nmax is refused before the power is formed
     if (args.nmax >= have.bit_length()
-            or colorlab.dependence.marginal_table_bytes(args.q, args.nmax) > have):
+            or colorlab.dependence.check_bytes(args.q, args.k, args.nmax) > have):
         raise ValueError(f"--nmax {args.nmax} is too large at --q {args.q}: its marginal "
-                         f"tables need more than the {have / 2**30:.1f} GiB of physical memory")
+                         f"tables and windows need more than the {have / 2**30:.1f} GiB "
+                         "of physical memory")
     return colorlab.check_k_dependence(measure, args.k, args.nmax).to_dict(), None
 
 
@@ -237,6 +238,8 @@ def cmd_gap_shuffle(args):
 
 def cmd_sim_contact(args):
     if args.edge_speed:
+        ipslab.contact.check_sparse_span(ipslab.ContactConfig(args.lam),
+                                         range(-args.left_depth, 1), args.tmax, "--tmax")
         est = ipslab.right_edge_speed(args.lam, args.tmax, args.trials, args.seed,
                                       left_depth=args.left_depth)
         if args.csv:

@@ -75,10 +75,17 @@ class EliminateFoursMeasure:
         return {w: Fraction(v, denom) for w, v in scaled.items()}
 
     def prob(self, letters) -> Fraction:
+        """Exact probability; zero for an improper word or a letter outside 1..3."""
         letters = tuple(letters)
-        if not is_proper(letters):
+        if not is_proper(letters) or any(a not in (1, 2, 3) for a in letters):
             return Fraction(0)
-        return self.window(len(letters)).get(letters, Fraction(0))
+        return Fraction(self._numerator(letters), self._denominator(len(letters)))
+
+    def _numerator(self, letters: tuple[int, ...]) -> int:
+        return int(self.window_array(len(letters))[0][tuple(a - 1 for a in letters)])
+
+    def _denominator(self, n: int) -> int:
+        return self.window_array(n)[1]
 
 
 def eliminate_fours_pushforward(n: int, source: CylinderMeasure | None = None):

@@ -1,15 +1,16 @@
 """Exact sequential sampling from a cylinder measure.
 
 Each letter is drawn from the conditional law given the sampled prefix.
-The conditional weights are exact rationals put over a common denominator
-and compared against a uniform random integer, so the sampled law is the
-cylinder law exactly (no float thresholds).  Deterministic per seed.
+The numerators of the extensions of a prefix, over their length's one
+denominator and divided by their gcd with it, are integer weights compared
+against a uniform random integer, so the sampled law is the cylinder law
+exactly (no float thresholds).  Deterministic per seed.
 """
 
 from __future__ import annotations
 
 import random
-from math import lcm
+from math import gcd
 
 
 def sample_windows(measure, n: int, count: int, seed: int) -> list[tuple[int, ...]]:
@@ -24,9 +25,11 @@ def sample_windows(measure, n: int, count: int, seed: int) -> list[tuple[int, ..
     def weights_for(prefix):
         got = thresholds.get(prefix)
         if got is None:
-            probs = [measure.prob(prefix + (a,)) for a in range(1, measure.q + 1)]
-            denom = lcm(*(p.denominator for p in probs))
-            ws = [p.numerator * (denom // p.denominator) for p in probs]
+            # the prefix is proper, so u.a is improper only when a repeats its last letter
+            numerators = [0 if prefix and a == prefix[-1] else measure._numerator(prefix + (a,))
+                          for a in range(1, measure.q + 1)]
+            g = gcd(*numerators, measure._denominator(len(prefix) + 1))
+            ws = [v // g for v in numerators]
             got = thresholds[prefix] = (ws, sum(ws))
         return got
 

@@ -13,7 +13,6 @@ from .contact import (
     simulate_contact,
     threshold_config,
 )
-from .reference import tau_leap_occupancy
 from .rng import MAX_TRIALS, UniformBuffer, binomial_ci, trial_generator
 from .stats import (
     CONSENSUS_RATE_FLOOR,
@@ -57,7 +56,6 @@ __all__ = [
     "right_edge_speed",
     "simulate_contact",
     "simulate_voter",
-    "tau_leap_occupancy",
     "threshold_config",
     "trial_generator",
 ]

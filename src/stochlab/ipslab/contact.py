@@ -24,6 +24,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 
+from ..memory import physical_memory_bytes
 from .parallel import chunk_ranges, run_trials
 from .rng import UniformBuffer, binomial_ci, check_trials, trial_buffers
 from .stats import TrialStats, check_record_dt
@@ -35,6 +36,9 @@ THRESHOLD_NEIGHBORHOOD = (-2, -1, 1, 2)
 OCCUPIED = -1
 OUTSIDE = -2
 DEFAULT_LEFT_DEPTH = 400
+# bytes a touched site of a sparse-line run holds in the code map, the occupied
+# list, the buckets and ``where`` (tracemalloc: 100-175 at peak)
+SITE_BYTES = 192
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,25 @@ def _check_horizon(t_max: float):
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
 
 
+def check_sparse_span(cfg: ContactConfig, init, t_max: float, name: str = "t_max"):
+    """ValueError naming ``name`` when a sparse-line run from ``init`` may
+    touch more sites by ``t_max`` than physical memory holds at SITE_BYTES.
+
+    Touched sites spread only by births past an edge.  Site j = 1..R past
+    it (R the reach) is born at rate at most lam times the count of
+    positive offsets >= j, so an edge moves at rate at most lam times their
+    sum, by at most R sites.  The bound adds both edges' mean advance at that rate to the
+    initial span and R sites each side.  It bounds memory, not time."""
+    if cfg.length is not None or not init:
+        return
+    reach = cfg.neighborhood[-1]
+    rate = cfg.lam * sum(d for d in cfg.neighborhood if d > 0)
+    span = max(init) - min(init) + 1 + 2 * reach * (1 + rate * t_max)
+    if span * SITE_BYTES > physical_memory_bytes():
+        raise ValueError(f"{name} {t_max:g} lets a sparse-line run at rate {cfg.lam:g} touch "
+                         f"up to {span:.3g} sites, more than physical memory holds")
+
+
 @dataclass(frozen=True)
 class ContactTrajectory:
     alive_at_tmax: bool
@@ -90,6 +113,8 @@ def simulate_contact(cfg: ContactConfig, init, t_max: float, seed: int,
     """
     _check_horizon(t_max)
     check_record_dt(t_max, record_dt)
+    init = tuple(init)
+    check_sparse_span(cfg, init, t_max)
     return _run(cfg, init, t_max, next(trial_buffers(seed, (), 0, 1)), record_dt)
 
 
@@ -284,6 +309,7 @@ def estimate_survival(cfg: ContactConfig, t_max: float, trials: int, seed: int,
     if init is None:
         init = center_seed(cfg)
     init = tuple(init)
+    check_sparse_span(cfg, init, t_max)
     jobs = [(cfg, init, t_max, seed, lo, hi) for lo, hi in chunk_ranges(trials, workers)]
     parts = run_trials(_survival_chunk, jobs, workers)
     survivals = sum(p[0] for p in parts)
@@ -331,6 +357,7 @@ def right_edge_speed(lam: float, t_max: float, trials: int, seed: int,
         raise ValueError(f"left_depth must be >= 0, got {left_depth}")
     cfg = ContactConfig(lam, None, neighborhood, STANDARD)
     init = range(-left_depth, 1)
+    check_sparse_span(cfg, init, t_max)
     record_dt = t_max / samples
     slopes = []
     edge_samples = []

@@ -5,8 +5,8 @@ trial))))``: it derives deterministically from the master seed and its lane
 indices, so any trial can be replayed in isolation and trials are
 independent regardless of scheduling order.  ``trial_generator`` builds
 that generator for one trial and is the reference the tests compare with;
-in the library only the tau-leap twin (``reference.py``) still draws from
-it.  Every other stream, a single ``simulate_contact`` or
+nothing in the library draws from it, only the benchmark's first-draw
+probe and the tests do.  Every stream, a single ``simulate_contact`` or
 ``simulate_voter`` trajectory's included, goes through the keyed reader
 below.
 

@@ -15,10 +15,14 @@ optimized code in ``src/`` against it.
 * gaplab: the Dirichlet form and variance of the variational gap
   characterization, and the reduced graph embedded back on the full
   vertex set, for the reduction's monotonicity checks.
+* ipslab: exact transient laws of small systems by uniformization, for
+  the contact process on an interval, coalescing walks and the voter
+  model, which the event loops' Monte Carlo means are tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,6 +31,8 @@ import numpy as np
 from stochlab.colorlab import descent_set_probability, eliminate_fours_letter
 from stochlab.colorlab.words import CLOSE, NEUTRAL, OPEN, _enum_dispersed
 from stochlab.gaplab import GeneratorOperator, WeightedGraph, reduce_vertex
+from stochlab.ipslab.contact import STANDARD, ContactConfig
+from stochlab.ipslab.voter import adjacency_lists
 
 # --- colorlab ----------------------------------------------------------------
 
@@ -245,3 +251,145 @@ def embedded_reduced_graph(graph: WeightedGraph, i: int) -> WeightedGraph:
     w = np.zeros((graph.n, graph.n))
     w[np.ix_(keep, keep)] = reduced.weights
     return WeightedGraph(w)
+
+
+# --- ipslab ------------------------------------------------------------------
+# A law is a vector over the states of a finite continuous-time chain with
+# generator Q.  Uniformization (Jensen 1953) writes it at time t as
+# p_t = sum_k Pois(Lt; k) p_0 P^k, with P = I + Q/L and L the largest exit
+# rate, so every term is a probability vector and the sum is exact up to
+# the Poisson mass left out, which is bounded and stopped below TAIL.
+# Each generator is applied to a row vector by index operations over the
+# states; no dense Q is built.
+
+TAIL = 1e-14
+MAX_TERMS = 100_000
+
+
+def uniformized(p0: np.ndarray, apply_q, rate: float, t: float) -> np.ndarray:
+    """p0 exp(tQ) for ``apply_q(p) = pQ`` with exit rates at most ``rate``.
+
+    Term k + 1 of Pois(rate t) is term k times rate t / (k + 1); once that
+    ratio is below 1 the mass past the last term taken is at most the next
+    term over one minus the ratio (a geometric series), and the sum stops
+    when that bound is below TAIL.
+    """
+    mean = rate * t
+    p = np.asarray(p0, dtype=float)
+    if mean == 0:
+        return p.copy()
+    log_w = -mean  # log Pois(mean; k), kept in logs so that exp(-mean) cannot underflow
+    out = math.exp(log_w) * p
+    tail = math.inf
+    for k in range(1, MAX_TERMS):
+        p = p + apply_q(p) / rate
+        log_w += math.log(mean / k)
+        w = math.exp(log_w)
+        out += w * p
+        ratio = mean / (k + 1)
+        if ratio < 1:
+            tail = w * ratio / (1 - ratio)
+            if tail < TAIL:
+                break
+    assert tail < TAIL, f"Poisson mass {tail:.3g} left out after {MAX_TERMS} terms"
+    return out
+
+
+def _flip_law(p0: np.ndarray, rates: np.ndarray, t: float) -> np.ndarray:
+    """Law at time t of a spin system on ``len(rates)`` sites, state s a
+    bitmask, where site i flips at rate ``rates[i][s]``: flipping bit i is a
+    permutation of the states, so pQ[s] gains (p * rates[i])[s ^ 2**i]."""
+    states = np.arange(rates.shape[1])
+    partners = [states ^ (1 << i) for i in range(len(rates))]
+    exits = rates.sum(axis=0)
+
+    def apply_q(p):
+        out = -p * exits
+        for partner, rate in zip(partners, rates):
+            out += (p * rate)[partner]
+        return out
+
+    return uniformized(p0, apply_q, float(exits.max()), t)
+
+
+def _bits(states: np.ndarray, site: int) -> np.ndarray:
+    return (states >> site) & 1
+
+
+def contact_law(cfg: ContactConfig, init, t: float) -> np.ndarray:
+    """Law at time t of the contact process on sites 1..L (L <= 12) from
+    the occupied set ``init``: entry s is the probability that exactly the
+    sites x with bit x - 1 of s set are occupied.
+
+    The rates are the event loop's: an occupied site dies at rate 1, and a
+    vacant one is born at rate lam times its count of occupied neighbors
+    (offsets in ``cfg.neighborhood`` that land in 1..L), or lam when that
+    count is at least 1 in threshold mode.
+    """
+    length = cfg.length
+    if length is None or length > 12:
+        raise ValueError("the exact law needs a finite interval of at most 12 sites")
+    states = np.arange(1 << length)
+    rates = np.empty((length, len(states)))
+    for i in range(length):
+        count = sum(_bits(states, i + d) for d in cfg.neighborhood if 0 <= i + d < length)
+        birth = cfg.lam * (count if cfg.mode == STANDARD else count > 0)
+        rates[i] = np.where(_bits(states, i), 1.0, birth)
+    p0 = np.zeros(len(states))
+    p0[sum(1 << (x - 1) for x in set(init))] = 1.0
+    return _flip_law(p0, rates, t)
+
+
+def voter_law(graph: WeightedGraph, rho: float, t: float) -> np.ndarray:
+    """Law at time t of the voter model on a unit-weight graph of n <= 12
+    vertices from i.i.d. opinions with density rho: entry s is the
+    probability that exactly the vertices v with bit v of s set hold 1.
+
+    Vertex v copies each neighbor at rate 1/deg(v), so it flips at rate
+    the fraction of its neighbors that disagree with it.
+    """
+    n = graph.n
+    if n > 12:
+        raise ValueError("the exact law needs at most 12 vertices")
+    adj = adjacency_lists(graph)
+    states = np.arange(1 << n)
+    rates = np.empty((n, len(states)))
+    for v, neighbors in enumerate(adj):
+        mine = _bits(states, v)
+        rates[v] = sum(_bits(states, u) != mine for u in neighbors) / len(neighbors)
+    ones = sum(_bits(states, v) for v in range(n))
+    p0 = rho ** ones * (1 - rho) ** (n - ones)
+    return _flip_law(p0, rates, t)
+
+
+def walk_law(graph: WeightedGraph, target, t: float) -> dict[frozenset, float]:
+    """Law at time t of coalescing walks started one on each vertex of
+    ``target``, on a unit-weight graph, as probabilities of the occupied
+    vertex sets.
+
+    Each walker jumps at rate 1 to a uniform neighbor and merges with a
+    walker it lands on.  The states are the nonempty vertex subsets of
+    size at most |target|, and the generator is a list of (from, to, rate)
+    transitions between their indices.
+    """
+    adj = adjacency_lists(graph)
+    size = len(set(target))
+    subsets = [frozenset(v for v in range(graph.n) if m >> v & 1)
+               for m in range(1, 1 << graph.n) if m.bit_count() <= size]
+    index = {s: i for i, s in enumerate(subsets)}
+    src, dst, rate = [], [], []
+    for s, i in index.items():
+        for v in s:
+            for u in adj[v]:
+                src.append(i)
+                dst.append(index[s - {v} | {u}])
+                rate.append(1 / len(adj[v]))
+    src, dst, rate = np.array(src), np.array(dst), np.array(rate)
+    exits = np.bincount(src, weights=rate, minlength=len(subsets))
+
+    def apply_q(p):
+        return np.bincount(dst, weights=p[src] * rate, minlength=len(p)) - p * exits
+
+    p0 = np.zeros(len(subsets))
+    p0[index[frozenset(target)]] = 1.0
+    return dict(zip(subsets, uniformized(p0, apply_q, float(exits.max()), t).tolist()))

@@ -99,8 +99,10 @@ class TestColorCommands:
     def test_check_dep_nmax_bounded_by_memory(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "physical_memory_bytes", lambda: 2**20)
         base = ("color", "check-dep", "--q", "4", "--k", "1")
-        assert run(*base, "--nmax", "7")[0] == 0  # 8 * 5**7 bytes fit in 1 MiB
-        for nmax in ("8", str(10**12)):  # 8 * 5**8 do not; 10**12 is never powered
+        # tables, windows and the largest pair's temporaries: 0.22 MiB at nmax=6
+        # fit in 1 MiB, 1.01 MiB at nmax=7 do not; 10**12 is never powered
+        assert run(*base, "--nmax", "6")[0] == 0
+        for nmax in ("7", str(10**12)):
             code, report = run(*base, "--nmax", nmax)
             assert code == 2 and report is None
             assert "--nmax" in capsys.readouterr().err
@@ -342,6 +344,18 @@ class TestSimCommands:
                              timeout=60)
         assert out.returncode == 2
         assert "--tmax" in out.stderr
+
+    def test_edge_speed_horizon_past_memory_exits_two_at_once(self):
+        # the occupied span of a supercritical run grows with t: this run once
+        # ran until killed, so a fresh process bounds it by a timeout
+        src = Path(cli.__file__).resolve().parents[1]
+        argv = ["sim", "contact", "--lambda", "3", "--tmax", "1e9", "--edge-speed",
+                "--trials", "1", "--seed", "1"]
+        out = subprocess.run([sys.executable, "-m", "stochlab.cli", *argv],
+                             capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+                             timeout=60)
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith("error: --tmax 1e+09 lets a sparse-line run")
 
     def test_contact_csv(self, tmp_path):
         csv = tmp_path / "traj.csv"

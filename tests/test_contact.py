@@ -1,18 +1,19 @@
 import math
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochlab.gaplab import cycle_graph
 from stochlab.ipslab import (
     ContactConfig,
     TrialStats,
     VoterConfig,
+    contact,
     estimate_survival,
     right_edge_speed,
     simulate_contact,
     simulate_voter,
-    tau_leap_occupancy,
     threshold_config,
     trial_generator,
 )
@@ -171,37 +172,6 @@ class TestEstimateSurvival:
 
 
 class TestFixedStepCrossValidation:
-    def test_event_driven_matches_tau_leap(self):
-        # the two clock implementations agree on the mean occupancy
-        cfg = ContactConfig(1.5, length=8)
-        init = range(1, 9)
-        trials = 2500
-        t_max = 1.0
-        ref = tau_leap_occupancy(cfg, init, t_max, 1e-3, trials, seed=17)
-        event = np.array([
-            len(simulate_contact(cfg, init, t_max, seed=100_000 + t).final_occupied)
-            for t in range(trials)
-        ])
-        z = (event.mean() - ref.mean()) / math.sqrt(
-            event.var(ddof=1) / trials + ref.var(ddof=1) / trials
-        )
-        assert abs(z) <= 3.0
-
-    def test_event_driven_matches_tau_leap_threshold_mode(self):
-        cfg = threshold_config(1.2, length=8)
-        init = (3, 6)
-        trials = 2500
-        t_max = 1.0
-        ref = tau_leap_occupancy(cfg, init, t_max, 1e-3, trials, seed=18)
-        event = np.array([
-            len(simulate_contact(cfg, init, t_max, seed=200_000 + t).final_occupied)
-            for t in range(trials)
-        ])
-        z = (event.mean() - ref.mean()) / math.sqrt(
-            event.var(ddof=1) / trials + ref.var(ddof=1) / trials
-        )
-        assert abs(z) <= 3.0
-
     def test_threshold_rate_is_flat_in_the_neighbor_count(self):
         # site 2 of {1,3} has two occupied neighbors: the short-time birth
         # probability is lam*t in threshold mode but 2*lam*t in standard
@@ -218,11 +188,66 @@ class TestFixedStepCrossValidation:
         assert fills["standard"] > fills["threshold"] + 8 * math.sqrt(fills["standard"])
         assert abs(fills["threshold"] - 40_000 * 1.0 * t_short) <= 5 * math.sqrt(800)
 
-    def test_reference_validates_arguments(self):
-        with pytest.raises(ValueError):
-            tau_leap_occupancy(ContactConfig(1.0), (0,), 1.0, 1e-3, 10, seed=0)
-        with pytest.raises(ValueError):
-            tau_leap_occupancy(ContactConfig(400.0, length=4), (1,), 1.0, 1e-2, 10, seed=0)
+
+@st.composite
+def contact_runs(draw):
+    length = draw(st.integers(1, 15))
+    neighborhood = draw(st.sampled_from([(-1, 1), (-2, -1, 1, 2), (-3, 3)]))
+    mode = draw(st.sampled_from(["standard", "threshold"]))
+    cfg = ContactConfig(draw(st.floats(0, 4)), length, neighborhood, mode)
+    init = draw(st.lists(st.integers(1, length), max_size=length))
+    return cfg, init, draw(st.floats(0.01, 5)), draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(contact_runs())
+def test_trajectory_invariants(run):
+    cfg, init, t_max, seed = run
+    out = simulate_contact(cfg, init, t_max, seed)
+    final = out.final_occupied
+    assert all(1 <= x <= cfg.length for x in final)
+    assert list(final) == sorted(set(final))
+    assert (out.extinct_time is not None) == (final == ())
+    assert out.alive_at_tmax == (final != ())
+    assert out.extinct_time is None or 0 <= out.extinct_time <= t_max
+
+
+class TestSparseSpanBound:
+    """A sparse-line run whose touched span could outgrow memory is refused
+    before any trial starts."""
+
+    @pytest.fixture()
+    def one_mib(self, monkeypatch):
+        monkeypatch.setattr(contact, "physical_memory_bytes", lambda: 2**20)
+        monkeypatch.setattr(contact, "_run", None)  # no trial may start
+
+    @pytest.mark.parametrize("call", [
+        lambda t: simulate_contact(ContactConfig(3.0), (0,), t, seed=1),
+        lambda t: estimate_survival(ContactConfig(3.0), t, 4, seed=1),
+        lambda t: estimate_survival(threshold_config(1.0), t, 4, seed=1, init=(0, 5)),
+        lambda t: right_edge_speed(3.0, t, 2, seed=1),
+    ], ids=["simulate", "survival", "survival-threshold", "edge-speed"])
+    def test_refused_naming_t_max(self, one_mib, call):
+        # 1 MiB holds 5,461 sites at 192 bytes; the edges move at rate <= 3 each
+        with pytest.raises(ValueError, match="t_max 1000 lets a sparse-line run"):
+            call(1000.0)
+
+    def test_the_bound(self, monkeypatch):
+        # the half-line -400..0 plus one site each side, and both edges at rate 3 * 1
+        monkeypatch.setattr(contact, "physical_memory_bytes", lambda: 192 * (403 + 6 * 100))
+        contact.check_sparse_span(ContactConfig(3.0), range(-400, 1), 100.0)
+        with pytest.raises(ValueError, match="t_max"):
+            contact.check_sparse_span(ContactConfig(3.0), range(-400, 1), 100.1)
+        # reach 2 and positive offsets summing to 3: 2 sites each side, and moves of
+        # up to 2 sites at rate 3 * lam, so 5 + 12 t sites: 1001 at t=83, 1013 at 84
+        contact.check_sparse_span(threshold_config(1.0), (0,), 83.0)
+        with pytest.raises(ValueError, match="t_max"):
+            contact.check_sparse_span(threshold_config(1.0), (0,), 84.0)
+
+    def test_finite_intervals_and_empty_starts_are_not_bounded(self, monkeypatch):
+        monkeypatch.setattr(contact, "physical_memory_bytes", lambda: 0)
+        contact.check_sparse_span(ContactConfig(3.0, length=5), (1,), 1e300)
+        contact.check_sparse_span(ContactConfig(3.0), (), 1e300)
 
 
 class TestRightEdge:

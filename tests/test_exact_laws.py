@@ -1,0 +1,126 @@
+"""The event loops against exact transient laws of small systems.
+
+``references.py`` computes the laws by uniformization, with the Poisson
+mass left out below 1e-14.  The first tests check those laws against
+theorems (total mass, the voter/coalescing-walk duality, the contact
+process's self-duality); the rest compare seeded Monte Carlo means with the
+exact means as one-sample z scores, |z| <= 3.  Seeds and trial counts are
+frozen.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from references import contact_law, voter_law, walk_law
+
+from stochlab.gaplab import cycle_graph, path_graph
+from stochlab.ipslab import (
+    ContactConfig,
+    duality_check,
+    estimate_survival,
+    simulate_contact,
+    threshold_config,
+)
+
+Z_BOUND = 3.0
+SURVIVAL = 0.581290      # L=8, lam=2, t=5, from site 4
+DUALITY = 0.403575       # 10-cycle, target {0, 1}, t=2, rho=0.5
+
+
+def _occupancy(length: int) -> np.ndarray:
+    return np.array([bin(s).count("1") for s in range(1 << length)])
+
+
+def _mask(sites) -> int:
+    return sum(1 << (x - 1) for x in sites)
+
+
+def _hits(law: np.ndarray, sites) -> float:
+    """P(the occupied set meets ``sites``)."""
+    return float(law[np.arange(len(law)) & _mask(sites) != 0].sum())
+
+
+class TestOracles:
+    @pytest.mark.parametrize("law", [
+        lambda: contact_law(ContactConfig(2.0, length=8), (4,), 5.0),
+        lambda: contact_law(threshold_config(1.2, length=8), (3, 6), 1.0),
+        lambda: contact_law(ContactConfig(1.0, length=6, neighborhood=(-3, -1, 1, 3)),
+                            (1, 6), 2.0),
+        lambda: voter_law(cycle_graph(10), 0.5, 2.0),
+        lambda: voter_law(path_graph(5), 0.3, 4.0),
+        lambda: np.array(list(walk_law(cycle_graph(10), (0, 1), 2.0).values())),
+        lambda: np.array(list(walk_law(path_graph(6), (0, 2, 5), 1.0).values())),
+    ])
+    def test_total_mass_is_one(self, law):
+        p = law()
+        assert (p >= -1e-15).all()
+        assert abs(p.sum() - 1) <= 1e-12
+
+    def test_time_zero_is_the_start(self):
+        law = contact_law(ContactConfig(2.0, length=5), (2, 4), 0.0)
+        assert law[_mask((2, 4))] == 1 and law.sum() == 1
+
+    def test_voter_walk_duality(self):
+        # P(0 and 1 both hold 1 at t) = E[rho^(walkers left at t)] from {0, 1}
+        graph = cycle_graph(10)
+        voter = voter_law(graph, 0.5, 2.0)
+        lhs = voter[np.arange(len(voter)) & 0b11 == 0b11].sum()
+        rhs = sum(p * 0.5 ** len(walkers)
+                  for walkers, p in walk_law(graph, (0, 1), 2.0).items())
+        assert abs(lhs - rhs) <= 1e-12
+        assert round(lhs, 6) == DUALITY
+
+    @pytest.mark.parametrize("a, b", [((4,), (1,)), ((1, 2), (7, 8)), ((2, 5, 8), (3,))])
+    def test_contact_self_duality(self, a, b):
+        # P(A_t meets B) = P(B_t meets A) for the standard contact process
+        cfg = ContactConfig(2.0, length=8)
+        assert abs(_hits(contact_law(cfg, a, 1.5), b) - _hits(contact_law(cfg, b, 1.5), a)) \
+            <= 1e-12
+
+    def test_survival_from_one_site(self):
+        law = contact_law(ContactConfig(2.0, length=8), (4,), 5.0)
+        assert round(1 - law[0], 6) == SURVIVAL
+
+    def test_pure_death_is_exponential(self):
+        law = contact_law(ContactConfig(0.0, length=3), (1, 2, 3), 0.7)
+        assert abs(law[0b111] - math.exp(-2.1)) <= 1e-14
+
+    def test_large_interval_refused(self):
+        with pytest.raises(ValueError):
+            contact_law(ContactConfig(1.0, length=13), (1,), 1.0)
+        with pytest.raises(ValueError):
+            contact_law(ContactConfig(1.0), (0,), 1.0)
+
+
+def _z(values, exact: float) -> float:
+    values = np.asarray(values, dtype=float)
+    return (values.mean() - exact) / math.sqrt(values.var(ddof=1) / len(values))
+
+
+class TestEventLoopsAgainstExactLaws:
+    @pytest.mark.parametrize("cfg, init, seed", [
+        (ContactConfig(1.5, length=8), tuple(range(1, 9)), 100_000),
+        (threshold_config(1.2, length=8), (3, 6), 200_000),
+    ], ids=["standard", "threshold"])
+    def test_mean_occupancy(self, cfg, init, seed):
+        trials, t_max = 2500, 1.0
+        exact = contact_law(cfg, init, t_max) @ _occupancy(cfg.length)
+        counts = [len(simulate_contact(cfg, init, t_max, seed=seed + t).final_occupied)
+                  for t in range(trials)]
+        assert abs(_z(counts, exact)) <= Z_BOUND
+
+    def test_exact_means(self):
+        # the values the engine tests above compare with
+        full = contact_law(ContactConfig(1.5, length=8), range(1, 9), 1.0) @ _occupancy(8)
+        split = contact_law(threshold_config(1.2, length=8), (3, 6), 1.0) @ _occupancy(8)
+        assert (round(full, 6), round(split, 6)) == (5.059889, 3.501141)
+
+    def test_survival_interval_covers_the_exact_value(self):
+        est = estimate_survival(ContactConfig(2.0, length=8), 5.0, 5000, seed=5, init=(4,))
+        assert est.ci_low <= SURVIVAL <= est.ci_high
+
+    def test_duality_sides_match_the_exact_value(self):
+        rep = duality_check(cycle_graph(10), (0, 1), 2.0, 0.5, 20_000, seed=404)
+        assert abs(rep.lhs - DUALITY) <= Z_BOUND * rep.lhs_stderr
+        assert abs(rep.rhs - DUALITY) <= Z_BOUND * rep.rhs_stderr

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochlab.gaplab import (
     GraphFormatError,
@@ -192,3 +194,26 @@ class TestRandomGraphs:
         a = random_connected_graph(5, np.random.default_rng(3))
         b = random_connected_graph(5, np.random.default_rng(3))
         assert np.array_equal(a.weights, b.weights)
+
+
+_WEIGHTS = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e300,
+                                               allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def networks(draw):
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [(i, j, draw(_WEIGHTS)) for i, j in pairs]
+    subsets = st.sets(st.integers(0, n - 1), min_size=2, max_size=n).map(frozenset)
+    rates = draw(st.dictionaries(subsets, _WEIGHTS, max_size=4)) if n >= 2 else {}
+    return WeightedGraph.from_edges(n, edges), HyperWeights(n, rates)
+
+
+@settings(max_examples=80, deadline=None)
+@given(networks())
+def test_format_then_parse_reproduces_weights_and_rates(network):
+    graph, hyper = network
+    net = parse_network(format_network(graph, hyper))
+    assert np.array_equal(net.graph.weights, graph.weights)
+    assert net.hyper.rates == hyper.rates

@@ -21,26 +21,29 @@ UNREFERENCED = {
     "random_connected_graph": "graph constructor",
     "random_hyperweights": "graph constructor",
     "coalescing_walk_survivors": "the dual walk of the voter model, one trial at a time",
-    "tau_leap_occupancy": "the discretized contact-process twin, until exact small-system "
-                          "laws replace it",
 }
+
+
+LAB_INITS = {Path(lab.__file__).resolve() for lab in LABS}
+
+
+def _names(path: Path) -> set[str]:
+    """Names a module reads or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
 
 
 def _referenced_names() -> set[str]:
     """Names read anywhere in src/ or perfbench/, outside the labs' export lists."""
-    names = set()
-    lab_inits = {Path(lab.__file__).resolve() for lab in LABS}
-    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
-        if path.resolve() in lab_inits:
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                names.update(alias.name for alias in node.names)
-    return names
+    paths = [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    return set().union(*(_names(path) for path in paths if path.resolve() not in LAB_INITS))
 
 
 def test_every_export_is_used_outside_tests():
@@ -54,3 +57,13 @@ def test_the_exceptions_are_exported_and_still_unused():
     exported = {name for lab in LABS for name in lab.__all__}
     assert set(UNREFERENCED) <= exported
     assert not set(UNREFERENCED) & _referenced_names()
+
+
+def test_src_derives_streams_one_way():
+    # ipslab/rng.py alone builds streams; the labs' export lists may re-export
+    # its names, but no other module names a generator or a seed sequence
+    allowed = LAB_INITS | {ROOT / "src" / "stochlab" / "ipslab" / "rng.py"}
+    named = {str(path.relative_to(ROOT)): used
+             for path in (ROOT / "src").rglob("*.py") if path.resolve() not in allowed
+             if (used := _names(path) & {"trial_generator", "SeedSequence", "Philox"})}
+    assert named == {}

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochlab.gaplab import WeightedGraph, complete_graph, cycle_graph, path_graph
 from stochlab.ipslab import (
@@ -86,6 +88,32 @@ class TestSimulateVoter:
         var = sum((v - mean) ** 2 for v in values) / (trials - 1)
         stderr = math.sqrt(var / trials)
         assert abs(mean - 0.5) <= 3 * stderr
+
+
+@st.composite
+def voter_runs(draw):
+    n = draw(st.integers(3, 7))  # the 2-cycle is one edge of weight 2
+    graph = draw(st.sampled_from([cycle_graph, path_graph, complete_graph]))(n)
+    if draw(st.booleans()):
+        cfg = VoterConfig(graph, rho=draw(st.floats(0, 1)))
+    else:
+        cfg = VoterConfig(graph, opinions=tuple(draw(st.lists(st.integers(0, 1), min_size=n,
+                                                              max_size=n))))
+    return cfg, draw(st.floats(0, 20)), draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(voter_runs())
+def test_consensus_invariants(run):
+    cfg, t_max, seed = run
+    out = simulate_voter(cfg, t_max, seed)
+    unanimous = len(set(out.final_opinions)) == 1
+    assert (out.consensus_time is not None) == unanimous
+    if unanimous:
+        assert all(o == out.consensus_value for o in out.final_opinions)
+        assert 0 <= out.consensus_time <= t_max
+    else:
+        assert out.consensus_value is None
 
 
 class TestConsensusRate:
