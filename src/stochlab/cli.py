@@ -138,15 +138,17 @@ def _in_graph(graph, vertices, name: str):
 # stdout shows the payload as JSON.
 
 def cmd_color_prob(args):
-    word = parse_word(args.word, args.q)
     if args.source == "formula":
+        word = parse_word(args.word, 4)
         have = physical_memory_bytes()
         if colorlab.measure.formula_table_bytes(word) > have:
             raise ValueError(f"--word: the formula's Dyck-word table for this word is larger "
                              f"than the {have / 2**30:.1f} GiB of physical memory")
-        value = colorlab.formula_cylinder_probability(word)
+        measure = colorlab.CylinderMeasure(4, "formula")
     else:
-        value = _recursion_measure(args.q, len(word), "--word").prob(word)
+        word = parse_word(args.word, args.q)
+        measure = _recursion_measure(args.q, len(word), "--word")
+    value = measure.prob(word)
     return {"value": str(value)}, str(value)
 
 
@@ -183,7 +185,7 @@ def cmd_color_pushforward(args):
     if args.n + 2 >= have.bit_length() or 24 * 4 ** (args.n + 2) > have:
         raise ValueError(f"--n: length {args.n} needs a length-{args.n + 2} source window "
                          f"larger than the {have / 2**30:.1f} GiB of physical memory")
-    dist = colorlab.eliminate_fours_pushforward(args.n)
+    dist = colorlab.EliminateFoursMeasure().window(args.n)
     return {
         "distribution": {format_word(w): str(p) for w, p in sorted(dist.items())},
         "mass": str(sum(dist.values())),
@@ -334,6 +336,10 @@ _WRITE = _rule(lambda p, a: not os.path.isdir(p)
                and os.path.isdir(os.path.dirname(os.path.abspath(p))),
                "a file in an existing directory")
 _Q = _Opt("--q", int, _at_least(2), default=4)
+_DIGITS = _rule(lambda w, a: set(w) <= _letters(a.q), "digits 1..{q}")
+# the formula is the q=4 construction, asserted on proper words only
+_FORMULA_WORD = _rule(lambda w, a: set(w) <= _letters(4) and colorlab.is_proper(w),
+                      "a proper word over digits 1..4 with --source formula")
 _GRAPH = _Opt("--graph", str, _READ, required=True)
 _VERTEX = _Opt("--vertex", int, _at_least(0), required=True)
 _TOLS = (_Opt("--tol-zero", float, _at_least(0), default=gaplab.DEFAULT_TOL_ZERO),
@@ -360,8 +366,8 @@ _COMMANDS = {
     "color.prob": (cmd_color_prob, "cylinder probability of a word", (
         _Opt("--q", int, _rule(lambda q, a: q >= 2 or a.source == "formula",
                                ">= 2 with --source recursion"), default=4),
-        _Opt("--word", str, _rule(lambda w, a: set(w) <= _letters(a.q), "digits 1..{q}"),
-             required=True),
+        _Opt("--word", str, lambda w, a: (_FORMULA_WORD if a.source == "formula" else
+                                          _DIGITS)(w, a), required=True),
         _Opt("--source", str, _one_of("recursion", "formula"), default="recursion",
              help="recursion (default) or formula"))),
     "color.check-dep": (cmd_color_checkdep, "exhaustive k-dependence check", (

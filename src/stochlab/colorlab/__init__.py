@@ -6,17 +6,12 @@ from .measure import (
     CylinderMeasure,
     NormalizerMismatchError,
     canonical_form,
-    formula_cylinder_probability,
     marginalize,
     memo_fits,
     proper_words,
     recursion_measure,
 )
-from .pushforward import (
-    EliminateFoursMeasure,
-    eliminate_fours_letter,
-    eliminate_fours_pushforward,
-)
+from .pushforward import EliminateFoursMeasure, eliminate_fours_letter
 from .sampling import sample_windows
 from .words import CLOSE, NEUTRAL, OPEN, is_proper
 
@@ -33,8 +28,6 @@ __all__ = [
     "check_k_dependence",
     "descent_set_probability",
     "eliminate_fours_letter",
-    "eliminate_fours_pushforward",
-    "formula_cylinder_probability",
     "is_proper",
     "marginalize",
     "memo_fits",

@@ -161,10 +161,12 @@ class CylinderMeasure:
 
     ``source`` selects the construction ('recursion' for any q >= 2,
     'formula' for q = 4); ``prob`` reduces an integer over the length's one
-    denominator once, at the API boundary.  The recursion's ``table`` holds
-    chain counts N keyed by ``canonical_form`` (N is invariant under
-    relabeling colors) and T_n sums orbit size times N over those keys.
-    The formula's holds numerators over (n+1)! 2^n keyed by the word.
+    denominator once, at the API boundary.  ``table`` and ``_totals`` belong
+    to the recursion alone: ``table`` holds chain counts N keyed by
+    ``canonical_form`` (N is invariant under relabeling colors) and T_n,
+    in ``_totals``, sums orbit size times N over those keys.  The formula
+    keeps no table of its own; it evaluates each word afresh over
+    (n+1)! 2^n from its per-top-row cache (``_top_row_terms``).
     ``window_array`` keeps its arrays per length, apart from ``table``.
     """
 
@@ -199,10 +201,7 @@ class CylinderMeasure:
 
     def _numerator(self, letters: tuple[int, ...]) -> int:
         if self.source == "formula":
-            value = self.table.get(letters)
-            if value is None:
-                value = self.table[letters] = _formula_numerator(letters)
-            return value
+            return _formula_numerator(letters)
         self._total(len(letters))
         return self.table[canonical_form(letters)]
 
@@ -239,10 +238,6 @@ class CylinderMeasure:
         if n < 1:
             raise ValueError("normalizers are defined for lengths >= 1")
         return Fraction(self._total(n - 1), self._total(n))
-
-    def window(self, n: int) -> dict[tuple[int, ...], Fraction]:
-        """Probabilities of every proper word of length n (improper omitted)."""
-        return {w: self.prob(w) for w in proper_words(self.q, n)}
 
     def window_array(self, n: int) -> tuple[np.ndarray, int]:
         """Numerators of every word of length n as a read-only ``(q,) * n``
@@ -389,24 +384,6 @@ def formula_table_bytes(letters) -> int:
     return comb(m, m // 2) * (280 + n * n.bit_length() // 8)
 
 
-def formula_cylinder_probability(letters) -> Fraction:
-    """Evaluate the explicit q=4 formula on a proper word.
-
-    The word is encoded as a sign matrix; with m runs in the top row, the
-    value is 2^-m times the signed sum, over dispersed Dyck words aligned
-    with the run boundaries, of the boundary sign product times the
-    descent-set probability of the run-flipped top row.  Improper input is
-    rejected: the formula is asserted for proper colorings only.
-    """
-    letters = tuple(letters)
-    for a in letters:
-        if not 1 <= a <= 4:
-            raise ValueError(f"letter {a} outside 1..4")
-    if not is_proper(letters):
-        raise ValueError(f"improper word {letters}: the formula requires a proper coloring")
-    return Fraction(_formula_numerator(letters), factorial(len(letters) + 1) << len(letters))
-
-
 _RECURSION_MEASURES: dict[int, CylinderMeasure] = {}
 
 
@@ -421,13 +398,20 @@ def recursion_measure(q: int) -> CylinderMeasure:
 def marginalize(measure: CylinderMeasure, pattern) -> Fraction:
     """Probability of a window pattern with wildcards (None) summed out.
 
-    The literal definition: the sum of ``measure.prob`` over every way of
-    filling the wildcard positions with colors.
+    The literal definition: the sum of the measure's numerators over every
+    proper way of filling the wildcard positions with colors, over the one
+    denominator of the pattern's length.  A pattern whose fixed letters
+    already repeat has probability 0.
     """
     pattern = tuple(pattern)
+    for a in pattern:
+        if a is not None and not 1 <= a <= measure.q:
+            raise ValueError(f"letter {a} outside 1..{measure.q}")
+    if any(a is not None and a == b for a, b in zip(pattern, pattern[1:])):
+        return ZERO
     holes = [i for i, a in enumerate(pattern) if a is None]
     filled = list(pattern)
-    total = ZERO
+    total = 0
     # depth-first on an explicit stack of (holes filled, color of the last
     # one), so the number of holes is not bounded by recursion
     stack = [(0, None)]
@@ -436,7 +420,7 @@ def marginalize(measure: CylinderMeasure, pattern) -> Fraction:
         if h:
             filled[holes[h - 1]] = color
         if h == len(holes):
-            total += measure.prob(tuple(filled))
+            total += measure._numerator(tuple(filled))
             continue
         i = holes[h]
         for a in range(1, measure.q + 1):
@@ -447,4 +431,4 @@ def marginalize(measure: CylinderMeasure, pattern) -> Fraction:
             if i + 1 < len(pattern) and pattern[i + 1] == a:
                 continue
             stack.append((h + 1, a))
-    return total
+    return Fraction(total, measure._denominator(len(pattern)))

@@ -86,8 +86,3 @@ class EliminateFoursMeasure:
 
     def _denominator(self, n: int) -> int:
         return self.window_array(n)[1]
-
-
-def eliminate_fours_pushforward(n: int, source: CylinderMeasure | None = None):
-    """Exact distribution of a length-n window of the recolored process."""
-    return EliminateFoursMeasure(source).window(n)

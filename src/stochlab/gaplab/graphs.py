@@ -128,7 +128,12 @@ def path_graph(n: int, weight: float = 1.0) -> WeightedGraph:
 
 
 def cycle_graph(n: int, weight: float = 1.0) -> WeightedGraph:
-    edges = [(i, i + 1, weight) for i in range(n - 1)] + [(0, n - 1, weight)]
+    """The n-cycle; at n = 2 it is the single edge of ``weight``."""
+    if n < 2:
+        raise ValueError(f"a cycle needs at least 2 vertices, got n={n}")
+    edges = [(i, i + 1, weight) for i in range(n - 1)]
+    if n > 2:
+        edges.append((0, n - 1, weight))
     return WeightedGraph.from_edges(n, edges)
 
 

@@ -8,7 +8,8 @@ optimized code in ``src/`` against it.
   decomposition of a sign row, dispersed Dyck words as validated objects,
   the run flips and boundary sign products of the explicit q=4 formula,
   the formula itself summed term by term from them, and the pushforward
-  map applied word by word.  The library's formula
+  map applied word by word, and a measure's window read one ``prob`` at a
+  time.  The library's formula
   (``measure._formula_numerator``) keeps each top row's Dyck-word terms
   once and reads only a sign per term off the bottom row; its pushforward
   maps whole window arrays.
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from stochlab.colorlab import descent_set_probability, eliminate_fours_letter
+from stochlab.colorlab import descent_set_probability, eliminate_fours_letter, proper_words
 from stochlab.colorlab.words import CLOSE, NEUTRAL, OPEN, _enum_dispersed
 from stochlab.gaplab import GeneratorOperator, WeightedGraph, reduce_vertex
 from stochlab.ipslab.contact import STANDARD, ContactConfig
@@ -224,6 +225,11 @@ def pushforward_window(source_window: dict, n: int) -> dict:
                       for i in range(1, n + 1))
         out[image] = out.get(image, 0) + mass
     return out
+
+
+def prob_window(measure, n: int) -> dict:
+    """Probabilities of every proper word of length n (improper omitted)."""
+    return {w: measure.prob(w) for w in proper_words(measure.q, n)}
 
 
 # --- gaplab ------------------------------------------------------------------

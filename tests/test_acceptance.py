@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from references import prob_window
 
 from stochlab import colorlab, gaplab, ipslab
 
@@ -98,7 +99,7 @@ def test_04_marginal_laws():
     # single color occupies positions like HT in n+1 fair coin flips
     ht_checks = 0
     for n in range(1, 8):
-        window = measure.window(n)
+        window = prob_window(measure, n)
         coin: dict[tuple[int, ...], Fraction] = {}
         for flips in itertools.product((0, 1), repeat=n + 1):
             key = tuple(i + 1 for i in range(n) if flips[i] == 1 and flips[i + 1] == 0)

@@ -4,8 +4,9 @@
 mass left out below 1e-14.  The first tests check those laws against
 theorems (total mass, the voter/coalescing-walk duality, the contact
 process's self-duality); the rest compare seeded Monte Carlo means with the
-exact means as one-sample z scores, |z| <= 3.  Seeds and trial counts are
-frozen.
+exact means as one-sample z scores, |z| <= 3, and the final occupied set's
+whole law with the exact law as a chi-square z score, z <= 3.  Seeds and
+trial counts are frozen.
 """
 
 import math
@@ -98,6 +99,20 @@ def _z(values, exact: float) -> float:
     return (values.mean() - exact) / math.sqrt(values.var(ddof=1) / len(values))
 
 
+def _chi_square_z(observed: np.ndarray, expected: np.ndarray) -> float:
+    """Pearson's chi-square of counts against expected counts, the cells
+    expected fewer than 10 times pooled into one, standardized by the
+    Wilson-Hilferty transform (about N(0, 1) under the null)."""
+    keep = expected >= 10
+    observed = np.append(observed[keep], observed[~keep].sum())
+    expected = np.append(expected[keep], expected[~keep].sum())
+    if expected[-1] == 0:  # nothing to pool
+        observed, expected = observed[:-1], expected[:-1]
+    chi2 = ((observed - expected) ** 2 / expected).sum()
+    df = len(expected) - 1
+    return ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+
+
 class TestEventLoopsAgainstExactLaws:
     @pytest.mark.parametrize("cfg, init, seed", [
         (ContactConfig(1.5, length=8), tuple(range(1, 9)), 100_000),
@@ -105,10 +120,14 @@ class TestEventLoopsAgainstExactLaws:
     ], ids=["standard", "threshold"])
     def test_mean_occupancy(self, cfg, init, seed):
         trials, t_max = 2500, 1.0
-        exact = contact_law(cfg, init, t_max) @ _occupancy(cfg.length)
-        counts = [len(simulate_contact(cfg, init, t_max, seed=seed + t).final_occupied)
+        law = contact_law(cfg, init, t_max)
+        finals = [simulate_contact(cfg, init, t_max, seed=seed + t).final_occupied
                   for t in range(trials)]
-        assert abs(_z(counts, exact)) <= Z_BOUND
+        assert abs(_z([len(f) for f in finals], law @ _occupancy(cfg.length))) <= Z_BOUND
+        # the same runs against the whole law of the final occupied set, which
+        # catches an engine whose mean alone stays near the exact mean
+        observed = np.bincount([_mask(f) for f in finals], minlength=len(law))
+        assert _chi_square_z(observed, trials * law) <= Z_BOUND
 
     def test_exact_means(self):
         # the values the engine tests above compare with

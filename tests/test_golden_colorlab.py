@@ -46,7 +46,7 @@ def seeded_outputs() -> dict:
     }
     pushforward = {
         str(n): {"".join(map(str, w)): str(p)
-                 for w, p in sorted(colorlab.eliminate_fours_pushforward(n).items())}
+                 for w, p in sorted(colorlab.EliminateFoursMeasure().window(n).items())}
         for n in range(5)
     }
     normalizers = {

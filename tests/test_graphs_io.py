@@ -11,6 +11,7 @@ from stochlab.gaplab import (
     WeightedGraph,
     complete_graph,
     connected_graph_representatives,
+    cycle_graph,
     format_network,
     parse_network,
     path_graph,
@@ -53,6 +54,13 @@ class TestWeightedGraph:
     def test_duplicate_edges_summed(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0), (0, 1, 0.5)])
         assert g.weights[0, 1] == 1.5
+
+    def test_small_cycles(self):
+        assert sorted(cycle_graph(3, 2.0).edges()) == [(0, 1, 2.0), (0, 2, 2.0), (1, 2, 2.0)]
+        assert list(cycle_graph(2, 0.5).edges()) == [(0, 1, 0.5)]  # one edge, not two
+        for n in (0, 1):
+            with pytest.raises(ValueError, match=f"n={n}"):
+                cycle_graph(n)
 
 
 class TestHyperWeights:

@@ -4,13 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from references import SignMatrix, reference_formula, to_letters
+from references import SignMatrix, prob_window, reference_formula, to_letters
 from stochlab.colorlab import (
     CylinderMeasure,
+    EliminateFoursMeasure,
     NormalizerMismatchError,
     canonical_form,
     descent_set_probability,
-    formula_cylinder_probability,
     is_proper,
     marginalize,
     proper_words,
@@ -50,30 +50,31 @@ def form4():
 
 
 class TestFormulaExamples:
-    def test_pair(self):
-        assert formula_cylinder_probability((1, 2)) == F(1, 12)
+    def test_pair(self, form4):
+        assert form4.prob((1, 2)) == F(1, 12)
 
-    def test_three_letters_two_runs_cancel(self):
+    def test_three_letters_two_runs_cancel(self, form4):
         # (1/8) * (mu(+-+) - mu(+++)) = (1/8) * (5/24 - 1/24)
-        assert formula_cylinder_probability((1, 3, 1)) == F(1, 48)
+        assert form4.prob((1, 3, 1)) == F(1, 48)
 
-    def test_three_letters_single_run(self):
-        assert formula_cylinder_probability((1, 2, 1)) == F(1, 48)
+    def test_three_letters_single_run(self, form4):
+        assert form4.prob((1, 2, 1)) == F(1, 48)
 
-    def test_empty_word(self):
-        assert formula_cylinder_probability(()) == 1
+    def test_empty_word(self, form4):
+        assert form4.prob(()) == 1
 
-    def test_singletons_uniform(self):
+    def test_singletons_uniform(self, form4):
         for a in (1, 2, 3, 4):
-            assert formula_cylinder_probability((a,)) == F(1, 4)
+            assert form4.prob((a,)) == F(1, 4)
 
-    def test_improper_rejected(self):
-        with pytest.raises(ValueError):
-            formula_cylinder_probability((1, 1))
+    def test_improper_has_probability_zero(self, form4):
+        # the formula is asserted on proper words only; as a measure value
+        # the improper mass is zero (the CLI refuses such a word itself)
+        assert form4.prob((1, 1)) == 0
 
-    def test_bad_letters_rejected(self):
+    def test_bad_letters_rejected(self, form4):
         with pytest.raises(ValueError):
-            formula_cylinder_probability((1, 5))
+            form4.prob((1, 5))
 
 
 class TestRecursionExamples:
@@ -103,7 +104,7 @@ class TestRecursionExamples:
         # cheap; enumerating them must not recurse once per letter or per length
         measure = CylinderMeasure(2)
         assert measure.prob((1, 2) * 600) == F(1, 2)
-        assert measure.window(1200) == {(1, 2) * 600: F(1, 2), (2, 1) * 600: F(1, 2)}
+        assert prob_window(measure, 1200) == {(1, 2) * 600: F(1, 2), (2, 1) * 600: F(1, 2)}
 
     def test_letters_outside_range_rejected(self):
         for letters in ((0, 1), (1, 5)):
@@ -140,10 +141,10 @@ class TestEquivalenceAndSigns:
             for w in proper_words(4, n):
                 assert form4.prob(w) == rec4.prob(w)
 
-    def test_formula_matches_term_by_term_reference(self):
+    def test_formula_matches_term_by_term_reference(self, form4):
         for n in range(8):
             for w in proper_words(4, n):
-                assert formula_cylinder_probability(w) == reference_formula(w)
+                assert form4.prob(w) == reference_formula(w)
 
     def test_formula_nonnegative_small(self, form4):
         for n in range(7):
@@ -282,7 +283,7 @@ class TestMarginalLaws:
     def test_single_color_matches_coin_flip_law(self, rec4):
         # appearances of one color ~ positions of HT in n+1 fair coin flips
         for n in range(1, 8):
-            window = rec4.window(n)
+            window = prob_window(rec4, n)
             for color in (1, 2, 3, 4):
                 got: dict[tuple[int, ...], Fraction] = {}
                 for w, p in window.items():
@@ -321,6 +322,7 @@ class TestMarginalize:
 
     def test_improper_pattern_zero(self, rec4):
         assert marginalize(rec4, (1, 1)) == 0
+        assert marginalize(rec4, (None, 2, 2, None)) == 0
 
     def test_all_wildcards(self, rec4):
         assert marginalize(rec4, (None, None, None)) == 1
@@ -333,3 +335,24 @@ class TestMarginalize:
             for b in range(1, 5)
         )
         assert marginalize(rec4, pattern) == total
+
+    def test_letter_outside_range_rejected(self, rec4):
+        for pattern in ((5, None), (None, 0), (1, 1, 7)):
+            with pytest.raises(ValueError):
+                marginalize(rec4, pattern)
+
+    @pytest.mark.parametrize("pattern", [(1, None, None, 3, None), (None, 2, None), ()])
+    def test_every_measure_matches_the_literal_sum(self, form4, pattern):
+        # integer numerators over one denominator equal the sum of prob over
+        # every completion, improper ones included, for each kind of measure
+        for measure in (form4, recursion_measure(3), EliminateFoursMeasure()):
+            if any(a is not None and a > measure.q for a in pattern):
+                continue
+            holes = [i for i, a in enumerate(pattern) if a is None]
+            total = F(0)
+            for colors in itertools.product(range(1, measure.q + 1), repeat=len(holes)):
+                filled = list(pattern)
+                for i, a in zip(holes, colors):
+                    filled[i] = a
+                total += measure.prob(filled)
+            assert marginalize(measure, pattern) == total

@@ -9,7 +9,6 @@ from stochlab.colorlab import (
     EliminateFoursMeasure,
     check_k_dependence,
     eliminate_fours_letter,
-    eliminate_fours_pushforward,
     is_proper,
     proper_words,
     recursion_measure,
@@ -29,13 +28,13 @@ def test_local_map_examples():
 
 
 def test_empty_window():
-    assert eliminate_fours_pushforward(0) == {(): F(1)}
+    assert EliminateFoursMeasure().window(0) == {(): F(1)}
 
 
 def test_single_site_law_from_oracle():
     # frozen from exhaustive enumeration of length-3 source words: the map
     # favors small colors, so the image marginal is NOT uniform
-    dist = eliminate_fours_pushforward(1)
+    dist = EliminateFoursMeasure().window(1)
     assert dist == {(1,): F(17, 48), (2,): F(1, 3), (3,): F(5, 16)}
 
 
@@ -45,12 +44,12 @@ def test_single_site_law_brute_force():
     for w in proper_words(4, 3):
         img = (eliminate_fours_letter(*w),)
         got[img] = got.get(img, F(0)) + src.prob(w)
-    assert got == eliminate_fours_pushforward(1)
+    assert got == EliminateFoursMeasure().window(1)
 
 
 @pytest.mark.parametrize("n", range(6))
 def test_mass_and_support(n):
-    dist = eliminate_fours_pushforward(n)
+    dist = EliminateFoursMeasure().window(n)
     assert sum(dist.values()) == 1
     for w, p in dist.items():
         assert p > 0
@@ -100,4 +99,4 @@ def test_source_must_have_four_colors():
 
 def test_negative_window_rejected():
     with pytest.raises(ValueError):
-        eliminate_fours_pushforward(-1)
+        EliminateFoursMeasure().window(-1)

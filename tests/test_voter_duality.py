@@ -92,7 +92,7 @@ class TestSimulateVoter:
 
 @st.composite
 def voter_runs(draw):
-    n = draw(st.integers(3, 7))  # the 2-cycle is one edge of weight 2
+    n = draw(st.integers(2, 7))
     graph = draw(st.sampled_from([cycle_graph, path_graph, complete_graph]))(n)
     if draw(st.booleans()):
         cfg = VoterConfig(graph, rho=draw(st.floats(0, 1)))
