@@ -7,8 +7,8 @@ word's probability as an integer over one denominator per length:
   and N(w) = sum of N(w - i) over the proper one-letter deletions w - i;
   a proper word has probability N(w)/T_n, with T_n the sum of N over all
   proper words of length n (total mass one, solved, never assumed).  The
-  normalizer T_{n-1}/T_n is cross-checked against the conjectured closed
-  form ``1/(n(q-2)+2)``.
+  normalizer T_{n-1}/T_n is checked against the closed form
+  ``1/(n(q-2)+2)`` at every length the recursion builds.
 
 * ``formula``: for ``q = 4`` only, the explicit sign-matrix formula: a
   signed sum over dispersed Dyck words of run-flip descent-set counts.  It
@@ -26,8 +26,8 @@ already zero, so E_i needs no mask of its own.  Counting the insertions
 that undo a deletion gives T_n = (n(q-2)+2) T_{n-1} (``_window_total``),
 so a window whose denominator would reach 2**63 is refused before it is
 built; below that every entry and every sum of entries is exact in int64.
-The formula fills its array word by word from its own numerators and
-never reads the recursion's.
+The formula fills no array: it evaluates single words, and never reads
+the recursion's numerators.
 
 Everything in this module is exact integer/rational arithmetic; floats
 never appear.  Memo tables are plain dicts: reads and same-key inserts are
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, perm
 
 import numpy as np
 
@@ -48,21 +48,15 @@ from .words import CLOSE, NEUTRAL, OPEN, _enum_dispersed, is_proper
 
 ZERO = Fraction(0)
 
-# range over which the conjectured closed-form normalizer must agree with
-# the mass-one computation (a mismatch aborts the run)
-NORMALIZER_CHECK_Q = range(2, 7)
-NORMALIZER_CHECK_N = 10
-
 
 class NormalizerMismatchError(RuntimeError):
     """The mass-computed normalizer disagrees with the closed form."""
 
 
 def _check_normalizer(q: int, n: int, previous: int, total: int):
-    """Raise NormalizerMismatchError unless T_n = (n(q-2)+2) T_{n-1}, for q
-    in NORMALIZER_CHECK_Q and n <= NORMALIZER_CHECK_N."""
+    """Raise NormalizerMismatchError unless T_n = (n(q-2)+2) T_{n-1}."""
     closed = n * (q - 2) + 2  # T_{n-1}/T_n = 1/closed
-    if q in NORMALIZER_CHECK_Q and n <= NORMALIZER_CHECK_N and total != closed * previous:
+    if total != closed * previous:
         raise NormalizerMismatchError(
             f"normalizer mismatch at q={q}, n={n}: "
             f"mass-one gives {Fraction(previous, total)}, closed form gives 1/{closed}"
@@ -76,7 +70,7 @@ def _window_total(q: int, n: int) -> int:
     Each proper word of length n-1 comes back from q-1 insertions at either
     end and q-2 at each of the n-2 interior gaps, so summing the deletion
     recursion over all proper words of length n gives
-    T_n = (n(q-2)+2) T_{n-1}.
+    T_n = (n(q-2)+2) T_{n-1}, for every q >= 2 and n >= 1.
     """
     total = 1
     for k in range(1, n + 1):
@@ -166,8 +160,8 @@ class CylinderMeasure:
     ``canonical_form`` (N is invariant under relabeling colors) and T_n,
     in ``_totals``, sums orbit size times N over those keys.  The formula
     keeps no table of its own; it evaluates each word afresh over
-    (n+1)! 2^n from its per-top-row cache (``_top_row_terms``).
-    ``window_array`` keeps its arrays per length, apart from ``table``.
+    (n+1)! 2^n from its per-top-row cache (``_top_row_terms``) and fills no
+    array: ``window_array`` keeps the recursion's per length, apart from ``table``.
     """
 
     def __init__(self, q: int, source: str = "recursion"):
@@ -207,7 +201,7 @@ class CylinderMeasure:
 
     def _denominator(self, n: int) -> int:
         if self.source == "formula":
-            return factorial(n + 1) << n
+            return _window_total(4, n)
         return self._total(n)
 
     def _total(self, n: int) -> int:
@@ -230,9 +224,9 @@ class CylinderMeasure:
 
     def normalizer(self, n: int) -> Fraction:
         """c_n = T_{n-1}/T_n, with p(w) = c_n * sum of p(w - i) over proper
-        deletions, solved from total mass one.  For q in 2..6 and n <= 10 it
-        is checked against 1/(n(q-2)+2) when T_n is first built; a mismatch
-        raises NormalizerMismatchError."""
+        deletions, solved from total mass one.  At every length the recursion
+        builds it is checked against 1/(n(q-2)+2), one integer product; a
+        mismatch raises NormalizerMismatchError."""
         if self.source == "formula":
             raise ValueError("normalizers belong to the recursion construction")
         if n < 1:
@@ -245,8 +239,10 @@ class CylinderMeasure:
         and the one denominator of length n (for the recursion, the array's
         own sum T_n).
 
-        Raises ValueError when that denominator would reach 2**63.
+        Raises ValueError on the formula and when that denominator would reach 2**63.
         """
+        if self.source == "formula":
+            raise ValueError("window arrays belong to the recursion construction")
         if n < 0:
             raise ValueError("window length must be nonnegative")
         got = self._arrays.get(n)
@@ -254,14 +250,8 @@ class CylinderMeasure:
             if _window_total(self.q, n) >= 2**63:
                 raise ValueError(f"window length {n} at q={self.q}: its denominator reaches "
                                  "2**63, past the exact int64 window arrays")
-            if self.source == "formula":
-                array = np.zeros((4,) * n, dtype=np.int64)
-                for w in proper_words(4, n):
-                    array[tuple(a - 1 for a in w)] = self._numerator(w)
-                got = self._arrays[n] = (_frozen(array), self._denominator(n))
-            else:
-                for length in range(len(self._arrays), n + 1):
-                    got = self._arrays[length] = self._extend(*self._arrays[length - 1])
+            for length in range(len(self._arrays), n + 1):
+                got = self._arrays[length] = self._extend(*self._arrays[length - 1])
         return got
 
     def _extend(self, prev: np.ndarray, previous: int) -> tuple[np.ndarray, int]:

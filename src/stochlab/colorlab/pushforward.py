@@ -16,8 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measure import CylinderMeasure, _as_dict, _frozen, recursion_measure
-from .words import is_proper
+from .measure import _as_dict, _frozen, recursion_measure
 
 
 def eliminate_fours_letter(left: int, mid: int, right: int) -> int:
@@ -38,14 +37,9 @@ _LETTER_IMAGE = np.array([[[eliminate_fours_letter(left, mid, right) - 1
 
 
 class EliminateFoursMeasure:
-    """Window distributions of the recolored process, as an exact measure."""
+    """Windows of the recolored ``recursion_measure(4)``, as an exact measure."""
 
-    q = 3
-
-    def __init__(self, source: CylinderMeasure | None = None):
-        self.source = source if source is not None else recursion_measure(4)
-        if self.source.q != 4:
-            raise ValueError("the elimination map acts on a 4-color measure")
+    def __init__(self):
         self._arrays: dict[int, tuple[np.ndarray, int]] = {}
 
     def window_array(self, n: int) -> tuple[np.ndarray, int]:
@@ -55,7 +49,7 @@ class EliminateFoursMeasure:
             raise ValueError("window length must be nonnegative")
         got = self._arrays.get(n)
         if got is None:
-            src, denom = self.source.window_array(n + 2)
+            src, denom = recursion_measure(4).window_array(n + 2)
             letters = np.nonzero(src)  # the proper source words, one array per position
             image = np.zeros(len(letters[0]), dtype=np.intp)  # flat index of each image
             for i in range(1, n + 1):
@@ -73,16 +67,3 @@ class EliminateFoursMeasure:
     def window(self, n: int) -> dict[tuple[int, ...], Fraction]:
         scaled, denom = self.scaled_window(n)
         return {w: Fraction(v, denom) for w, v in scaled.items()}
-
-    def prob(self, letters) -> Fraction:
-        """Exact probability; zero for an improper word or a letter outside 1..3."""
-        letters = tuple(letters)
-        if not is_proper(letters) or any(a not in (1, 2, 3) for a in letters):
-            return Fraction(0)
-        return Fraction(self._numerator(letters), self._denominator(len(letters)))
-
-    def _numerator(self, letters: tuple[int, ...]) -> int:
-        return int(self.window_array(len(letters))[0][tuple(a - 1 for a in letters)])
-
-    def _denominator(self, n: int) -> int:
-        return self.window_array(n)[1]

@@ -14,8 +14,8 @@ Philox is counter-based (Salmon et al., SC 2011): a stream is its 128-bit
 key plus a block counter, so any stretch of any trial's stream can be read
 directly.  Estimators therefore do not build a generator per trial.
 ``stream_keys`` derives the keys of a whole window of trials in one
-vectorized pass of the ``SeedSequence`` hash, or of a few trials in the
-same hash run on Python ints (``trial_keys`` hands them out
+vectorized pass of the ``SeedSequence`` hash, or of a few trials from
+numpy's own ``SeedSequence`` (``trial_keys`` hands them out
 ``KEY_BLOCK`` trials per pass), and a ``StreamReader`` owns one Philox
 that it reseats to (key, counter) for each stream it reads: ``rows``
 returns the same stretch of many streams as one 2-D array.
@@ -39,9 +39,9 @@ from numpy.random import Generator, Philox, SeedSequence
 
 MAX_TRIALS = 2**32
 KEY_BLOCK = 4096  # keys derived per pass, so memory stays flat at any trial count
-# widest window hashed on Python ints, one trial at a time: about 30 us per
-# trial there, against about 175 us for one uint32 pass over any window up
-# to a few hundred trials (2-vCPU VM), so the two cross near 6 trials
+# widest window keyed by numpy's SeedSequence, one trial at a time: 12-25 us
+# per trial there, against 175-240 us for one uint32 pass over any window up
+# to a few hundred trials (2-vCPU VM), so the two cross near 10 trials
 SCALAR_TRIALS = 5
 
 
@@ -85,52 +85,47 @@ def stream_keys(master_seed: int, lane: tuple[int, ...], lo: int, hi: int) -> np
     """Philox keys of the trials ``lo <= t < hi`` as a ``(hi - lo, 2)`` uint64 array.
 
     Row t - lo equals ``SeedSequence((master_seed, *lane, t)).generate_state(2,
-    np.uint64)``.  Up to ``SCALAR_TRIALS`` trials run ``_seed_hash`` on
-    Python ints, one trial at a time; a wider window runs it once on uint32
-    arrays with one lane per trial.
+    np.uint64)``, which up to ``SCALAR_TRIALS`` trials compute one trial at
+    a time; a wider window runs ``_seed_hash`` once on uint32 arrays with
+    one lane per trial.
     """
     _check_seed(master_seed)
     if not 0 <= lo <= hi <= MAX_TRIALS:
         raise ValueError(f"trial window [{lo}, {hi}) outside [0, 2**32)")
-    entropy = [w for v in (master_seed, *lane) for w in _words(v)]
     if hi - lo <= SCALAR_TRIALS:
-        keys = []
-        for t in range(lo, hi):
-            w0, w1, w2, w3 = _seed_hash([*entropy, t], int)
-            keys.append((w0 | w1 << 32, w2 | w3 << 32))
+        keys = [SeedSequence((master_seed, *lane, t)).generate_state(2, np.uint64)
+                for t in range(lo, hi)]
         return np.array(keys, dtype=np.uint64).reshape(hi - lo, 2)
+    entropy = [np.uint32(w) for v in (master_seed, *lane) for w in _words(v)]
     trials = np.arange(lo, hi, dtype=np.uint64).astype(np.uint32)
     with np.errstate(over="ignore"):  # np.uint32 scalar products warn when they wrap
-        words = _seed_hash([*map(np.uint32, entropy), trials], np.uint32)
+        words = _seed_hash([*entropy, trials])
     w0, w1, w2, w3 = (np.broadcast_to(w, (hi - lo,)).astype(np.uint64) for w in words)
     shift = np.uint64(32)
     return np.stack([w0 | w1 << shift, w2 | w3 << shift], axis=1)
 
 
-def _seed_hash(entropy: list, word) -> list:
-    """SeedSequence's hashmix/mix pool and output hash on 32-bit entropy
-    words, returning its four output words.
-
-    ``word`` makes a constant of the entropy's type: ``int`` for Python
-    ints, ``np.uint32`` for uint32 scalars and arrays.  Every product and
-    difference is masked to 32 bits, which Python ints need and uint32
-    arithmetic does by wrapping, so one body serves both.
+def _seed_hash(entropy: list) -> list:
+    """SeedSequence's hashmix/mix pool and output hash on uint32 entropy
+    words (scalars, or arrays that broadcast), returning its four output
+    words.  uint32 products and differences wrap modulo 2**32, as the hash
+    defines them.
     """
-    mask, shift = word(_MASK), word(16)
+    shift = np.uint32(16)
     const = _INIT_A
 
     def hashmix(value):
         nonlocal const
-        value = value ^ word(const)
+        value = value ^ np.uint32(const)
         const = const * _MULT_A & _MASK
-        value = value * word(const) & mask
+        value = value * np.uint32(const)
         return value ^ value >> shift
 
     def mix(x, y):
-        out = word(_MIX_L) * x - word(_MIX_R) * y & mask
+        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
         return out ^ out >> shift
 
-    pool = [hashmix(entropy[i] if i < len(entropy) else word(0)) for i in range(_POOL)]
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.uint32(0)) for i in range(_POOL)]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
@@ -141,9 +136,9 @@ def _seed_hash(entropy: list, word) -> list:
     const = _INIT_B
     out = []
     for value in pool:
-        value = value ^ word(const)
+        value = value ^ np.uint32(const)
         const = const * _MULT_B & _MASK
-        value = value * word(const) & mask
+        value = value * np.uint32(const)
         out.append(value ^ value >> shift)
     return out
 

@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -787,3 +789,27 @@ def test_cli_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": str(src)}, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_commands_parse_and_settle(tmp_path, monkeypatch):
+    # every `stochlab ...` line in the README's sh blocks parses and passes
+    # every option check against small graph files of the names it uses;
+    # no handler runs
+    files = {"path3.g": "n 3\ne 0 1 1.0\ne 1 2 1.0\n", "hyper.g": "n 3\nh 3 0 1 2 1.0\n"}
+    for n in (10, 20):
+        edges = "".join(f"e {i} {i + 1} 1\n" for i in range(n - 1))
+        files[f"cycle{n}.g"] = f"n {n}\n{edges}e 0 {n - 1} 1\n"
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.startswith("stochlab ")]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+        cli._settle(args)

@@ -255,6 +255,18 @@ class TestRightEdge:
         est = right_edge_speed(2.0, t_max=40.0, trials=24, seed=9, left_depth=60)
         assert est.slope > 3 * est.stderr
 
+    def test_edge_speed_sign_brackets_the_critical_rate(self):
+        """The edge speed alpha(lam) is positive exactly when lam > lam_c
+        (Durrett 1980), and 1.539 <= lam_c <= 1.942 (Liggett 1995), so
+        alpha(1.5) < 0 < alpha(2).  The estimate is a surrogate for alpha: a
+        finite horizon, and a half-line truncated at depth 400.  Seeds frozen
+        when the test was written: z = -5.04 at lam = 1.5, +4.37 at lam = 2."""
+        below = right_edge_speed(1.5, 80.0, 96, 9)
+        above = right_edge_speed(2.0, 40.0, 24, 9)
+        assert below.excluded_trials == above.excluded_trials == 0
+        assert below.slope / below.stderr <= -4
+        assert above.slope / above.stderr >= 4
+
     def test_pure_death_edge_retreats(self):
         # births never happen, so every per-trial slope is <= 0
         est = right_edge_speed(0.0, t_max=4.0, trials=24, seed=9)

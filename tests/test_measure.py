@@ -7,7 +7,6 @@ import pytest
 from references import SignMatrix, prob_window, reference_formula, to_letters
 from stochlab.colorlab import (
     CylinderMeasure,
-    EliminateFoursMeasure,
     NormalizerMismatchError,
     canonical_form,
     descent_set_probability,
@@ -175,20 +174,28 @@ class TestWindowArrays:
         # reference above takes seconds per length past 7)
         formula, recursion = CylinderMeasure(4, "formula"), CylinderMeasure(4)
         for n in range(10):
-            (got, denom), (want, total) = formula.window_array(n), recursion.window_array(n)
-            assert denom == total and np.array_equal(got, want)
+            got = np.zeros((4,) * n, dtype=np.int64)
+            for w in proper_words(4, n):
+                got[tuple(a - 1 for a in w)] = formula._numerator(w)
+            want, total = recursion.window_array(n)
+            assert formula._denominator(n) == total and np.array_equal(got, want)
 
     def test_window_arrays_are_read_only(self):
         window, _ = CylinderMeasure(3).window_array(2)
         with pytest.raises(ValueError):
             window[0, 1] = 0
 
-    @pytest.mark.parametrize("source", ["recursion", "formula"])
-    def test_denominators_from_two_to_the_63_are_refused_unbuilt(self, source):
+    def test_denominators_from_two_to_the_63_are_refused_unbuilt(self):
         # T_16 = 2**16 * 17! > 2**63 at q = 4; nothing of length 1..15 is built
-        measure = CylinderMeasure(4, source)
+        measure = CylinderMeasure(4)
         with pytest.raises(ValueError, match="2\\*\\*63"):
             measure.window_array(16)
+        assert list(measure._arrays) == [0]
+
+    def test_formula_builds_no_window_arrays(self):
+        measure = CylinderMeasure(4, "formula")
+        with pytest.raises(ValueError, match="recursion construction"):
+            measure.window_array(2)
         assert list(measure._arrays) == [0]
 
     def test_array_path_checks_the_normalizer(self):
@@ -344,8 +351,8 @@ class TestMarginalize:
     @pytest.mark.parametrize("pattern", [(1, None, None, 3, None), (None, 2, None), ()])
     def test_every_measure_matches_the_literal_sum(self, form4, pattern):
         # integer numerators over one denominator equal the sum of prob over
-        # every completion, improper ones included, for each kind of measure
-        for measure in (form4, recursion_measure(3), EliminateFoursMeasure()):
+        # every completion, improper ones included, for each construction
+        for measure in (form4, recursion_measure(3)):
             if any(a is not None and a > measure.q for a in pattern):
                 continue
             holes = [i for i, a in enumerate(pattern) if a is None]

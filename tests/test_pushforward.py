@@ -92,11 +92,6 @@ def test_two_dependence_fails():
     assert not report.holds
 
 
-def test_source_must_have_four_colors():
-    with pytest.raises(ValueError):
-        EliminateFoursMeasure(recursion_measure(3))
-
-
 def test_negative_window_rejected():
     with pytest.raises(ValueError):
         EliminateFoursMeasure().window(-1)

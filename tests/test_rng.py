@@ -13,7 +13,8 @@ from stochlab.ipslab.rng import StreamReader, stream_keys, trial_buffers, trial_
 
 SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
 LANES = [(), (0,), (3,), (4,), (1, 7)]
-# windows of up to rng.SCALAR_TRIALS trials hash on Python ints, wider ones on arrays
+# windows of up to rng.SCALAR_TRIALS trials are keyed by numpy's SeedSequence itself,
+# wider ones by the uint32 hash on arrays
 WINDOWS = [(0, 5), (1000, 1010), (2**32 - 3, 2**32), (2**32 - 9, 2**32)]
 
 
