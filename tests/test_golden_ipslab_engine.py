@@ -7,7 +7,11 @@ on the interval's end sites, an interval of one site, coalescing walks at
 many seeds and a uniform stream read across a partial block.  It was
 written by this module's ``__main__`` from the event loops as they stood
 before their state moved into one code map, and is compared with plain
-``==`` after a JSON round trip.  Never regenerate the file to make a
+``==`` after a JSON round trip.  The entries that make a run's touched
+span grow (a sparse run that travels far both ways, one started near
+10**15, an interval of 10**12 sites and one whose window grows onto both
+end sites) were added from the loop as it stood before its state moved
+into windowed lists.  Never regenerate the file to make a
 refactor pass: a mismatch is a bug in the refactor.
 """
 
@@ -76,6 +80,14 @@ def engine_outputs() -> dict:
                               seed=43, record_dt=0.5),
         "single_site": _contact(ipslab.ContactConfig(5.0, length=1), (1,), 3.0, seed=47,
                                 record_dt=0.5),
+        "sparse_far_both_ways": _contact(ipslab.ContactConfig(2.5), (0,), 60.0, seed=5,
+                                         record_dt=2.0),
+        "sparse_far_coordinates": _contact(ipslab.ContactConfig(1.8), (10**15, 10**15 + 2),
+                                           10.0, seed=1, record_dt=1.0),
+        "huge_interval": _contact(ipslab.ContactConfig(0.5, length=10**12), (5 * 10**11,),
+                                  20.0, seed=12, record_dt=0.25),
+        "grows_to_ends": _contact(ipslab.threshold_config(1.5, length=30), (15,), 20.0,
+                                  seed=2, record_dt=1.0),
         "long_supercritical": _contact(ipslab.ContactConfig(2.0, length=400),
                                        range(1, 401), 20.0, seed=45, record_dt=2.0),
         "walks_cycle": _walks(cycle_graph(10), (0, 1, 5), 3.0, range(12)),
