@@ -111,10 +111,8 @@ def proper_words(q: int, n: int):
 
 def _canonical_proper_words(q: int, n: int):
     """Yield (word, orbit size q!/(q-d)! for d colors) over the canonical
-    representatives of the color-permutation orbits of length-n proper words."""
-    if n == 0:
-        yield (), 1
-        return
+    representatives of the color-permutation orbits of length-n proper words,
+    n >= 1."""
     word = [0] * n
     stack = [(0, 1, 1)]  # (position, letter, colors used through it)
     while stack:
@@ -155,13 +153,14 @@ class CylinderMeasure:
 
     ``source`` selects the construction ('recursion' for any q >= 2,
     'formula' for q = 4); ``prob`` reduces an integer over the length's one
-    denominator once, at the API boundary.  ``table`` and ``_totals`` belong
-    to the recursion alone: ``table`` holds chain counts N keyed by
-    ``canonical_form`` (N is invariant under relabeling colors) and T_n,
-    in ``_totals``, sums orbit size times N over those keys.  The formula
-    keeps no table of its own; it evaluates each word afresh over
-    (n+1)! 2^n from its per-top-row cache (``_top_row_terms``) and fills no
-    array: ``window_array`` keeps the recursion's per length, apart from ``table``.
+    denominator once, at the API boundary.  ``table`` belongs to the
+    recursion alone: it holds chain counts N keyed by ``canonical_form``
+    (N is invariant under relabeling colors).  ``_totals`` holds T_n by
+    length: the recursion sums orbit size times N over those keys, the
+    formula takes (n+1)! 2^n once per length it evaluates.  The formula
+    evaluates each word afresh from its per-top-row cache
+    (``_top_row_terms``) and fills no array: ``window_array`` keeps the
+    recursion's per length, apart from ``table``.
     """
 
     def __init__(self, q: int, source: str = "recursion"):
@@ -174,7 +173,7 @@ class CylinderMeasure:
         self.q = q
         self.source = source
         self.table: dict[tuple[int, ...], int] = {(): 1}
-        self._totals: dict[int, int] = {0: 1}  # recursion: T_n by length
+        self._totals: dict[int, int] = {0: 1}  # T_n by length
         # window_array: (numerators, denominator) by length
         self._arrays = {0: (_frozen(np.ones((), dtype=np.int64)), 1)}
 
@@ -201,7 +200,10 @@ class CylinderMeasure:
 
     def _denominator(self, n: int) -> int:
         if self.source == "formula":
-            return _window_total(4, n)
+            total = self._totals.get(n)
+            if total is None:
+                total = self._totals[n] = _window_total(4, n)
+            return total
         return self._total(n)
 
     def _total(self, n: int) -> int:

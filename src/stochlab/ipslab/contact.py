@@ -8,21 +8,29 @@ count, which keeps both the total birth rate and the proportional pick
 exact (rates are integer multiples of the birth parameter) and makes every
 event O(neighborhood size).
 
-One code map holds every site the run has touched: -1 if occupied, -2 if
-permanently vacant (the finite mode's sentinels just outside 1..L, so
-births never cross the boundary), else the vacant site's occupied-neighbor
-count.  Occupied sites and buckets are lists with swap-with-last removal,
-and one dict holds a vacant site's index in its bucket.  Occupying site 1
-or L is flagged so supercritical runs can detect that the edge touched the
-truncation.  The sparse mode places no sentinels, which realizes a window
-that follows the support; both modes run one loop.
+Two flat lists, ``code`` and ``where``, hold a window of sites around the
+first initial site (the origin): site origin + c sits at index c, negative
+c counting from the list's end, so a window of 2h slots holds c in -h .. h-1.
+``code`` is -1 if occupied, -2 if permanently vacant (the finite mode's
+sentinels just outside 1..L, so births never cross the boundary), else the
+vacant site's occupied-neighbor count; ``where`` is a vacant site's index in
+its bucket.  When a birth's neighborhood would leave the window, both lists
+double and the sentinels that now fall inside are written, so memory
+follows the touched span, never L or the sites' coordinates.  Occupied
+sites and buckets are lists with swap-with-last removal, and per-count
+tables give a vacant site's birth weight.  Occupying site 1 or L is flagged
+so supercritical runs can detect that the edge touched the truncation.  The
+sparse mode places no sentinels, which realizes a window that follows the
+support; both modes run one loop.  Each event reads three uniforms from the
+trial's stream, its step, its branch and its index, as one triple.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+import operator
 from dataclasses import dataclass
+from functools import cache
 
 from ..memory import physical_memory_bytes
 from .parallel import chunk_ranges, run_trials
@@ -118,36 +126,70 @@ def simulate_contact(cfg: ContactConfig, init, t_max: float, seed: int,
     return _run(cfg, init, t_max, next(trial_buffers(seed, (), 0, 1)), record_dt)
 
 
+def _widened(cells: list, half: int) -> list:
+    """``cells``, which holds sites -half .. half - 1 by Python's negative
+    indexing, copied into a list that holds -2 half .. 2 half - 1."""
+    out = [0] * (4 * half)
+    out[:half] = cells[:half]
+    out[-half:] = cells[-half:]
+    return out
+
+
+def _mark_outside(code: list, half: int, ends: tuple[int, ...], reach: int):
+    """OUTSIDE on the sites within ``reach`` past either end that the window
+    -half .. half - 1 holds: the finite mode's sentinels."""
+    if ends:
+        first, last = ends
+        for j in range(1, reach + 1):
+            for y in (first - j, last + j):
+                if -half <= y < half:
+                    code[y] = OUTSIDE
+
+
+@cache
+def _birth_weights(threshold: bool, degree: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A vacant site's birth weight in units of lam by its count k (k, or in
+    threshold mode 1, for k >= 1), and the units it adds when its count goes
+    from k to k + 1."""
+    weight = (0, *(1 if threshold else k for k in range(1, degree + 1)))
+    return weight, tuple(weight[k + 1] - weight[k] for k in range(degree))
+
+
 def _run(cfg: ContactConfig, init, t_max: float, rng: UniformBuffer,
          record_dt: float | None) -> ContactTrajectory:
     lam = cfg.lam
     offsets = cfg.neighborhood
-    threshold = cfg.mode == THRESHOLD
-    draw = rng.next
-    log1p = math.log1p
-    born = sorted(set(init))  # the initial sites take the birth branch first
-    code: defaultdict[int, int] = defaultdict(int)
-    ends = () if cfg.length is None else (1, cfg.length)
-    if ends:
-        for x in born:
+    reach = offsets[-1]
+    weight, gain = _birth_weights(cfg.mode == THRESHOLD, len(offsets))
+    sites = sorted(set(init))  # the initial sites take the birth branch first
+    origin = sites[0] if sites else 0
+    born = [x - origin for x in sites]  # the loop holds sites relative to origin
+    ends = ()
+    if cfg.length is not None:
+        for x in sites:
             if not 1 <= x <= cfg.length:
                 raise ValueError(f"initial site {x} outside 1..{cfg.length}")
-        for j in range(1, offsets[-1] + 1):
-            code[1 - j] = code[cfg.length + j] = OUTSIDE
+        ends = (1 - origin, cfg.length - origin)
+    half = 8  # the window holds sites -half .. half - 1 past origin
+    while born and half <= born[-1] + reach:
+        half *= 2
+    code = [0] * (2 * half)
+    where = [0] * (2 * half)  # a vacant site's index in its bucket
+    _mark_outside(code, half, ends, reach)
+    inner_lo, inner_hi = reach - half, half - 1 - reach  # births whose neighbors it holds
     occupied: list[int] = []
     buckets: list[list[int]] = [[] for _ in range(len(offsets) + 1)]  # index = count
-    # a vacant site's birth weight in units of lam: its count, or in threshold mode 1
-    weighted = [(1 if threshold else k, buckets[k]) for k in range(1, len(offsets) + 1)]
-    where: dict[int, int] = {}  # a vacant site's index in its bucket
+    weighted = [(weight[k], buckets[k]) for k in range(1, len(offsets) + 1)]
     units = 0  # the summed birth weights of the vacant sites
     boundary_hit = False
 
-    path: list[tuple[float, float | None]] = [(0.0, born[-1] if born else None)]
+    path: list[tuple[float, float | None]] = [(0.0, sites[-1] if sites else None)]
     next_record = record_dt if record_dt else math.inf
     t = 0.0
     events = 0
     extinct_time = None
-    while True:
+    stream = iter(rng)
+    for step, branch, index in zip(map(math.log1p, map(operator.neg, stream)), stream, stream):
         for x in born:
             k = code[x]
             if k:
@@ -157,7 +199,7 @@ def _run(cfg: ContactConfig, init, t_max: float, rng: UniformBuffer,
                     i = where[x]
                     bucket[i] = last
                     where[last] = i
-                units -= 1 if threshold else k
+                units -= weight[k]
             code[x] = OCCUPIED
             occupied.append(x)
             if x in ends:
@@ -174,8 +216,7 @@ def _run(cfg: ContactConfig, init, t_max: float, rng: UniformBuffer,
                         i = where[y]
                         bucket[i] = last
                         where[last] = i
-                if not threshold or not k:
-                    units += 1
+                units += gain[k]
                 code[y] = k + 1
                 bucket = buckets[k + 1]
                 where[y] = len(bucket)
@@ -186,18 +227,18 @@ def _run(cfg: ContactConfig, init, t_max: float, rng: UniformBuffer,
             extinct_time = t
             break
         total = n_occupied + lam * units
-        t_next = t - log1p(-draw()) / total
+        t_next = t - step / total
         while next_record <= t_next and next_record <= t_max:
-            path.append((next_record, max(occupied)))
+            path.append((next_record, max(occupied) + origin))
             next_record += record_dt
         if t_next > t_max:
             t = t_max
             break
         t = t_next
         events += 1
-        r = draw() * total
+        r = branch * total
         if r < n_occupied:
-            i = int(draw() * n_occupied)
+            i = int(index * n_occupied)
             if i >= n_occupied:  # u * n can round up to n at the float edge
                 i = n_occupied - 1
             x = occupied[i]
@@ -223,36 +264,41 @@ def _run(cfg: ContactConfig, init, t_max: float, rng: UniformBuffer,
                         bucket = buckets[ky]
                         where[y] = len(bucket)
                         bucket.append(y)
-                    if not threshold or not ky:
-                        units -= 1
+                    units -= gain[ky]
             code[x] = k
             if k:
                 bucket = buckets[k]
                 where[x] = len(bucket)
                 bucket.append(x)
-                units += 1 if threshold else k
+                units += weight[k]
             born = ()
         else:
             r -= n_occupied
-            for weight, bucket in weighted:
+            for unit, bucket in weighted:
                 size = len(bucket)
                 if size:
                     chosen, chosen_size = bucket, size
-                    w = lam * size * weight
+                    w = lam * size * unit
                     if r < w:
                         break
                     r -= w
             # with no break, the last nonempty bucket absorbs any float roundoff in r
-            i = int(draw() * chosen_size)
+            i = int(index * chosen_size)
             if i >= chosen_size:
                 i = chosen_size - 1
-            born = (chosen[i],)
+            x = chosen[i]
+            if not inner_lo <= x <= inner_hi:  # its neighborhood leaves the window
+                code, where = _widened(code, half), _widened(where, half)
+                half *= 2
+                _mark_outside(code, half, ends, reach)
+                inner_lo, inner_hi = reach - half, half - 1 - reach
+            born = (x,)
 
-    path.append((t, max(occupied) if occupied else None))
+    path.append((t, max(occupied) + origin if occupied else None))
     return ContactTrajectory(
         alive_at_tmax=extinct_time is None,
         extinct_time=extinct_time,
-        final_occupied=tuple(sorted(occupied)),
+        final_occupied=tuple([x + origin for x in sorted(occupied)]),
         right_edge_path=tuple(path),
         boundary_hit=boundary_hit,
         n_events=events,

@@ -18,11 +18,12 @@ vectorized pass of the ``SeedSequence`` hash, or of a few trials from
 numpy's own ``SeedSequence`` (``trial_keys`` hands them out
 ``KEY_BLOCK`` trials per pass), and a ``StreamReader`` owns one Philox
 that it reseats to (key, counter) for each stream it reads: ``rows``
-returns the same stretch of many streams as one 2-D array.
+returns the same stretch of many streams as one 2-D array.  Each thread
+reads through one reader of its own (``thread_reader``), built once.
 ``trial_buffers`` hands out one ``UniformBuffer`` per trial, reading its
-blocks as one-row reads through one reader, for the event loops that draw
-a uniform at a time (contact process, coalescing walks); the voter kernel
-reads whole windows of trials with ``rows``.  The values are the same as
+blocks as one-row reads, for the event loops that read a few uniforms per
+event (contact process, coalescing walks); the voter kernel reads whole
+windows of trials with ``rows``.  The values are the same as
 ``trial_generator``'s, bit for bit, at any worker count.  Trial indices
 are single 32-bit entropy words, so at most ``MAX_TRIALS`` = 2**32 trials
 share a (seed, lane).
@@ -31,6 +32,7 @@ share a (seed, lane).
 from __future__ import annotations
 
 import math
+import threading
 from functools import partial
 from itertools import chain
 
@@ -164,23 +166,26 @@ class UniformBuffer:
     def __init__(self, gen: Generator):
         self.next = chain.from_iterable(_blocks(lambda start, size: gen.random(size))).__next__
 
+    def __iter__(self):
+        """The iterator that ``next`` steps, for loops that read uniforms in groups."""
+        return self.next.__self__
+
 
 def trial_buffers(master_seed: int, lane: tuple[int, ...], lo: int, hi: int):
     """One ``UniformBuffer`` per trial ``lo <= t < hi``, equal draw for draw to
     ``UniformBuffer(trial_generator(master_seed, *lane, t))``.
 
-    All of them read through one ``StreamReader`` that this call owns, so
-    buffers stay exact even when read interleaved.
+    Each block is read through the reading thread's ``StreamReader``, which
+    reseats for every read, so buffers stay exact even when read interleaved.
     """
-    rows = StreamReader().rows
     for key in trial_keys(master_seed, lane, lo, hi):
         buf = UniformBuffer.__new__(UniformBuffer)
-        buf.next = chain.from_iterable(_blocks(partial(_one_row, rows, [key]))).__next__
+        buf.next = chain.from_iterable(_blocks(partial(_one_row, [key]))).__next__
         yield buf
 
 
-def _one_row(rows, keys, start: int, size: int) -> np.ndarray:
-    return rows(keys, start, size)[0]
+def _one_row(keys, start: int, size: int) -> np.ndarray:
+    return thread_reader().rows(keys, start, size)[0]
 
 
 def trial_keys(master_seed: int, lane: tuple[int, ...], lo: int, hi: int):
@@ -188,6 +193,19 @@ def trial_keys(master_seed: int, lane: tuple[int, ...], lo: int, hi: int):
     lists, derived ``KEY_BLOCK`` trials per ``stream_keys`` pass."""
     for start in range(lo, hi, KEY_BLOCK):
         yield from stream_keys(master_seed, lane, start, min(start + KEY_BLOCK, hi)).tolist()
+
+
+_local = threading.local()
+
+
+def thread_reader() -> StreamReader:
+    """The calling thread's ``StreamReader``, built on its first read.  A
+    reader seats its Philox afresh for every read, so one per thread is
+    exact whatever was read through it before."""
+    reader = getattr(_local, "reader", None)
+    if reader is None:
+        reader = _local.reader = StreamReader()
+    return reader
 
 
 class StreamReader:

@@ -38,6 +38,7 @@ kernel's 0.044 s (2-vCPU VM).
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
@@ -46,7 +47,7 @@ import numpy as np
 
 from ..gaplab.graphs import WeightedGraph
 from .parallel import chunk_ranges, run_trials
-from .rng import StreamReader, UniformBuffer, check_trials, trial_buffers, trial_keys
+from .rng import UniformBuffer, check_trials, thread_reader, trial_buffers, trial_keys
 from .stats import TrialStats, check_record_dt
 
 
@@ -148,7 +149,7 @@ def _voter_runs(cfg: VoterConfig, adj: list[list[int]], t_max: float, seed: int,
              np.cumsum(degree) - degree)
     init = 0 if cfg.opinions is not None else n
     first = init + 3 * FIRST_EVENTS  # uniforms a trial reads in its first block
-    reader = StreamReader()
+    reader = thread_reader()
     window = max(1, WINDOW_UNIFORMS // first)
     streams = trial_keys(seed, lane, lo, hi)
     while keys := list(islice(streams, window)):
@@ -275,23 +276,25 @@ def coalescing_walk_survivors(graph: WeightedGraph, start, t_max: float,
 
 
 def _walk_survivors(adj: list[list[int]], start, t_max: float, rng: UniformBuffer) -> int:
-    draw = rng.next
-    log1p = math.log1p
     walkers = sorted(set(start))  # positions, in the order a uniform pick indexes them
     occupied = set(walkers)
     alive = len(walkers)
+    if alive < 2:
+        return alive
     t = 0.0
-    while alive > 1:
-        t -= log1p(-draw()) / alive
+    stream = iter(rng)
+    # each event reads three uniforms: the step, the walker and its neighbor
+    for step, pick, neighbor in zip(map(math.log1p, map(operator.neg, stream)), stream, stream):
+        t -= step / alive
         if t > t_max:
             break
-        i = int(draw() * alive)
+        i = int(pick * alive)
         if i >= alive:  # u * n can round up to n at the float edge
             i = alive - 1
         old = walkers[i]
         neighbors = adj[old]
         degree = len(neighbors)
-        j = int(draw() * degree)
+        j = int(neighbor * degree)
         if j >= degree:
             j = degree - 1
         new = neighbors[j]
@@ -299,6 +302,8 @@ def _walk_survivors(adj: list[list[int]], start, t_max: float, rng: UniformBuffe
         if new in occupied:  # merged into the sitting walker
             del walkers[i]
             alive -= 1
+            if alive == 1:
+                break
         else:
             occupied.add(new)
             walkers[i] = new

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,23 @@ class TestSimulate:
         out = simulate_contact(cfg, (0,), 6.0, seed=8)
         if out.alive_at_tmax:
             assert min(out.final_occupied) < 0 < max(out.final_occupied)
+
+    def test_a_huge_interval_far_from_its_ends_is_the_sparse_line_moved(self):
+        # the run spreads over -25..16 around its start and never nears an
+        # end, so it is the sparse line's run event for event, moved by the
+        # center, in memory that follows the touched span and not the 10**12 sites
+        center = 5 * 10**11
+        tracemalloc.start()
+        huge = simulate_contact(ContactConfig(2.0, length=10**12), (center,), 15.0, seed=4,
+                                record_dt=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        line = simulate_contact(ContactConfig(2.0), (0,), 15.0, seed=4, record_dt=1.0)
+        assert huge.alive_at_tmax and not huge.boundary_hit
+        assert huge.n_events == line.n_events
+        assert huge.final_occupied == tuple(x + center for x in line.final_occupied)
+        assert huge.right_edge_path == tuple((t, e + center) for t, e in line.right_edge_path)
+        assert peak < 2**20
 
 
 class TestEstimateSurvival:

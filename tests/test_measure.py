@@ -230,11 +230,11 @@ class TestMeasureInvariants:
         from stochlab.colorlab.measure import _canonical_proper_words
 
         m = CylinderMeasure(q)
-        for n in range(9):
-            for w, _ in _canonical_proper_words(q, n):
-                p = m.prob(w)
-                assert sum(m.prob(w + (a,)) for a in range(1, q + 1)) == p
-                assert sum(m.prob((a,) + w) for a in range(1, q + 1)) == p
+        words = [()] + [w for n in range(1, 9) for w, _ in _canonical_proper_words(q, n)]
+        for w in words:
+            p = m.prob(w)
+            assert sum(m.prob(w + (a,)) for a in range(1, q + 1)) == p
+            assert sum(m.prob((a,) + w) for a in range(1, q + 1)) == p
 
     def test_color_permutation_symmetry(self):
         # the measure keys its memo by canonical form, so the symmetry that

@@ -1,6 +1,9 @@
 """Bulk stream keys and reseated buffers against the per-trial definition
 ``Generator(Philox(SeedSequence((seed, *lane, trial))))``."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +55,38 @@ def test_interleaved_buffers_equal_their_generators():
         b.append(second.next())
     assert a == trial_generator(2**63 + 11, 3, 41).random(20_000).tolist()
     assert b == trial_generator(2**63 + 11, 3, 42).random(20_000).tolist()
+
+
+def test_buffers_read_in_many_threads_equal_their_generators():
+    # each thread reads through its own reader; a reader shared across
+    # threads could be reseated by one thread between another's seat and read
+    threads_n, trials, draws = 6, 4, 3000
+
+    def read(lane, out):
+        bufs = list(trial_buffers(3, (lane,), 0, trials))
+        rows = [[] for _ in bufs]
+        for _ in range(draws):
+            for buf, row in zip(bufs, rows):
+                row.append(buf.next())
+        out.extend(rows)
+
+    results = [[] for _ in range(threads_n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=read, args=(lane, results[lane]))
+                for lane in range(threads_n)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for lane, rows in enumerate(results):
+        assert rows == [trial_generator(3, lane, t).random(draws).tolist()
+                        for t in range(trials)]
+    assert rng.thread_reader() is rng.thread_reader()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5, 2**64 - 1])
