@@ -44,8 +44,8 @@ THRESHOLD_NEIGHBORHOOD = (-2, -1, 1, 2)
 OCCUPIED = -1
 OUTSIDE = -2
 DEFAULT_LEFT_DEPTH = 400
-# bytes a touched site of a sparse-line run holds in the code map, the occupied
-# list, the buckets and ``where`` (tracemalloc: 100-175 at peak)
+# bytes a touched site of a sparse-line run holds in the window lists, the
+# occupied list and the buckets (tracemalloc: 55-68 per site a long run adds)
 SITE_BYTES = 192
 
 
