@@ -171,11 +171,16 @@ def cmd_color_marginal(args):
 
 
 def cmd_color_sample(args):
-    words = colorlab.sample_windows(
-        _recursion_measure(args.q, args.n, "--n"), args.n, args.count, args.seed
-    )
-    text = "\n".join(format_word(w) for w in words)
-    return {"words": [format_word(w) for w in words], "seed": args.seed}, text
+    have = physical_memory_bytes()
+    # tracemalloc peaks at up to 14 bytes per letter and 90 per word (tuples,
+    # strings and the report), plus 55 per letter of the one word being formatted
+    if (16 * args.count + 64) * (args.n + 16) > have:
+        raise ValueError(f"--n: length {args.n} for --count {args.count} words needs more "
+                         f"than the {have / 2**30:.1f} GiB of physical memory")
+    words = colorlab.sample_windows(colorlab.recursion_measure(args.q), args.n, args.count,
+                                    args.seed)
+    lines = [format_word(w) for w in words]
+    return {"words": lines, "seed": args.seed}, "\n".join(lines)
 
 
 def cmd_color_pushforward(args):

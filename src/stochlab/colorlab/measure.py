@@ -190,12 +190,14 @@ class CylinderMeasure:
                 raise ValueError(f"letter {a} outside 1..{self.q}")
         if not is_proper(letters):
             return ZERO
-        return Fraction(self._numerator(letters), self._denominator(len(letters)))
+        denominator = self._denominator(len(letters))
+        return Fraction(self._numerator(letters), denominator)
 
     def _numerator(self, letters: tuple[int, ...]) -> int:
+        """Over ``_denominator(len(letters))``, which the recursion must
+        have read first: it builds the table through that length."""
         if self.source == "formula":
             return _formula_numerator(letters)
-        self._total(len(letters))
         return self.table[canonical_form(letters)]
 
     def _denominator(self, n: int) -> int:
@@ -212,12 +214,16 @@ class CylinderMeasure:
         for length in range(len(self._totals), n + 1):
             total = 0
             for word, orbit in _canonical_proper_words(self.q, length):
-                count = 0
-                for i in range(length):
+                count = seen = 0  # seen: the highest color left of position i
+                for i, a in enumerate(word):
                     # deleting an interior letter joins its two neighbors
-                    if 0 < i < length - 1 and word[i - 1] == word[i + 1]:
-                        continue
-                    count += self.table[canonical_form(word[:i] + word[i + 1:])]
+                    if not (0 < i < length - 1 and word[i - 1] == word[i + 1]):
+                        rest = word[:i] + word[i + 1:]
+                        # only deleting a color's first letter can relabel the
+                        # colors after it; any other deletion stays canonical
+                        count += self.table[canonical_form(rest) if a > seen else rest]
+                    if a > seen:
+                        seen = a
                 self.table[word] = count
                 total += orbit * count
             _check_normalizer(self.q, length, self._totals[length - 1], total)
@@ -403,6 +409,7 @@ def marginalize(measure: CylinderMeasure, pattern) -> Fraction:
         return ZERO
     holes = [i for i, a in enumerate(pattern) if a is None]
     filled = list(pattern)
+    denominator = measure._denominator(len(pattern))
     total = 0
     # depth-first on an explicit stack of (holes filled, color of the last
     # one), so the number of holes is not bounded by recursion
@@ -423,4 +430,4 @@ def marginalize(measure: CylinderMeasure, pattern) -> Fraction:
             if i + 1 < len(pattern) and pattern[i + 1] == a:
                 continue
             stack.append((h + 1, a))
-    return Fraction(total, measure._denominator(len(pattern)))
+    return Fraction(total, denominator)

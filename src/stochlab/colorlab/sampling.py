@@ -1,48 +1,48 @@
-"""Exact sequential sampling from a cylinder measure.
+"""Exact sampling of windows by uniform random proper insertion.
 
-Each letter is drawn from the conditional law given the sampled prefix.
-The numerators of the extensions of a prefix, over their length's one
-denominator and divided by their gcd with it, are integer weights compared
-against a uniform random integer, so the sampled law is the cylinder law
-exactly (no float thresholds).  Deterministic per seed.
+The chain count N(w) is the number of ways to build w from the empty word
+by inserting one letter at a time, every word on the way proper (Holroyd &
+Liggett, Forum Math. Pi 4, 2016).  A proper word of length m admits exactly
+(m+1)(q-2)+2 proper insertions, whatever its letters: q-1 colors at either
+end, q-2 at each of its m-1 interior gaps, q into the empty word.  No two
+give the same word (two positions whose deletions agree enclose a run of
+equal letters), so one uniform insertion per step gives w probability
+N(w)/T_n, T_n the product of the counts: the window law of either
+construction, exactly, with no table, at any length.  Deterministic per seed.
 """
 
 from __future__ import annotations
 
 import random
-from math import gcd
 
 
 def sample_windows(measure, n: int, count: int, seed: int) -> list[tuple[int, ...]]:
-    """Draw ``count`` independent length-n words; deterministic given seed."""
+    """Draw ``count`` independent length-n words; reads only ``measure.q``."""
     if n < 0:
         raise ValueError("window length must be nonnegative")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    rng = random.Random(seed)
-    thresholds: dict[tuple[int, ...], tuple[list[int], int]] = {}
-
-    def weights_for(prefix):
-        got = thresholds.get(prefix)
-        if got is None:
-            # the prefix is proper, so u.a is improper only when a repeats its last letter
-            numerators = [0 if prefix and a == prefix[-1] else measure._numerator(prefix + (a,))
-                          for a in range(1, measure.q + 1)]
-            g = gcd(*numerators, measure._denominator(len(prefix) + 1))
-            ws = [v // g for v in numerators]
-            got = thresholds[prefix] = (ws, sum(ws))
-        return got
-
+    q = measure.q
+    draw = random.Random(seed).randrange
     out = []
     for _ in range(count):
-        word: tuple[int, ...] = ()
-        for _ in range(n):
-            ws, total = weights_for(word)
-            r = rng.randrange(total)
-            a = 0
-            while r >= ws[a]:
-                r -= ws[a]
-                a += 1
-            word = word + (a + 1,)
-        out.append(word)
+        word = [q + 1, q + 1]  # a phantom color q + 1 at either end excludes no color
+        for m in range(n):
+            right = m * (q - 2) + 1  # gaps left to right take q - 1, q - 2 each, q - 1
+            r = draw(right + q - 1)
+            if m == 0 or r < q - 1:
+                gap = 0
+            elif r >= right:
+                gap, r = m, r - right
+            else:
+                gap, r = divmod(r - (q - 1), q - 2)
+                gap += 1
+            lo, hi = word[gap], word[gap + 1]
+            if lo > hi:
+                lo, hi = hi, lo
+            color = r + 1  # the (r+1)-th color that neither neighbor has
+            color += color >= lo
+            color += color >= hi
+            word.insert(gap + 1, color)
+        out.append(tuple(word[1:-1]))
     return out

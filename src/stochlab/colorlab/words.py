@@ -13,6 +13,7 @@ before ``<`` before ``>``.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 NEUTRAL = "o"
@@ -22,7 +23,7 @@ CLOSE = ">"
 
 def is_proper(letters) -> bool:
     """True when no two adjacent letters are equal."""
-    return all(a != b for a, b in zip(letters, letters[1:]))
+    return not any(map(operator.eq, letters, letters[1:]))
 
 
 @lru_cache(maxsize=None)

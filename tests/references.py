@@ -7,12 +7,16 @@ optimized code in ``src/`` against it.
 * colorlab: the sign-matrix encoding of a 4-color word, the run
   decomposition of a sign row, dispersed Dyck words as validated objects,
   the run flips and boundary sign products of the explicit q=4 formula,
-  the formula itself summed term by term from them, and the pushforward
-  map applied word by word, and a measure's window read one ``prob`` at a
-  time.  The library's formula
-  (``measure._formula_numerator``) keeps each top row's Dyck-word terms
-  once and reads only a sign per term off the bottom row; its pushforward
-  maps whole window arrays.
+  the formula itself summed term by term from them, the pushforward map
+  applied word by word, a measure's window read one ``prob`` at a time,
+  the recursion's table canonicalizing every deletion, the law of random
+  proper insertion enumerated sequence by sequence, and the sampler that
+  drew each letter from its prefix's conditional law (the stream of the
+  older sample entries in ``golden/colorlab_reports.json``).  The
+  library's formula (``measure._formula_numerator``) keeps each top row's
+  Dyck-word terms once and reads only a sign per term off the bottom row;
+  its pushforward maps whole window arrays; its sampler draws by random
+  insertion.
 * gaplab: the Dirichlet form and variance of the variational gap
   characterization, and the reduced graph embedded back on the full
   vertex set, for the reduction's monotonicity checks.
@@ -24,12 +28,16 @@ optimized code in ``src/`` against it.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
-from stochlab.colorlab import descent_set_probability, eliminate_fours_letter, proper_words
+from stochlab.colorlab import (canonical_form, descent_set_probability, eliminate_fours_letter,
+                               proper_words)
+from stochlab.colorlab.measure import _canonical_proper_words
 from stochlab.colorlab.words import CLOSE, NEUTRAL, OPEN, _enum_dispersed
 from stochlab.gaplab import GeneratorOperator, WeightedGraph, reduce_vertex
 from stochlab.ipslab.contact import STANDARD, ContactConfig
@@ -230,6 +238,83 @@ def pushforward_window(source_window: dict, n: int) -> dict:
 def prob_window(measure, n: int) -> dict:
     """Probabilities of every proper word of length n (improper omitted)."""
     return {w: measure.prob(w) for w in proper_words(measure.q, n)}
+
+
+def deletion_table(q: int, nmax: int) -> dict:
+    """The recursion's chain counts N keyed by canonical form through
+    length nmax, canonicalizing every deletion: N(w) is the sum of N over
+    the proper one-letter deletions of w."""
+    table = {(): 1}
+    for n in range(1, nmax + 1):
+        for word, _ in _canonical_proper_words(q, n):
+            table[word] = sum(table[canonical_form(word[:i] + word[i + 1:])] for i in range(n)
+                              if not (0 < i < n - 1 and word[i - 1] == word[i + 1]))
+    return table
+
+
+def insertion_laws(q: int, nmax: int) -> list[dict]:
+    """For each length n = 0..nmax, every word mapped to its number of
+    insertion sequences: the ways to build it from the empty word by
+    inserting one color at a time, each insertion proper."""
+    # the colors that may go between a left and a right neighbor, 0 for none
+    allowed = {(left, right): [(a,) for a in range(1, q + 1) if a not in (left, right)]
+               for left in range(q + 1) for right in range(q + 1)}
+    laws = [{(): 1}]
+    for m in range(nmax):
+        grown: dict = {}
+        for word, ways in laws[-1].items():
+            padded = (0, *word, 0)
+            for gap in range(m + 1):
+                head, tail = word[:gap], word[gap:]
+                for a in allowed[padded[gap], padded[gap + 1]]:
+                    longer = head + a + tail
+                    grown[longer] = grown.get(longer, 0) + ways
+        laws.append(grown)
+    return laws
+
+
+def prefix_sample_windows(measure, n: int, count: int, seed: int) -> list[tuple[int, ...]]:
+    """Draw ``count`` independent length-n words, letter by letter from the
+    conditional law given the sampled prefix; deterministic given seed.
+
+    The numerators of the extensions of a prefix, over their length's one
+    denominator and divided by their gcd with it, are integer weights
+    compared against a uniform random integer.  This was the library's
+    sampler before it drew by random insertion; it reads the denominator
+    first, since that builds the recursion's table through the length.
+    """
+    if n < 0:
+        raise ValueError("window length must be nonnegative")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    rng = random.Random(seed)
+    thresholds: dict[tuple[int, ...], tuple[list[int], int]] = {}
+
+    def weights_for(prefix):
+        got = thresholds.get(prefix)
+        if got is None:
+            denominator = measure._denominator(len(prefix) + 1)
+            # the prefix is proper, so u.a is improper only when a repeats its last letter
+            numerators = [0 if prefix and a == prefix[-1] else measure._numerator(prefix + (a,))
+                          for a in range(1, measure.q + 1)]
+            g = gcd(*numerators, denominator)
+            ws = [v // g for v in numerators]
+            got = thresholds[prefix] = (ws, sum(ws))
+        return got
+
+    out = []
+    for _ in range(count):
+        word: tuple[int, ...] = ()
+        for _ in range(n):
+            ws, total = weights_for(word)
+            r = rng.randrange(total)
+            a = 0
+            while r >= ws[a]:
+                r -= ws[a]
+                a += 1
+            word = word + (a + 1,)
+        out.append(word)
+    return out
 
 
 # --- gaplab ------------------------------------------------------------------

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -111,8 +112,10 @@ class TestColorCommands:
 
     @pytest.mark.parametrize("command,flag,long,short", [
         (("prob",), "--word", "1213121312131", "121312"),
-        (("sample", "--seed", "1"), "--n", "13", "6"),
-        (("sample", "--seed", "1"), "--n", str(10**12), "6"),  # refused without counting
+        # sampling builds no memo: its output is charged 16 bytes per letter and
+        # 256 per word, so 2,500 words of 13 letters overflow 1 MiB, of 6 do not
+        (("sample", "--seed", "1", "--count", "2500"), "--n", "13", "6"),
+        (("sample", "--seed", "1"), "--n", str(10**12), "6"),
         (("marginal",), "--pattern", "1.3.1.3.1.3.1", "1.3.1."),
         (("pushforward",), "--n", "6", "2"),  # source windows of 4**(n+2) entries
         (("pushforward",), "--n", str(10**12), "2"),
@@ -155,6 +158,21 @@ class TestColorCommands:
         assert code == 2 and report is None
         assert "--word" in capsys.readouterr().err
         assert run(*formula, "131")[1]["value"] == "1/48"  # the README and golden query
+
+    def test_sample_output_bounded_by_memory(self, capsys):
+        code, report = run("color", "sample", "--n", "1", "--count", str(10**12), "--seed", "1")
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert "--n: length 1" in err and "--count 1000000000000" in err
+
+    def test_sample_at_any_length(self, capsys):
+        started = time.perf_counter()
+        code, report = run("color", "sample", "--q", "4", "--n", "10000", "--count", "1",
+                           "--seed", "1")
+        assert code == 0 and time.perf_counter() - started < 1
+        (word,) = report["words"]
+        assert len(word) == 10_000 and colorlab.is_proper(word)
+        assert capsys.readouterr().out == word + "\n"
 
     def test_sample_deterministic(self):
         a = run("color", "sample", "--n", "5", "--seed", "9", "--count", "4")

@@ -7,6 +7,12 @@ check moved to integer counts.  Rationals are stored as ``str`` of the
 reduced fraction, so the comparison is plain ``==`` after a JSON round
 trip.  Never regenerate the file to make a refactor pass: a mismatch is a
 bug in the refactor.
+
+Sampling changed its stream once, on purpose, when it moved from drawing
+each letter from its prefix's conditional law to random insertion: the
+``sample_*`` entries keep the old stream, produced by the old sampler in
+``references``, the ``insertion_sample_*`` entries were added to pin the
+new one, and the README's ``color sample`` command was pinned again.
 """
 
 import contextlib
@@ -14,6 +20,7 @@ import io
 import json
 from pathlib import Path
 
+from references import prefix_sample_windows
 from stochlab import colorlab
 from stochlab.cli import parse_and_dispatch
 
@@ -39,7 +46,7 @@ def _cli_value(argv) -> dict:
 
 
 def seeded_outputs() -> dict:
-    q3, q4 = colorlab.recursion_measure(3), colorlab.recursion_measure(4)
+    q2, q3, q4, q6 = map(colorlab.recursion_measure, (2, 3, 4, 6))
     dependence = {
         f"q{q}_k{k}_nmax{nmax}": colorlab.check_k_dependence(m, k, nmax).to_dict()
         for q, m, k, nmax in [(4, q4, 1, 7), (3, q3, 1, 8), (3, q3, 2, 8), (4, q4, 0, 3)]
@@ -56,8 +63,13 @@ def seeded_outputs() -> dict:
     return {
         "check_k_dependence": dependence,
         "eliminate_fours_pushforward": pushforward,
-        "sample_q4_n10_count5_seed7": colorlab.sample_windows(q4, 10, 5, seed=7),
-        "sample_q3_n8_count20_seed11": colorlab.sample_windows(q3, 8, 20, seed=11),
+        # the sampler's stream before it drew by random insertion
+        "sample_q4_n10_count5_seed7": prefix_sample_windows(q4, 10, 5, seed=7),
+        "sample_q3_n8_count20_seed11": prefix_sample_windows(q3, 8, 20, seed=11),
+        "insertion_sample_q4_n10_count5_seed7": colorlab.sample_windows(q4, 10, 5, seed=7),
+        "insertion_sample_q3_n8_count20_seed11": colorlab.sample_windows(q3, 8, 20, seed=11),
+        "insertion_sample_q2_n5_count4_seed3": colorlab.sample_windows(q2, 5, 4, seed=3),
+        "insertion_sample_q6_n12_count3_seed13": colorlab.sample_windows(q6, 12, 3, seed=13),
         "readme_commands": {" ".join(argv): _cli_value(argv) for argv in README_COMMANDS},
         "normalizers": normalizers,
     }

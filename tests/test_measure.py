@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from references import SignMatrix, prob_window, reference_formula, to_letters
+from references import SignMatrix, deletion_table, prob_window, reference_formula, to_letters
 from stochlab.colorlab import (
     CylinderMeasure,
     NormalizerMismatchError,
@@ -269,6 +269,13 @@ class TestMeasureInvariants:
         for n in range(7):
             for w in proper_words(4, n):
                 assert canon.prob(w) == reference(w)
+
+    @pytest.mark.parametrize("q,nmax", [(2, 9), (3, 9), (4, 9), (5, 7), (6, 7)])
+    def test_table_equals_the_one_canonicalizing_every_deletion(self, q, nmax):
+        # the table canonicalizes only deletions of a color's first letter
+        measure = CylinderMeasure(q)
+        measure.normalizer(nmax)
+        assert measure.table == deletion_table(q, nmax)
 
     def test_canonical_form(self):
         assert canonical_form((3, 1, 3, 2)) == (1, 2, 1, 3)
