@@ -112,8 +112,8 @@ class TestColorCommands:
 
     @pytest.mark.parametrize("command,flag,long,short", [
         (("prob",), "--word", "1213121312131", "121312"),
-        # sampling builds no memo: its output is charged 16 bytes per letter and
-        # 256 per word, so 2,500 words of 13 letters overflow 1 MiB, of 6 do not
+        # sampling builds no memo: count words of n letters are charged
+        # (16 count + 64)(n + 16) bytes, so 2,500 of 13 letters overflow 1 MiB
         (("sample", "--seed", "1", "--count", "2500"), "--n", "13", "6"),
         (("sample", "--seed", "1"), "--n", str(10**12), "6"),
         (("marginal",), "--pattern", "1.3.1.3.1.3.1", "1.3.1."),
