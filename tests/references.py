@@ -31,7 +31,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -297,7 +296,7 @@ def prefix_sample_windows(measure, n: int, count: int, seed: int) -> list[tuple[
             # the prefix is proper, so u.a is improper only when a repeats its last letter
             numerators = [0 if prefix and a == prefix[-1] else measure._numerator(prefix + (a,))
                           for a in range(1, measure.q + 1)]
-            g = gcd(*numerators, denominator)
+            g = math.gcd(*numerators, denominator)
             ws = [v // g for v in numerators]
             got = thresholds[prefix] = (ws, sum(ws))
         return got
