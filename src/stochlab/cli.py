@@ -65,7 +65,8 @@ def parse_pattern(text: str, q: int) -> tuple[int | None, ...]:
 
 
 def format_word(letters) -> str:
-    return "".join(str(a) for a in letters)
+    names = {a: str(a) for a in set(letters)}  # one string per color, not per letter
+    return "".join(map(names.__getitem__, letters))
 
 
 def _dumps(value) -> str:
@@ -172,8 +173,9 @@ def cmd_color_marginal(args):
 
 def cmd_color_sample(args):
     have = physical_memory_bytes()
-    # tracemalloc peaks at up to 14 bytes per letter and 90 per word (tuples,
-    # strings and the report), plus 55 per letter of the one word being formatted
+    # tracemalloc peaks at about 27 bytes per letter for one long word (the
+    # insertion list, its tuple and its string), and at up to 90 per word plus
+    # 14 per letter over many words (tuples, strings and the report)
     if (16 * args.count + 64) * (args.n + 16) > have:
         raise ValueError(f"--n: length {args.n} for --count {args.count} words needs more "
                          f"than the {have / 2**30:.1f} GiB of physical memory")
@@ -201,9 +203,11 @@ def cmd_color_pushforward(args):
 
 def cmd_gap_report(args):
     net = gaplab.parse_graph_file(args.graph)
-    hyper = net.hyper if (args.shuffle and net.hyper.rates) else None
-    report = gaplab.gap_report(net.graph, hyper=hyper, tol_zero=args.tol_zero,
-                               rtol=args.rtol)
+    if args.shuffle and not net.hyper.rates:
+        raise ValueError(f"--shuffle: {args.graph} has no 'h' records; the shuffle needs "
+                         "subset rates")
+    report = gaplab.gap_report(net.graph, hyper=net.hyper if args.shuffle else None,
+                               tol_zero=args.tol_zero, rtol=args.rtol)
     return report.to_dict(), None
 
 

@@ -101,14 +101,22 @@ def marginal_tables(window: np.ndarray) -> dict[int, np.ndarray]:
 
 
 def check_bytes(q: int, k: int, nmax: int) -> int:
-    """Peak bytes of ``check_k_dependence``: the (q+1)^nmax int64 marginal
-    tables, the windows of every length up to nmax, the longest again
-    reduced by its gcd, and 4 arrays the size of the largest pair's union
-    (nmax - k positions) for its comparison's temporaries: tracemalloc
-    counts 2.1-3.1, and 4 matches the peak RSS growth of 21, 101 and 491 MiB
-    at q = 4, k = 1, nmax = 9, 10, 11 to within 3%."""
+    """Peak bytes of ``check_k_dependence``: the (q+1)^nmax int64 entries of
+    the marginal tables of length nmax (the full one is the window reduced
+    by its gcd) and the windows of every length up to nmax.  Two terms that
+    never coexist are both charged: the (q+1)^(nmax-1) entries of the
+    tables of length nmax - 1, alive while the new ones are built, and 4
+    arrays the size of the largest pair's union (nmax - k positions) for
+    its comparison's temporaries (tracemalloc counts 2.1-3.1).  Each of the
+    2^nmax + 2^(nmax-1) tables is charged 1 KiB for its array object
+    (tracemalloc counts 270-360 bytes; the rest is margin where the tables
+    are small).  tracemalloc peaks at 0.89-0.92 of this at q = 4, k = 1,
+    nmax = 9, 10 and at 0.90-0.94 at q = 3, k = 2, nmax = 10, 11; a child's
+    peak RSS grows by 0.92-0.97 of it at q = 4, k = 1, nmax = 10-12 and
+    q = 3, k = 2, nmax = 11, 12."""
     windows = sum(q**n for n in range(nmax + 1))
-    return 8 * ((q + 1)**nmax + windows + q**nmax + 4 * q**(nmax - k))
+    return (8 * ((q + 1)**nmax + (q + 1)**(nmax - 1) + windows + 4 * q**(nmax - k))
+            + 1536 * 2**nmax)
 
 
 def _too_close(mask_a: int, mask_b: int, k: int) -> bool:

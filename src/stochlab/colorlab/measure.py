@@ -91,22 +91,34 @@ def canonical_form(letters) -> tuple[int, ...]:
 
 def proper_words(q: int, n: int):
     """Yield every proper word of length n over {1..q}, lexicographically."""
+    return _completions(q, (None,) * n)
+
+
+def _completions(q: int, pattern):
+    """Yield, lexicographically, every proper word over {1..q} that has
+    ``pattern``'s letters wherever the pattern is not None."""
+    n = len(pattern)
     if n == 0:
         yield ()
         return
+    # after[i][a]: stack entries (i, b) for each letter b that position i may
+    # take after letter a (a = 0 at the start), reversed to pop in lexicographic
+    # order; a fixed letter allows only itself and bars itself from its left neighbor
+    after = []
+    for i, (fixed, right) in enumerate(zip(pattern, pattern[1:] + (None,))):
+        allowed = range(q, 0, -1) if fixed is None else (fixed,)
+        after.append([tuple((i, b) for b in allowed if b != a and b != right)
+                      for a in range(q + 1)])
     word = [0] * n
     # depth-first on an explicit stack, so the length is not bounded by recursion
-    letters = range(q, 0, -1)  # pushed in reverse, popped in lexicographic order
-    stack = [(0, a) for a in letters]  # (position, letter)
+    stack = list(after[0][0])
     while stack:
         i, a = stack.pop()
         word[i] = a
         if i == n - 1:
             yield tuple(word)
-            continue
-        for b in letters:
-            if b != a:
-                stack.append((i + 1, b))
+        else:
+            stack.extend(after[i + 1][a])
 
 
 def _canonical_proper_words(q: int, n: int):
@@ -407,27 +419,6 @@ def marginalize(measure: CylinderMeasure, pattern) -> Fraction:
             raise ValueError(f"letter {a} outside 1..{measure.q}")
     if any(a is not None and a == b for a, b in zip(pattern, pattern[1:])):
         return ZERO
-    holes = [i for i, a in enumerate(pattern) if a is None]
-    filled = list(pattern)
-    denominator = measure._denominator(len(pattern))
-    total = 0
-    # depth-first on an explicit stack of (holes filled, color of the last
-    # one), so the number of holes is not bounded by recursion
-    stack = [(0, None)]
-    while stack:
-        h, color = stack.pop()
-        if h:
-            filled[holes[h - 1]] = color
-        if h == len(holes):
-            total += measure._numerator(tuple(filled))
-            continue
-        i = holes[h]
-        for a in range(1, measure.q + 1):
-            # skip completions that are already improper at this hole (a
-            # hole to its right is still open)
-            if i > 0 and filled[i - 1] == a:
-                continue
-            if i + 1 < len(pattern) and pattern[i + 1] == a:
-                continue
-            stack.append((h + 1, a))
+    denominator = measure._denominator(len(pattern))  # builds the table _numerator reads
+    total = sum(map(measure._numerator, _completions(measure.q, pattern)))
     return Fraction(total, denominator)

@@ -25,7 +25,6 @@ from .voter import (
     DualityReport,
     VoterConfig,
     VoterTrajectory,
-    coalescing_walk_survivors,
     consensus_rate,
     duality_check,
     simulate_voter,
@@ -49,7 +48,6 @@ __all__ = [
     "VoterTrajectory",
     "binomial_ci",
     "center_seed",
-    "coalescing_walk_survivors",
     "consensus_rate",
     "duality_check",
     "estimate_survival",

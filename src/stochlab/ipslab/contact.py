@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from ..memory import physical_memory_bytes
-from .parallel import chunk_ranges, run_trials
+from .parallel import run_trials
 from .rng import UniformBuffer, binomial_ci, check_trials, trial_buffers
 from .stats import TrialStats, check_record_dt
 
@@ -330,8 +330,7 @@ class SurvivalEstimate:
         }
 
 
-def _survival_chunk(packed):
-    cfg, init, t_max, seed, lo, hi = packed
+def _survival_chunk(cfg, init, t_max, seed, lo, hi):
     survivals = boundary = 0
     for rng in trial_buffers(seed, (0,), lo, hi):
         out = _run(cfg, init, t_max, rng, None)
@@ -356,8 +355,7 @@ def estimate_survival(cfg: ContactConfig, t_max: float, trials: int, seed: int,
         init = center_seed(cfg)
     init = tuple(init)
     check_sparse_span(cfg, init, t_max)
-    jobs = [(cfg, init, t_max, seed, lo, hi) for lo, hi in chunk_ranges(trials, workers)]
-    parts = run_trials(_survival_chunk, jobs, workers)
+    parts = run_trials(_survival_chunk, (cfg, init, t_max, seed), trials, workers)
     survivals = sum(p[0] for p in parts)
     boundary_hits = sum(p[1] for p in parts)
     low, high = binomial_ci(survivals, trials)
@@ -401,6 +399,8 @@ def right_edge_speed(lam: float, t_max: float, trials: int, seed: int,
     check_trials(trials)
     if left_depth < 0:
         raise ValueError(f"left_depth must be >= 0, got {left_depth}")
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2 to fit a slope, got {samples}")
     cfg = ContactConfig(lam, None, neighborhood, STANDARD)
     init = range(-left_depth, 1)
     check_sparse_span(cfg, init, t_max)

@@ -17,12 +17,14 @@ def chunk_ranges(trials: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
 
 
-def run_trials(chunk_fn, jobs: list, workers: int) -> list:
-    """``[chunk_fn(job) for job in jobs]``, on at most min(workers, jobs, CPUs) processes."""
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
-    if workers <= 1:
-        return [chunk_fn(job) for job in jobs]
+def run_trials(chunk_fn, args: tuple, trials: int, workers: int) -> list:
+    """``chunk_fn(*args, lo, hi)`` over ``chunk_ranges(trials, workers)`` in
+    order: in this process for one range, else on one process per range."""
+    ranges = chunk_ranges(trials, workers)
+    if len(ranges) == 1:
+        return [chunk_fn(*args, *ranges[0])]
     from concurrent.futures import ProcessPoolExecutor  # only multi-process runs pay its import
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(chunk_fn, jobs))
+    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        futures = [pool.submit(chunk_fn, *args, lo, hi) for lo, hi in ranges]
+        return [future.result() for future in futures]

@@ -46,7 +46,7 @@ from itertools import islice
 import numpy as np
 
 from ..gaplab.graphs import WeightedGraph
-from .parallel import chunk_ranges, run_trials
+from .parallel import run_trials
 from .rng import UniformBuffer, check_trials, thread_reader, trial_buffers, trial_keys
 from .stats import TrialStats, check_record_dt
 
@@ -269,13 +269,8 @@ def consensus_rate(cfg: VoterConfig, t_max: float, trials: int, seed: int) -> Co
     return ConsensusEstimate(len(times) / trials, mean_time, stats)
 
 
-def coalescing_walk_survivors(graph: WeightedGraph, start, t_max: float,
-                              rng: UniformBuffer) -> int:
-    """Number of distinct walkers left at t_max, merging on meeting."""
-    return _walk_survivors(adjacency_lists(graph), start, t_max, rng)
-
-
 def _walk_survivors(adj: list[list[int]], start, t_max: float, rng: UniformBuffer) -> int:
+    """Number of distinct walkers left at t_max, merging on meeting."""
     walkers = sorted(set(start))  # positions, in the order a uniform pick indexes them
     occupied = set(walkers)
     alive = len(walkers)
@@ -338,9 +333,8 @@ class DualityReport:
         }
 
 
-def _duality_chunk(packed):
+def _duality_chunk(graph, target, t, rho, seed, lo, hi):
     """Trials lo..hi-1 of both sides: the voter count and the walk values."""
-    graph, target, t, rho, seed, lo, hi = packed
     cfg = VoterConfig(graph, rho=rho)
     adj = adjacency_lists(graph)
     count = 0
@@ -374,8 +368,7 @@ def duality_check(graph: WeightedGraph, target, t: float, rho: float,
     _check_horizon(t)
     check_trials(trials)
 
-    jobs = [(graph, target, t, rho, seed, lo, hi) for lo, hi in chunk_ranges(trials, workers)]
-    parts = run_trials(_duality_chunk, jobs, workers)
+    parts = run_trials(_duality_chunk, (graph, target, t, rho, seed), trials, workers)
     lhs = sum(count for count, _ in parts) / trials
     lhs_var = lhs * (1 - lhs) / trials
 

@@ -102,8 +102,8 @@ class TestColorCommands:
     def test_check_dep_nmax_bounded_by_memory(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "physical_memory_bytes", lambda: 2**20)
         base = ("color", "check-dep", "--q", "4", "--k", "1")
-        # tables, windows and the largest pair's temporaries: 0.22 MiB at nmax=6
-        # fit in 1 MiB, 1.01 MiB at nmax=7 do not; 10**12 is never powered
+        # tables, windows and the largest pair's temporaries: 0.31 MiB at nmax=6
+        # fit in 1 MiB, 1.19 MiB at nmax=7 do not; 10**12 is never powered
         assert run(*base, "--nmax", "6")[0] == 0
         for nmax in ("7", str(10**12)):
             code, report = run(*base, "--nmax", nmax)
@@ -214,6 +214,12 @@ class TestGapCommands:
     def test_shuffle_without_rates_is_an_error(self, path3):
         code, _ = run("gap", "shuffle", "--graph", path3)
         assert code == 2
+
+    def test_report_shuffle_without_rates_is_an_error(self, path3, capsys):
+        code, report = run("gap", "report", "--graph", path3, "--shuffle")
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert "--shuffle" in err and "has no 'h' records" in err
 
     def test_malformed_graph_reports_line(self, tmp_path, capsys):
         p = tmp_path / "bad.g"

@@ -298,6 +298,16 @@ class TestRightEdge:
         assert big.stderr <= 0.5 * small.stderr * 1.35
         assert big.stderr >= 0.5 * small.stderr / 1.35
 
+    @pytest.mark.parametrize("samples", [-1, 0, 1])
+    def test_fewer_than_two_samples_refused(self, samples):
+        # 0 would divide t_max by zero, and 1 fits two points at the same t
+        with pytest.raises(ValueError, match="samples must be >= 2"):
+            right_edge_speed(2.0, 4.0, 2, seed=9, samples=samples)
+
+    def test_two_samples_fit(self):
+        est = right_edge_speed(2.0, 4.0, 2, seed=9, samples=2)
+        assert est.excluded_trials == 0 and len(est.trial_slopes) == 2
+
     def test_deterministic(self):
         a = right_edge_speed(1.0, t_max=10.0, trials=8, seed=3, left_depth=40)
         b = right_edge_speed(1.0, t_max=10.0, trials=8, seed=3, left_depth=40)

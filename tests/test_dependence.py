@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,13 @@ from stochlab.colorlab import (
     check_k_dependence,
     recursion_measure,
 )
-from stochlab.colorlab.dependence import PRIMES, _moduli, _reduced, marginal_tables
+from stochlab.colorlab.dependence import (
+    PRIMES,
+    _moduli,
+    _reduced,
+    check_bytes,
+    marginal_tables,
+)
 
 F = Fraction
 
@@ -55,6 +62,21 @@ def test_q2_not_finitely_dependent_at_small_k():
 def test_q5_not_one_dependent():
     report = check_k_dependence(recursion_measure(5), k=1, nmax=4)
     assert not report.holds
+
+
+@pytest.mark.parametrize("q,k,nmax", [(3, 2, 10), (4, 1, 9)])
+def test_check_bytes_bounds_the_traced_peak(q, k, nmax):
+    # a fresh measure, so the check also builds every window it reads; at
+    # q = 3 the tables of the previous length and the per-table objects are
+    # a fifth of the peak
+    measure = CylinderMeasure(q)
+    tracemalloc.start()
+    try:
+        assert check_k_dependence(measure, k, nmax).holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= check_bytes(q, k, nmax)
 
 
 def test_nmax_too_small_rejected():

@@ -23,6 +23,7 @@ from pathlib import Path
 
 from stochlab import ipslab
 from stochlab.gaplab import cycle_graph, path_graph
+from stochlab.ipslab import voter
 
 GOLDEN = Path(__file__).parent / "golden" / "ipslab_engine.json"
 
@@ -47,8 +48,8 @@ def _uniform_digest() -> dict:
 
 def _walks(graph, start, t_max, seeds) -> list[int]:
     return [
-        ipslab.coalescing_walk_survivors(
-            graph, start, t_max, ipslab.UniformBuffer(ipslab.trial_generator(s, 4, 0)))
+        voter._walk_survivors(voter.adjacency_lists(graph), start, t_max,
+                              ipslab.UniformBuffer(ipslab.trial_generator(s, 4, 0)))
         for s in seeds
     ]
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from stochlab.colorlab import (
     proper_words,
     recursion_measure,
 )
+from stochlab.colorlab.measure import _completions
 
 F = Fraction
 
@@ -354,6 +356,32 @@ class TestMarginalize:
         for pattern in ((5, None), (None, 0), (1, 1, 7)):
             with pytest.raises(ValueError):
                 marginalize(rec4, pattern)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_completions_are_the_matching_proper_words_in_order(self, q):
+        rng = random.Random(q)
+        letters = (None, *range(1, q + 1))
+        for n in range(7):
+            words = [w for w in itertools.product(range(1, q + 1), repeat=n) if is_proper(w)]
+            assert list(proper_words(q, n)) == words
+            for _ in range(20):
+                pattern = tuple(rng.choice(letters) for _ in range(n))
+                assert list(_completions(q, pattern)) == [
+                    w for w in words if all(c in (None, a) for c, a in zip(pattern, w))]
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_a_fresh_measure_matches_the_literal_sum(self, q):
+        # on a fresh measure the numerators read the table that the length's
+        # denominator builds, so marginalize must read the denominator first
+        rng = random.Random(10 + q)
+        letters = (None, *range(1, q + 1))
+        for n in range(7):
+            for _ in range(4):
+                pattern = tuple(rng.choice(letters) for _ in range(n))
+                literal = sum((recursion_measure(q).prob(w)
+                               for w in itertools.product(range(1, q + 1), repeat=n)
+                               if all(c in (None, a) for c, a in zip(pattern, w))), F(0))
+                assert marginalize(CylinderMeasure(q), pattern) == literal
 
     @pytest.mark.parametrize("pattern", [(1, None, None, 3, None), (None, 2, None), ()])
     def test_every_measure_matches_the_literal_sum(self, form4, pattern):

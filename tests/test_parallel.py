@@ -16,7 +16,7 @@ def test_workers_capped_by_cpus_and_jobs(monkeypatch):
     # when the cap leaves a single worker and the jobs run in this process
     here = os.getpid()
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert run_trials(lambda job: (job, os.getpid()), [1, 2, 3], 64) == [
-        (1, here), (2, here), (3, here)]
+    assert run_trials(lambda lo, hi: (lo, hi, os.getpid()), (), 3, 64) == [(0, 3, here)]
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert run_trials(lambda job: (job, os.getpid()), [7], 64) == [(7, here)]
+    assert run_trials(lambda job, lo, hi: (job, lo, hi, os.getpid()), (7,), 1, 64) == [
+        (7, 0, 1, here)]

@@ -8,11 +8,11 @@ from stochlab.gaplab import WeightedGraph, complete_graph, cycle_graph, path_gra
 from stochlab.ipslab import (
     UniformBuffer,
     VoterConfig,
-    coalescing_walk_survivors,
     consensus_rate,
     duality_check,
     simulate_voter,
     trial_generator,
+    voter,
 )
 
 
@@ -131,14 +131,15 @@ class TestConsensusRate:
 class TestCoalescingWalkers:
     def test_no_time_no_merging(self):
         rng = UniformBuffer(trial_generator(1, 9))
-        assert coalescing_walk_survivors(cycle_graph(10), (0, 3, 7), 0.0, rng) == 3
+        assert voter._walk_survivors(voter.adjacency_lists(cycle_graph(10)), (0, 3, 7), 0.0,
+                                     rng) == 3
 
     def test_eventually_one_walker(self):
         g = complete_graph(4)
         merged_to_one = 0
         for t in range(200):
             rng = UniformBuffer(trial_generator(11, 9, t))
-            if coalescing_walk_survivors(g, (0, 1, 2, 3), 200.0, rng) == 1:
+            if voter._walk_survivors(voter.adjacency_lists(g), (0, 1, 2, 3), 200.0, rng) == 1:
                 merged_to_one += 1
         assert merged_to_one >= 195  # long horizon: everyone meets
 
