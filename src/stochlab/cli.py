@@ -386,7 +386,10 @@ _COMMANDS = {
         _Q, _Opt("--pattern", str, _rule(lambda p, a: set(p) <= _letters(a.q) | {"."},
                                          "digits 1..{q} and '.'"), required=True))),
     "color.sample": (cmd_color_sample, "draw words from the window law", (
-        _Q, _Opt("--n", int, _at_least(0), required=True),
+        # a printed word is one digit per letter, so a color past 9 could not be read back
+        _Opt("--q", int, _number(lambda q: 2 <= q <= 9, "in 2..9 (one digit per color)"),
+             default=4),
+        _Opt("--n", int, _at_least(0), required=True),
         _Opt("--seed", int, _ANY, required=True),
         _Opt("--count", int, _at_least(0), default=1))),
     "color.pushforward": (cmd_color_pushforward, "three-color image of the 4-color measure", (

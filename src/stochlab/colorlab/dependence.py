@@ -103,20 +103,17 @@ def marginal_tables(window: np.ndarray) -> dict[int, np.ndarray]:
 def check_bytes(q: int, k: int, nmax: int) -> int:
     """Peak bytes of ``check_k_dependence``: the (q+1)^nmax int64 entries of
     the marginal tables of length nmax (the full one is the window reduced
-    by its gcd) and the windows of every length up to nmax.  Two terms that
-    never coexist are both charged: the (q+1)^(nmax-1) entries of the
-    tables of length nmax - 1, alive while the new ones are built, and 4
-    arrays the size of the largest pair's union (nmax - k positions) for
-    its comparison's temporaries (tracemalloc counts 2.1-3.1).  Each of the
-    2^nmax + 2^(nmax-1) tables is charged 1 KiB for its array object
-    (tracemalloc counts 270-360 bytes; the rest is margin where the tables
-    are small).  tracemalloc peaks at 0.89-0.92 of this at q = 4, k = 1,
-    nmax = 9, 10 and at 0.90-0.94 at q = 3, k = 2, nmax = 10, 11; a child's
-    peak RSS grows by 0.92-0.97 of it at q = 4, k = 1, nmax = 10-12 and
-    q = 3, k = 2, nmax = 11, 12."""
+    by its gcd), the windows of every length up to nmax, and 4 arrays the
+    size of the largest pair's union (nmax - k positions) for its
+    comparison's temporaries (tracemalloc counts 2.1-3.1).  The tables of
+    one length are freed before the next length's are built.  Each of the
+    2^nmax tables is charged 1.5 KiB for its array object (tracemalloc
+    counts 270-360 bytes; the rest is margin where the tables are small).
+    tracemalloc peaks at 0.93-0.95 of this at q = 4, k = 1, nmax = 9, 10 and
+    at 0.89-0.93 at q = 3, k = 2, nmax = 10, 11; a child's peak RSS grows by
+    0.95-0.98 of it at q = 4, k = 1, nmax = 10, 11 and q = 3, k = 2, nmax = 11, 12."""
     windows = sum(q**n for n in range(nmax + 1))
-    return (8 * ((q + 1)**nmax + (q + 1)**(nmax - 1) + windows + 4 * q**(nmax - k))
-            + 1536 * 2**nmax)
+    return 8 * ((q + 1)**nmax + windows + 4 * q**(nmax - k)) + 1536 * 2**nmax
 
 
 def _too_close(mask_a: int, mask_b: int, k: int) -> bool:
@@ -139,8 +136,8 @@ def check_k_dependence(measure, k: int, nmax: int) -> DependenceReport:
     one broadcast, on (q+1)^nmax table entries of 8 bytes (``check_bytes``
     adds the windows and the temporaries).  From a cold
     measure at q = 4, k = 1 it takes 0.008 s at nmax = 7, 0.03 s at 8,
-    0.1 s at 9, 0.22-0.4 s at 10 and 2.5-3.3 s at 11, where the products
-    pass 2**64 and one prime joins (520 MiB peak RSS; 2-vCPU VM, the
+    0.1 s at 9, 0.22-0.5 s at 10 and 2.5-4.5 s at 11, where the products
+    pass 2**64 and one prime joins (470 MiB peak RSS; 2-vCPU VM, the
     ranges spanning its load).  A report with holds=True certifies only the
     windows up to nmax; it is evidence, not a proof, for larger separations.
     Raises ValueError for a window whose denominator would reach 2**63.
@@ -165,6 +162,8 @@ def check_k_dependence(measure, k: int, nmax: int) -> DependenceReport:
                     if witness is not None:
                         return DependenceReport(k, nmax, False, witness, pairs_checked)
                 mask_b = (mask_b - 1) & comp
+        # nothing reads this length again: free it before the next one is built
+        del window, tables
     return DependenceReport(k, nmax, True, None, pairs_checked)
 
 

@@ -9,8 +9,10 @@ The hub-comparison form compares the swap energy of the star at ``i``
 against half the redistributed pairwise swap energy; its positive
 semidefiniteness is exactly the inequality that makes the reduction
 monotone for the interchange process.  ``octopus_form`` builds it as a
-dense matrix (up to 6 vertices); ``octopus_extremes`` reads its extreme
-eigenvalues from irrep blocks (up to 8).
+dense matrix (up to 6 vertices); its only swaps are inside S = {i} u N(i),
+so ``spectral.extreme_eigenvalues`` solves it as n!/|S|! components of
+|S|! states, one per coset of Sym(S).  ``octopus_extremes`` reads its
+extreme eigenvalues from irrep blocks (up to 8).
 """
 
 from __future__ import annotations

@@ -1,7 +1,12 @@
 """Spectral gaps and extreme eigenvalues of symmetric generators.
 
-A dense operator gets a full symmetric eigendecomposition.  A
-permutation-space operator can instead be read from its irrep blocks
+A dense generator's gap comes from a full symmetric eigendecomposition.
+``extreme_eigenvalues`` splits a dense matrix into the connected
+components of its nonzero pattern and solves the components of each size
+in one batched ``eigvalsh``; the hub comparison form at vertex i, which
+only swaps labels inside i and its neighbors S, has one component of
+|S|! states per coset of Sym(S).  A permutation-space operator can
+instead be read from its irrep blocks
 (``irreps.block_spectrum``): ``block_gap`` takes the smallest eigenvalue
 outside the trivial block, which holds the one zero eigenvalue of the
 constant functions.
@@ -62,7 +67,52 @@ def block_gap(blocks, tol_zero: float = DEFAULT_TOL_ZERO) -> float:
 
 
 def extreme_eigenvalues(matrix) -> tuple[float, float]:
-    """(smallest, largest) eigenvalue of a dense symmetric matrix."""
-    eigenvalues = np.linalg.eigvalsh(matrix)
-    return float(eigenvalues[0]), float(eigenvalues[-1])
+    """(smallest, largest) eigenvalue of a dense symmetric matrix.
+
+    The matrix is block diagonal up to a relabeling, one block per
+    connected component of its nonzero pattern, and its spectrum is the
+    union of the blocks' spectra.  Each block keeps its indices in
+    ascending order, and all blocks of one size are solved by one batched
+    ``eigvalsh``; a connected matrix is solved whole, as ``eigvalsh(matrix)``.
+    Like ``eigvalsh``, only the lower triangle is read.
+    """
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
+        raise ValueError(f"need a nonempty square matrix, got shape {matrix.shape}")
+    order, starts, sizes = _components(matrix)
+    low, high = np.inf, -np.inf
+    for size in np.unique(sizes):
+        members = order[starts[sizes == size, None] + np.arange(size)]
+        eigenvalues = np.linalg.eigvalsh(matrix[members[:, :, None], members[:, None, :]])
+        low = min(low, eigenvalues[:, 0].min())
+        high = max(high, eigenvalues[:, -1].max())
+    return float(low), float(high)
+
+
+def _components(matrix: np.ndarray):
+    """Connected components of the lower triangle's nonzero pattern, as
+    (order, starts, sizes): ``order[starts[c]:starts[c] + sizes[c]]`` are
+    component c's indices, ascending.
+
+    Each index takes the least label among its neighbors' until no label
+    moves, and pointer jumping (``label[label]``) shortens the chains in
+    between; every label stays an index of its own component.
+    """
+    rows, cols = np.nonzero(matrix)
+    below = rows > cols
+    heads = np.concatenate([rows[below], cols[below]])
+    tails = np.concatenate([cols[below], rows[below]])
+    label = np.arange(len(matrix))
+    while True:
+        hooked = label.copy()
+        np.minimum.at(hooked, heads, label[tails])
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    order = np.argsort(label, kind="stable")
+    sorted_labels = label[order]
+    starts = np.flatnonzero(np.r_[True, sorted_labels[1:] != sorted_labels[:-1]])
+    return order, starts, np.diff(np.r_[starts, len(matrix)])
 

@@ -174,6 +174,15 @@ class TestColorCommands:
         assert len(word) == 10_000 and colorlab.is_proper(word)
         assert capsys.readouterr().out == word + "\n"
 
+    def test_sample_colors_print_as_one_digit(self, capsys):
+        code, report = run("color", "sample", "--q", "10", "--n", "6", "--seed", "1")
+        assert code == 2 and report is None
+        assert "--q must be in 2..9" in capsys.readouterr().err
+        code, report = run("color", "sample", "--q", "9", "--n", "6", "--seed", "1",
+                           "--count", "20")
+        assert code == 0
+        assert all(len(w) == 6 and colorlab.is_proper(w) for w in report["words"])
+
     def test_sample_deterministic(self):
         a = run("color", "sample", "--n", "5", "--seed", "9", "--count", "4")
         b = run("color", "sample", "--n", "5", "--seed", "9", "--count", "4")

@@ -66,9 +66,7 @@ def test_q5_not_one_dependent():
 
 @pytest.mark.parametrize("q,k,nmax", [(3, 2, 10), (4, 1, 9)])
 def test_check_bytes_bounds_the_traced_peak(q, k, nmax):
-    # a fresh measure, so the check also builds every window it reads; at
-    # q = 3 the tables of the previous length and the per-table objects are
-    # a fifth of the peak
+    # a fresh measure, so the check also builds every window it reads
     measure = CylinderMeasure(q)
     tracemalloc.start()
     try:

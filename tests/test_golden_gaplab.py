@@ -9,7 +9,11 @@ match with ``==``.  The exceptions are the gaps whose solver changed.
 ``lambdaShuffle`` (the shuffle once summed each diagonal entry over all
 rated subsets in one pass, and both gaps now come from irrep blocks, not
 from the n!-state matrix) and ``lambdaIP`` are held to 1e-12 relative,
-and ``maxRelDeviation``, a difference of gaps, to 1e-12 absolute.  Never
+and ``maxRelDeviation``, a difference of gaps, to 1e-12 absolute.  So are
+the ``octopus_n5_minima``: ``extreme_eigenvalues`` now solves each
+connected component of a hub form on its own, and these minima are
+rounding noise around the exact 0 (hubs 1 and 3 moved from -8.2e-16 and
+-1.0e-15 to -1.7e-16 and -3.1e-16).  Never
 regenerate the file to make a refactor pass: a mismatch is a bug in the
 refactor.
 """
@@ -22,9 +26,9 @@ import numpy as np
 from stochlab import gaplab
 
 GOLDEN = Path(__file__).parent / "golden" / "gaplab_reports.json"
-# field: (tolerance, relative?); every other field is compared with ==
+# field or top-level entry: (tolerance, relative?); everything else is compared with ==
 TOLERANCES = {"lambdaShuffle": (1e-12, True), "lambdaIP": (1e-12, True),
-              "maxRelDeviation": (1e-12, False)}
+              "maxRelDeviation": (1e-12, False), "octopus_n5_minima": (1e-12, False)}
 
 
 def seeded_outputs() -> dict:
@@ -46,9 +50,13 @@ def seeded_outputs() -> dict:
 
 
 def split_tolerant(outputs: dict) -> tuple[dict, dict[str, list[float]]]:
-    """Move every field named in TOLERANCES out of the outputs, in a fixed order."""
+    """Move every field and entry named in TOLERANCES out of the outputs, in
+    a fixed order."""
     moved = {name: [] for name in TOLERANCES}
     for key in sorted(outputs):
+        if key in TOLERANCES:
+            moved[key].extend(outputs.pop(key))
+            continue
         value = outputs[key]
         for name in TOLERANCES:
             if isinstance(value, dict) and name in value:
@@ -61,7 +69,7 @@ def test_gap_outputs_match_golden():
     want, want_moved = split_tolerant(json.loads(GOLDEN.read_text()))
     assert got == want
     assert {name: len(v) for name, v in want_moved.items()} == {
-        "lambdaShuffle": 2, "lambdaIP": 4, "maxRelDeviation": 4}
+        "lambdaShuffle": 2, "lambdaIP": 4, "maxRelDeviation": 4, "octopus_n5_minima": 5}
     for name, (tol, relative) in TOLERANCES.items():
         assert len(got_moved[name]) == len(want_moved[name])
         for a, b in zip(got_moved[name], want_moved[name]):

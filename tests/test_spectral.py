@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from stochlab.gaplab import (
     block_spectrum,
     complete_graph,
     exclusion_generator,
+    extreme_eigenvalues,
     interchange_generator,
     path_graph,
     random_connected_graph,
@@ -74,6 +78,59 @@ class TestBlockGap:
     def test_zero_operator_raises(self):
         with pytest.raises(ReducibilityError):
             block_gap(block_spectrum(4))
+
+
+def _symmetric(rng, size):
+    a = rng.normal(size=(size, size))
+    return a + a.T
+
+
+def _path(rng, size):
+    # connected through its neighbors only, not through its least index
+    off = rng.normal(size=size - 1)
+    return np.diag(rng.normal(size=size)) + np.diag(off, 1) + np.diag(off, -1)
+
+
+class TestExtremeEigenvalues:
+    def test_relabeled_blocks_match_the_whole(self):
+        rng = np.random.default_rng(20)
+        for sizes, kinds in itertools.product(
+                ([1, 2, 2, 3, 5, 5, 8, 8], [4, 1, 1, 7], [3] * 6, [6] * 5),
+                ((_symmetric,), (_path,), (_symmetric, _path))):
+            m = np.zeros((sum(sizes), sum(sizes)))
+            start = 0
+            for b, size in enumerate(sizes):
+                block = kinds[b % len(kinds)](rng, size)
+                m[start:start + size, start:start + size] = block
+                start += size
+            perm = rng.permutation(len(m))
+            m = m[np.ix_(perm, perm)]
+            whole = np.linalg.eigvalsh(m)
+            got = extreme_eigenvalues(m)
+            tol = 1e-12 * np.linalg.norm(m, 2)
+            assert abs(got[0] - whole[0]) <= tol and abs(got[1] - whole[-1]) <= tol
+
+    def test_zero_rows_are_one_by_one_blocks(self):
+        rng = np.random.default_rng(21)
+        a = rng.normal(size=(4, 4))
+        m = np.zeros((7, 7))
+        keep = [0, 3, 4, 6]
+        block = a @ a.T + np.eye(4)
+        m[np.ix_(keep, keep)] = block
+        assert extreme_eigenvalues(m) == (0.0, np.linalg.eigvalsh(block)[-1])
+        assert extreme_eigenvalues(-m) == (np.linalg.eigvalsh(-block)[0], 0.0)
+        assert extreme_eigenvalues(np.zeros((3, 3))) == (0.0, 0.0)
+
+    def test_connected_matrix_is_solved_whole(self):
+        rng = np.random.default_rng(22)
+        tridiagonal = np.diag(rng.normal(size=9)) + np.diag(np.ones(8), 1) + np.diag(np.ones(8), -1)
+        for m in (_symmetric(rng, 12), tridiagonal, np.array([[2.5]])):
+            assert extreme_eigenvalues(m) == tuple(np.linalg.eigvalsh(m)[[0, -1]])
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3,), (0, 3), (2, 2, 2)])
+    def test_empty_or_non_square_is_refused(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            extreme_eigenvalues(np.ones(shape))
 
 
 class TestDirichletForm:
