@@ -74,14 +74,15 @@ def extreme_eigenvalues(matrix) -> tuple[float, float]:
     union of the blocks' spectra.  Each block keeps its indices in
     ascending order, and all blocks of one size are solved by one batched
     ``eigvalsh``; a connected matrix is solved whole, as ``eigvalsh(matrix)``.
-    Like ``eigvalsh``, only the lower triangle is read.
+    Like ``eigvalsh``, only the lower triangle is read.  Raises ValueError,
+    naming the shape, for an empty or non-square matrix.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
         raise ValueError(f"need a nonempty square matrix, got shape {matrix.shape}")
     order, starts, sizes = _components(matrix)
     low, high = np.inf, -np.inf
-    for size in np.unique(sizes):
+    for size in set(sizes.tolist()):  # not np.unique, which imports numpy.ma (1.2 MiB)
         members = order[starts[sizes == size, None] + np.arange(size)]
         eigenvalues = np.linalg.eigvalsh(matrix[members[:, :, None], members[:, None, :]])
         low = min(low, eigenvalues[:, 0].min())
