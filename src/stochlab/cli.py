@@ -227,6 +227,10 @@ def cmd_gap_reduce(args):
 def cmd_gap_octopus(args):
     net = gaplab.parse_graph_file(args.graph)
     _in_graph(net.graph, (args.vertex,), "--vertex")
+    degree, cap = int((net.graph.weights[args.vertex] > 0).sum()), gaplab.irreps.MAX_VERTICES
+    if degree + 1 > cap:  # the hub form is solved on the star {vertex} u N(vertex)
+        raise CapacityError(f"--vertex {args.vertex} has degree {degree}: its star of "
+                            f"{degree + 1} vertices exceeds the irrep blocks' 2 to {cap} vertices")
     low, high = gaplab.octopus_extremes(net.graph, args.vertex)
     norm = max(abs(low), abs(high))
     return {

@@ -7,7 +7,8 @@ The file format, one record per line ('#' starts a comment):
     h <k> <v1> ... <vk> <rate>    subset of k >= 2 distinct vertices
 
 Duplicate edge or subset records are summed.  Parse errors carry the line
-and column of the offending token.
+and column of the offending token; an 'n' whose dense weights would not fit
+in physical memory is one.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ..memory import physical_memory_bytes
 
 
 class CapacityError(ValueError):
@@ -250,6 +253,11 @@ def parse_network(text: str) -> Network:
                 err(lineno, raw, tokens[1], f"bad vertex count {tokens[1]!r}")
             if n < 1:
                 err(lineno, raw, tokens[1], "vertex count must be >= 1")
+            # parsing peaks at 9.0-10.3 bytes per n^2: the float weights and their checks
+            have = physical_memory_bytes()
+            if 12 * n * n > have:
+                err(lineno, raw, tokens[1], f"vertex count {n} needs dense weights larger "
+                    f"than the {have / 2**30:.1f} GiB of physical memory")
         elif tag == "e":
             if n is None:
                 err(lineno, raw, tag, "'e' record before 'n'")

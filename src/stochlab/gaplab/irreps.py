@@ -7,9 +7,11 @@ the positions, so each is an element of the group algebra of S_n acting in
 its right regular representation.  That representation holds d_lambda
 copies of every irrep lambda (Diaconis & Shahshahani 1981), so the n! x n!
 operator has the spectrum of its d_lambda x d_lambda images rho_lambda, each
-eigenvalue repeated d_lambda times.  The trivial irrep (n) carries the
-constant functions; the standard irrep (n-1, 1) carries the motion of one
-label, i.e. the single-particle walk.
+eigenvalue repeated d_lambda times.  The hub form at vertex i lies in the
+group algebra of Sym(S), S = {i} u N(i), so it is solved with n = |S| and
+its pairs as positions in S.  The trivial irrep (n) carries the constant
+functions; the standard irrep (n-1, 1) carries the motion of one label,
+i.e. the single-particle walk.
 
 Young's orthogonal form (Okounkov & Vershik 1996) takes the standard Young
 tableaux of shape lambda as an orthonormal basis.  For s_k = (k k+1) and a

@@ -8,11 +8,11 @@ This is the conductance-preserving trace of the walk (series reduction on
 The hub-comparison form compares the swap energy of the star at ``i``
 against half the redistributed pairwise swap energy; its positive
 semidefiniteness is exactly the inequality that makes the reduction
-monotone for the interchange process.  ``octopus_form`` builds it as a
-dense matrix (up to 6 vertices); its only swaps are inside S = {i} u N(i),
-so ``spectral.extreme_eigenvalues`` solves it as n!/|S|! components of
-|S|! states, one per coset of Sym(S).  ``octopus_extremes`` reads its
-extreme eigenvalues from irrep blocks (up to 8).
+monotone for the interchange process.  Both read only the star
+S = {i} u N(i).  The form's swaps lie in Sym(S), so its spectrum as a set
+is that of the same coefficients on |S| vertices: ``octopus_extremes``
+solves Sym(S)'s irrep blocks (|S| up to 8, any n), and ``octopus_form``
+builds the form densely on all n! states (n up to 6).
 """
 
 from __future__ import annotations
@@ -26,42 +26,40 @@ from .graphs import WeightedGraph
 from .irreps import block_spectrum
 
 
+def _star(graph: WeightedGraph, i: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """S = {i} u N(i) ascending, i's conductances to S, and the redistributed
+    conductances c(i,j)c(i,k) / sum_l c(i,l) on S x S (zero diagonal)."""
+    if not 0 <= i < graph.n:
+        raise ValueError(f"vertex {i} outside 0..{graph.n - 1}")
+    star = sorted([i, *np.flatnonzero(graph.weights[i] > 0).tolist()])
+    if len(star) == 1:
+        raise ValueError(f"vertex {i} is isolated")
+    spokes = graph.weights[i, star]
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = np.outer(spokes, spokes) / graph.strength(i)
+    np.fill_diagonal(products, 0.0)
+    if not np.isfinite(products).all():
+        raise ValueError(f"vertex {i}: the products of its conductances overflow")
+    return star, spokes, products
+
+
 def reduce_vertex(graph: WeightedGraph, i: int) -> WeightedGraph:
     """Remove vertex i, redistributing its conductances among its neighbors."""
-    n = graph.n
-    if not 0 <= i < n:
-        raise ValueError(f"vertex {i} outside 0..{n - 1}")
-    strength = graph.strength(i)
-    if strength <= 0:
-        raise ValueError(f"vertex {i} is isolated; nothing to redistribute")
-    keep = [v for v in range(n) if v != i]
-    w = graph.weights
-    spokes = w[i, keep]
-    reduced = w[np.ix_(keep, keep)] + np.outer(spokes, spokes) / strength
-    np.fill_diagonal(reduced, 0.0)
-    return WeightedGraph(reduced)
+    star, _, products = _star(graph, i)
+    reduced = graph.weights.copy()
+    reduced[np.ix_(star, star)] += products
+    return WeightedGraph(np.delete(np.delete(reduced, i, 0), i, 1))
 
 
-def _hub_coefficients(graph: WeightedGraph, i: int) -> dict[tuple[int, int], float]:
-    """Net coefficient c_ab of (I - T_ab) in the hub comparison form at i,
-    per unordered pair a < b (see ``octopus_form``)."""
-    n = graph.n
-    if not 0 <= i < n:
-        raise ValueError(f"vertex {i} outside 0..{n - 1}")
-    strength = graph.strength(i)
-    if strength <= 0:
-        raise ValueError(f"vertex {i} is isolated")
-    w = graph.weights
-    others = [v for v in range(n) if v != i]
-    coeff: dict[tuple[int, int], float] = {}
-    for l in others:
-        if w[i, l] > 0:
-            coeff[(min(i, l), max(i, l))] = coeff.get((min(i, l), max(i, l)), 0.0) + w[i, l]
-    for j, k in itertools.combinations(others, 2):
-        c = w[i, j] * w[i, k] / strength
-        if c != 0:
-            coeff[(j, k)] = coeff.get((j, k), 0.0) - c
-    return coeff
+def _hub_coefficients(graph: WeightedGraph, i: int) -> tuple[list, dict[tuple[int, int], float]]:
+    """S = {i} u N(i) ascending, and the net coefficient of (I - T_{S[a] S[b]})
+    in the hub form at i per pair of positions a < b in S, spokes first (see
+    ``octopus_form``)."""
+    star, spokes, products = _star(graph, i)
+    hub = star.index(i)
+    spoke_pairs = {(min(hub, a), max(hub, a)): w for a, w in enumerate(spokes) if a != hub}
+    pairs = itertools.combinations(range(len(star)), 2)
+    return star, spoke_pairs | {(a, b): -products[a, b] for a, b in pairs if products[a, b] != 0}
 
 
 def octopus_form(graph: WeightedGraph, i: int) -> GeneratorOperator:
@@ -76,15 +74,17 @@ def octopus_form(graph: WeightedGraph, i: int) -> GeneratorOperator:
     a generator, and its claimed property is positive semidefiniteness.
     """
     space = _PermutationSpace(graph.n, "hub comparison form")
-    for (a, b), c in _hub_coefficients(graph, i).items():
+    star, coeff = _hub_coefficients(graph, i)
+    for (a, b), c in coeff.items():
         # c * (I - T_ab): -c off-diagonal, +c on the diagonal
-        space.swap(a, b, c)
+        space.swap(star[a], star[b], c)
     # the builder accumulates sum_c c (T - I); the comparison form is its negative
     return GeneratorOperator(space.states, -space.finish())
 
 
 def octopus_extremes(graph: WeightedGraph, i: int) -> tuple[float, float]:
     """(smallest, largest) eigenvalue of the hub comparison form at i, read
-    from its irrep blocks (up to ``irreps.MAX_VERTICES`` vertices)."""
-    eigenvalues = [ev for _, ev in block_spectrum(graph.n, _hub_coefficients(graph, i))]
+    from Sym(S)'s irrep blocks (|S| up to ``irreps.MAX_VERTICES``, any n)."""
+    star, coeff = _hub_coefficients(graph, i)
+    eigenvalues = [ev for _, ev in block_spectrum(len(star), coeff)]
     return min(float(ev[0]) for ev in eigenvalues), max(float(ev[-1]) for ev in eigenvalues)

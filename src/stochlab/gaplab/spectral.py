@@ -3,10 +3,10 @@
 A dense generator's gap comes from a full symmetric eigendecomposition.
 ``extreme_eigenvalues`` splits a dense matrix into the connected
 components of its nonzero pattern and solves the components of each size
-in one batched ``eigvalsh``; the hub comparison form at vertex i, which
-only swaps labels inside i and its neighbors S, has one component of
-|S|! states per coset of Sym(S).  A permutation-space operator can
-instead be read from its irrep blocks
+in one batched ``eigvalsh``; the dense hub comparison form at vertex i has
+one component of |S|! states per coset of Sym(S), S = {i} u N(i), which
+is why ``reduction.octopus_extremes`` solves it in Sym(S) alone.  A
+permutation-space operator can instead be read from its irrep blocks
 (``irreps.block_spectrum``): ``block_gap`` takes the smallest eigenvalue
 outside the trivial block, which holds the one zero eigenvalue of the
 constant functions.

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -269,15 +270,49 @@ class TestGapCommands:
             assert report["flags"] == []
 
     @pytest.mark.parametrize("command", [
-        ("report",), ("octopus", "--vertex", "3"), ("shuffle",),
+        ("report",), ("octopus", "--vertex", "0"), ("shuffle",),
     ])
     def test_nine_vertices_exceed_capacity(self, tmp_path, capsys, command):
-        p = tmp_path / "path9.g"
-        p.write_text("n 9\n" + "".join(f"e {i} {i + 1} 1.0\nh 2 {i} {i + 1} 1.0\n"
-                                        for i in range(8)))
+        # the hub form is solved on the vertex and its neighbors, so octopus
+        # is refused at the centre of a 9-vertex star, not for n = 9 as such
+        p = tmp_path / "star9.g"
+        p.write_text("n 9\n" + "".join(f"e 0 {j} 1.0\nh 2 0 {j} 1.0\n" for j in range(1, 9)))
         code, report = run("gap", command[0], "--graph", str(p), *command[1:])
         assert code == 2 and report is None
         assert "2 to 8 vertices" in capsys.readouterr().err
+
+    def test_octopus_is_capped_by_degree_not_by_n(self, tmp_path, capsys):
+        path9, star9 = tmp_path / "path9.g", tmp_path / "star9.g"
+        path9.write_text("n 9\n" + "".join(f"e {i} {i + 1} 1.0\n" for i in range(8)))
+        star9.write_text("n 9\n" + "".join(f"e 0 {j} 1.0\n" for j in range(1, 9)))
+        code, report = run("gap", "octopus", "--graph", str(path9), "--vertex", "3")
+        assert code == 0 and report["psd"] is True
+        code, report = run("gap", "octopus", "--graph", str(star9), "--vertex", "4")
+        assert code == 0 and report["psd"] is True
+        capsys.readouterr()
+        code, report = run("gap", "octopus", "--graph", str(star9), "--vertex", "0")
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert "--vertex 0 has degree 8" in err and "9 vertices" in err
+
+    @pytest.mark.parametrize("command", [("octopus",), ("reduce",)])
+    def test_overflowing_star_is_an_input_error(self, tmp_path, capsys, command):
+        p = tmp_path / "huge-weights.g"
+        p.write_text("n 3\ne 0 1 1e300\ne 1 2 1e300\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, report = run("gap", command[0], "--graph", str(p), "--vertex", "1")
+        assert code == 2 and report is None and caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: vertex 1: the products of its conductances overflow"]
+
+    def test_vertex_count_beyond_memory_is_refused(self, tmp_path, capsys):
+        p = tmp_path / "huge-n.g"
+        p.write_text("# a million vertices\nn 1000000\ne 0 1 1.0\n")
+        code, report = run("gap", "octopus", "--graph", str(p), "--vertex", "0")
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert "line 2, column 3" in err and "physical memory" in err
 
     @pytest.mark.parametrize("record,token", [
         ("e 0 1 nan", "'nan'"), ("e 0 1 inf", "'inf'"), ("h 2 0 1 -inf", "'-inf'"),

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from stochlab.gaplab import (
     random_connected_graph,
     star_graph,
 )
+from stochlab.gaplab import graphs
 
 
 class TestWeightedGraph:
@@ -135,6 +137,20 @@ class TestParsing:
             parse_network(text)
         # the offending record is the last line
         assert (exc.value.line, exc.value.column) == (len(text.splitlines()), column)
+
+    def test_vertex_count_is_bounded_by_physical_memory(self, monkeypatch):
+        # parsing peaks at 9.0-10.3 bytes per n^2; each n is charged 12
+        monkeypatch.setattr(graphs, "physical_memory_bytes", lambda: 12 * 1000 ** 2)
+        assert parse_network("n 1000\ne 0 999 1.0\n").graph.n == 1000
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError, match="physical memory") as exc:
+                parse_network("# big\n  n 1001\ne 0 1000 1.0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.line, exc.value.column) == (2, 5)
+        assert peak < 64 * 1024  # refused before the 8 MB of weights exist
 
     def test_missing_n(self):
         with pytest.raises(GraphFormatError):

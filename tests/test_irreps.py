@@ -95,7 +95,9 @@ class TestBlockSpectra:
             for hub in range(n):
                 if g.strength(hub) <= 0:
                     continue
-                blocks = irreps.block_spectrum(n, _hub_coefficients(g, hub))
+                star, coeff = _hub_coefficients(g, hub)
+                labeled = {(star[a], star[b]): c for (a, b), c in coeff.items()}
+                blocks = irreps.block_spectrum(n, labeled)
                 assert_matches_dense(blocks, gaplab.octopus_form(g, hub).matrix)
 
     def test_criterion_09_hypergraphs_match_dense_shuffles(self):

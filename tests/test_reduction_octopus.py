@@ -146,5 +146,39 @@ class TestOctopusForm:
         for n in (7, 8):
             lo, hi = octopus_extremes(path_graph(n), 3)
             assert lo >= -1e-9 * max(abs(lo), abs(hi))
+        # the blocks are Sym(S)'s, S = {hub} u N(hub): capped by degree, not by n
+        lo, hi = octopus_extremes(path_graph(9), 3)
+        assert lo >= -1e-9 * max(abs(lo), abs(hi))
         with pytest.raises(CapacityError):
-            octopus_extremes(path_graph(9), 3)
+            octopus_extremes(star_graph(9), 0)
+
+    def test_criterion_07_on_large_bounded_degree_graphs(self):
+        # each hub's form equals, up to multiplicity, the dense form of its
+        # star alone: the spokes of S = {hub} u N(hub), relabeled 0..|S|-1.
+        # Degrees are capped at 4, and at 5 for vertex 0 (a 720-state witness)
+        rng = np.random.default_rng(2121)
+        sizes = []
+        for _ in range(8):
+            n = int(rng.integers(20, 51))
+            cap = np.full(n, 4)
+            cap[0] = 5
+            w = np.zeros((n, n))
+            for _ in range(2 * n):
+                a, b = rng.choice(n, size=2, replace=False)
+                degree = (w > 0).sum(axis=1)
+                if w[a, b] == 0 and degree[a] < cap[a] and degree[b] < cap[b]:
+                    w[a, b] = w[b, a] = 1.0 - rng.random()
+            g = WeightedGraph(w)
+            for hub in range(n):
+                star = sorted(np.flatnonzero(w[hub] > 0).tolist() + [hub])
+                if len(star) < 2:
+                    continue
+                at = star.index(hub)
+                witness = WeightedGraph.from_edges(
+                    len(star), [(at, a, w[hub, v]) for a, v in enumerate(star) if v != hub])
+                dense = extreme_eigenvalues(octopus_form(witness, at).matrix)
+                lo, hi = octopus_extremes(g, hub)
+                assert np.allclose((lo, hi), dense, rtol=0, atol=1e-12 * abs(dense[1]))
+                assert lo >= -1e-9 * hi
+                sizes.append(len(star))
+        assert len(sizes) >= 200 and set(sizes) == {2, 3, 4, 5, 6}
