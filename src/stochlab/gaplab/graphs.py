@@ -9,6 +9,10 @@ The file format, one record per line ('#' starts a comment):
 Duplicate edge or subset records are summed.  Parse errors carry the line
 and column of the offending token; an 'n' whose dense weights would not fit
 in physical memory is one.
+
+``WeightedGraph.edges`` lists the positive weights from one ``np.nonzero``,
+and one labeller, ``_components``, finds the connected components for both
+``WeightedGraph.is_connected`` and ``spectral.extreme_eigenvalues``.
 """
 
 from __future__ import annotations
@@ -60,29 +64,18 @@ class WeightedGraph:
         return self.weights.shape[0]
 
     def edges(self):
-        """Positive-weight edges as (i, j, weight) with i < j."""
-        w = self.weights
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if w[i, j] > 0:
-                    yield i, j, w[i, j]
+        """Positive-weight edges as (i, j, weight) with i < j, row by row."""
+        rows, cols = np.nonzero(self.weights)
+        upper = rows < cols
+        rows, cols = rows[upper], cols[upper]
+        return zip(rows.tolist(), cols.tolist(), self.weights[rows, cols].tolist())
 
     def strength(self, i: int) -> float:
         return float(self.weights[i].sum())
 
     @property
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u in np.nonzero(self.weights[v] > 0)[0]:
-                if int(u) not in seen:
-                    seen.add(int(u))
-                    stack.append(int(u))
-        return len(seen) == self.n
+        return self.n > 0 and len(_components(self.weights)[1]) == 1
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "WeightedGraph":
@@ -91,6 +84,34 @@ class WeightedGraph:
             w[i, j] += weight
             w[j, i] += weight
         return cls(w)
+
+
+def _components(matrix: np.ndarray):
+    """Connected components of the lower triangle's nonzero pattern, as
+    (order, starts, sizes): ``order[starts[c]:starts[c] + sizes[c]]`` are
+    component c's indices, ascending.
+
+    Each index takes the least label among its neighbors' until no label
+    moves, and pointer jumping (``label[label]``) shortens the chains in
+    between; every label stays an index of its own component.
+    """
+    rows, cols = np.nonzero(matrix)
+    below = rows > cols
+    heads = np.concatenate([rows[below], cols[below]])
+    tails = np.concatenate([cols[below], rows[below]])
+    label = np.arange(len(matrix))
+    while True:
+        hooked = label.copy()
+        np.minimum.at(hooked, heads, label[tails])
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    order = np.argsort(label, kind="stable")
+    sorted_labels = label[order]
+    starts = np.flatnonzero(np.r_[True, sorted_labels[1:] != sorted_labels[:-1]])
+    return order, starts, np.diff(np.r_[starts, len(matrix)])
 
 
 @dataclass(frozen=True)
@@ -236,6 +257,18 @@ def parse_network(text: str) -> Network:
         column = line.find(token) + 1 if token and token in line else 1
         raise GraphFormatError(message, lineno, column)
 
+    def number(lineno, line, token, what):
+        """A weight or rate: a float, finite and nonnegative."""
+        try:
+            value = float(token)
+        except ValueError:
+            err(lineno, line, token, f"bad {what} {token!r}")
+        if not math.isfinite(value):
+            err(lineno, line, token, f"{what} must be finite, got {token!r}")
+        if value < 0:
+            err(lineno, line, token, f"{what} must be nonnegative")
+        return value
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -271,15 +304,7 @@ def parse_network(text: str) -> Network:
                 err(lineno, raw, tokens[1], f"endpoint outside 0..{n - 1}")
             if i >= j:
                 err(lineno, raw, tokens[1], f"edges require i < j, got {i} >= {j}")
-            try:
-                weight = float(tokens[3])
-            except ValueError:
-                err(lineno, raw, tokens[3], f"bad weight {tokens[3]!r}")
-            if not math.isfinite(weight):
-                err(lineno, raw, tokens[3], f"weight must be finite, got {tokens[3]!r}")
-            if weight < 0:
-                err(lineno, raw, tokens[3], "weight must be nonnegative")
-            edges.append((i, j, weight))
+            edges.append((i, j, number(lineno, raw, tokens[3], "weight")))
         elif tag == "h":
             if n is None:
                 err(lineno, raw, tag, "'h' record before 'n'")
@@ -302,16 +327,8 @@ def parse_network(text: str) -> Network:
                     err(lineno, raw, str(v), f"vertex {v} outside 0..{n - 1}")
             if len(set(verts)) != k:
                 err(lineno, raw, tokens[2], "subset vertices must be distinct")
-            try:
-                rate = float(tokens[2 + k])
-            except ValueError:
-                err(lineno, raw, tokens[2 + k], f"bad rate {tokens[2 + k]!r}")
-            if not math.isfinite(rate):
-                err(lineno, raw, tokens[2 + k], f"rate must be finite, got {tokens[2 + k]!r}")
-            if rate < 0:
-                err(lineno, raw, tokens[2 + k], "rate must be nonnegative")
             subset = frozenset(verts)
-            rates[subset] = rates.get(subset, 0.0) + rate
+            rates[subset] = rates.get(subset, 0.0) + number(lineno, raw, tokens[2 + k], "rate")
         else:
             err(lineno, raw, tag, f"unknown record type {tag!r}")
     if n is None:

@@ -136,7 +136,8 @@ def block_spectrum(n: int, coeffs=None, subset_rates=None) -> list[tuple[tuple[i
     partition in ``partitions(n)`` order; each eigenvalue has multiplicity
     d_lambda = len(eigenvalues) in the n!-state operator.  U_A is built
     from coset sums: with A = {a_1 < ... < a_m},
-    sum over S_A = prod_{k=2..m} (e + sum_{j<k} (a_j a_k)).
+    sum over S_A = prod_{k=2..m} (e + sum_{j<k} (a_j a_k)).  Coefficients
+    or rates that sum past the float range raise ValueError.
     """
     tables = transposition_tables(n)
     pair_index = {p: k for k, p in enumerate(itertools.combinations(range(n), 2))}
@@ -144,7 +145,12 @@ def block_spectrum(n: int, coeffs=None, subset_rates=None) -> list[tuple[tuple[i
     for pair, value in (coeffs or {}).items():
         c[pair_index[pair]] += value
     rates = [(sorted(subset), rate) for subset, rate in (subset_rates or {}).items() if rate]
-    diagonal = float(c.sum()) + sum(rate for _, rate in rates)
+    with np.errstate(over="ignore"):
+        weights = float(c.sum())
+    diagonal = weights + sum(rate for _, rate in rates)
+    if not math.isfinite(diagonal):
+        raise ValueError(f"the {'subset rates' if math.isfinite(weights) else 'edge weights'} "
+                         "sum past the float range")
     out = []
     for shape, table in tables.items():
         eye = np.eye(table.shape[1])

@@ -70,8 +70,9 @@ def gap_report(graph: WeightedGraph, hyper: HyperWeights | None = None,
     """
     if not graph.is_connected:
         raise ReducibilityError("gap report requires a connected graph")
-    lam_rw = spectral_gap(rw_generator(graph), tol_zero)
+    # the blocks first: they refuse n > irreps.MAX_VERTICES before any dense step
     blocks = block_spectrum(graph.n, {(i, j): w for i, j, w in graph.edges()})
+    lam_rw = spectral_gap(rw_generator(graph), tol_zero)
     lam_ip = block_gap(blocks, tol_zero)
     exclusion = [
         spectral_gap(exclusion_generator(graph, k), tol_zero)

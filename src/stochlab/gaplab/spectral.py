@@ -2,10 +2,11 @@
 
 A dense generator's gap comes from a full symmetric eigendecomposition.
 ``extreme_eigenvalues`` splits a dense matrix into the connected
-components of its nonzero pattern and solves the components of each size
-in one batched ``eigvalsh``; the dense hub comparison form at vertex i has
-one component of |S|! states per coset of Sym(S), S = {i} u N(i), which
-is why ``reduction.octopus_extremes`` solves it in Sym(S) alone.  A
+components of its nonzero pattern, found by ``graphs._components`` as for
+``WeightedGraph.is_connected``, and solves the components of each size in
+one batched ``eigvalsh``; the dense hub comparison form at vertex i has one
+component of |S|! states per coset of Sym(S), S = {i} u N(i), which is why
+``reduction.octopus_extremes`` solves it in Sym(S) alone.  A
 permutation-space operator can instead be read from its irrep blocks
 (``irreps.block_spectrum``): ``block_gap`` takes the smallest eigenvalue
 outside the trivial block, which holds the one zero eigenvalue of the
@@ -17,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .generators import GeneratorOperator
+from .graphs import _components
 
 DEFAULT_TOL_ZERO = 1e-9
 
@@ -88,32 +90,4 @@ def extreme_eigenvalues(matrix) -> tuple[float, float]:
         low = min(low, eigenvalues[:, 0].min())
         high = max(high, eigenvalues[:, -1].max())
     return float(low), float(high)
-
-
-def _components(matrix: np.ndarray):
-    """Connected components of the lower triangle's nonzero pattern, as
-    (order, starts, sizes): ``order[starts[c]:starts[c] + sizes[c]]`` are
-    component c's indices, ascending.
-
-    Each index takes the least label among its neighbors' until no label
-    moves, and pointer jumping (``label[label]``) shortens the chains in
-    between; every label stays an index of its own component.
-    """
-    rows, cols = np.nonzero(matrix)
-    below = rows > cols
-    heads = np.concatenate([rows[below], cols[below]])
-    tails = np.concatenate([cols[below], rows[below]])
-    label = np.arange(len(matrix))
-    while True:
-        hooked = label.copy()
-        np.minimum.at(hooked, heads, label[tails])
-        while not np.array_equal(hooked[hooked], hooked):
-            hooked = hooked[hooked]
-        if np.array_equal(hooked, label):
-            break
-        label = hooked
-    order = np.argsort(label, kind="stable")
-    sorted_labels = label[order]
-    starts = np.flatnonzero(np.r_[True, sorted_labels[1:] != sorted_labels[:-1]])
-    return order, starts, np.diff(np.r_[starts, len(matrix)])
 

@@ -333,14 +333,12 @@ class DualityReport:
         }
 
 
-def _duality_chunk(graph, target, t, rho, seed, lo, hi):
+def _duality_chunk(cfg, adj, target, t, seed, lo, hi):
     """Trials lo..hi-1 of both sides: the voter count and the walk values."""
-    cfg = VoterConfig(graph, rho=rho)
-    adj = adjacency_lists(graph)
     count = 0
     for _, opinions, _, _ in _voter_runs(cfg, adj, t, seed, (3,), lo, hi):
         count += all(opinions[v] == 1 for v in target)
-    values = [rho ** _walk_survivors(adj, target, t, rng)
+    values = [cfg.rho ** _walk_survivors(adj, target, t, rng)
               for rng in trial_buffers(seed, (4,), lo, hi)]
     return count, values
 
@@ -364,11 +362,12 @@ def duality_check(graph: WeightedGraph, target, t: float, rho: float,
     for v in target:
         if not 0 <= v < graph.n:
             raise ValueError(f"target vertex {v} outside 0..{graph.n - 1}")
-    VoterConfig(graph, rho=rho)  # a connected unit-weight graph and rho in [0, 1]
+    cfg = VoterConfig(graph, rho=rho)  # a connected unit-weight graph and rho in [0, 1]
     _check_horizon(t)
     check_trials(trials)
 
-    parts = run_trials(_duality_chunk, (graph, target, t, rho, seed), trials, workers)
+    parts = run_trials(_duality_chunk, (cfg, adjacency_lists(graph), target, t, seed), trials,
+                       workers)
     lhs = sum(count for count, _ in parts) / trials
     lhs_var = lhs * (1 - lhs) / trials
 

@@ -17,9 +17,11 @@ optimized code in ``src/`` against it.
   Dyck-word terms once and reads only a sign per term off the bottom row;
   its pushforward maps whole window arrays; its sampler draws by random
   insertion.
-* gaplab: the Dirichlet form and variance of the variational gap
-  characterization, and the reduced graph embedded back on the full
-  vertex set, for the reduction's monotonicity checks.
+* gaplab: the positive-weight edges read pair by pair, row-major, which
+  ``WeightedGraph.edges`` lists from one ``np.nonzero``; the Dirichlet
+  form and variance of the variational gap characterization, and the
+  reduced graph embedded back on the full vertex set, for the reduction's
+  monotonicity checks.
 * ipslab: exact transient laws of small systems by uniformization, for
   the contact process on an interval, coalescing walks and the voter
   model, which the event loops' Monte Carlo means are tested against.
@@ -317,6 +319,12 @@ def prefix_sample_windows(measure, n: int, count: int, seed: int) -> list[tuple[
 
 
 # --- gaplab ------------------------------------------------------------------
+
+def pair_edges(graph: WeightedGraph) -> list[tuple[int, int, float]]:
+    """(i, j, weight) for every pair i < j of positive weight, row by row."""
+    w = graph.weights
+    return [(i, j, w[i, j]) for i in range(graph.n) for j in range(i + 1, graph.n) if w[i, j] > 0]
+
 
 def dirichlet_form(op: GeneratorOperator, f) -> float:
     """Energy -<f, Qf> under the uniform measure on the state space."""

@@ -306,6 +306,27 @@ class TestGapCommands:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: vertex 1: the products of its conductances overflow"]
 
+    @pytest.mark.parametrize("command,records,message", [
+        ("report", "", "the edge weights sum past the float range"),
+        ("shuffle", "h 2 0 1 1e308\nh 2 1 2 1e308\n", "the subset rates sum past the float range"),
+    ])
+    def test_overflowing_sums_are_an_input_error(self, tmp_path, capsys, command, records,
+                                                 message):
+        p = tmp_path / "huge-sums.g"
+        p.write_text("n 3\ne 0 1 1e308\ne 1 2 1e308\n" + records)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, report = run("gap", command, "--graph", str(p))
+        assert code == 2 and report is None and caught == []
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_weights_far_apart_are_reducible(self, tmp_path, capsys):
+        p = tmp_path / "far-apart.g"
+        p.write_text("n 3\ne 0 1 1e300\ne 1 2 1e-300\n")
+        code, report = run("gap", "report", "--graph", str(p))
+        assert code == 2 and report is None
+        assert "reducible" in capsys.readouterr().err
+
     def test_vertex_count_beyond_memory_is_refused(self, tmp_path, capsys):
         p = tmp_path / "huge-n.g"
         p.write_text("# a million vertices\nn 1000000\ne 0 1 1.0\n")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stochlab.gaplab import (
+    CapacityError,
     HyperWeights,
     ReducibilityError,
     WeightedGraph,
@@ -12,6 +13,7 @@ from stochlab.gaplab import (
     random_hyperweights,
     shuffle_gap_comparison,
 )
+from stochlab.gaplab import report
 
 
 class TestGapReport:
@@ -44,6 +46,14 @@ class TestGapReport:
         g = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(ReducibilityError):
             gap_report(g)
+
+    def test_too_many_vertices_refused_before_any_dense_step(self, monkeypatch):
+        def dense(_graph):
+            raise AssertionError("the walk generator was built before the vertex count check")
+
+        monkeypatch.setattr(report, "rw_generator", dense)
+        with pytest.raises(CapacityError, match="2 to 8 vertices, got 9"):
+            gap_report(path_graph(9))
 
     def test_dict_keys(self):
         d = gap_report(path_graph(3)).to_dict()
