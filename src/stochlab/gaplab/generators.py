@@ -7,10 +7,17 @@ builders are the explicit witnesses of the spectra that gaplab's reports
 read from irrep blocks (``irreps.block_spectrum``): they form every matrix
 densely and refuse a state space above ``DENSE_STATE_LIMIT`` states
 (6! = 720, so at most six vertices for the permutation space).
+
+A permutation-space matrix is filled one relabeling g at a time, each
+adding its rate at the entries (sigma, sigma o g) of all n! states.  Which
+entries those are depends only on n and g, so their flat indices are
+ranked once per process (``_move_map``) and every later build that moves
+by g, in any interchange, shuffle or hub-form matrix, reads them back.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,28 +71,52 @@ class _MatrixBuilder:
         return self.matrix
 
 
+@functools.lru_cache(maxsize=None)
+def _permutations(n: int) -> tuple[tuple, np.ndarray]:
+    """The n! label assignments in Lehmer order, as tuples and as one
+    read-only int array.  Built once per n and process."""
+    states = tuple(itertools.permutations(range(n)))
+    perms = np.array(states, dtype=np.int64)
+    perms.flags.writeable = False
+    return states, perms
+
+
+@functools.lru_cache(maxsize=None)
+def _move_map(n: int, moved: tuple[int, ...]) -> np.ndarray:
+    """Read-only flat indices r * n! + rank(sigma_r o g) of the entries that
+    the relabeling g (``moved[v]`` = g(v)) fills, one per state sigma_r.
+    Built once per (n, g) and process: at most n! maps of n! indices, under
+    4 MiB at ``DENSE_STATE_LIMIT``."""
+    _, perms = _permutations(n)
+    images = perms[:, moved]
+    # Lehmer code: digit k counts the later entries smaller than entry k
+    later_smaller = np.triu(images[:, :, None] > images[:, None, :], 1).sum(axis=2)
+    place = np.array([math.factorial(n - 1 - k) for k in range(n)], dtype=np.int64)
+    flat = np.arange(len(perms)) * len(perms) + later_smaller @ place
+    flat.flags.writeable = False
+    return flat
+
+
 class _PermutationSpace(_MatrixBuilder):
     """A dense rate matrix over the n! label assignments, filled one
-    relabeling of positions at a time for every state at once."""
+    relabeling of positions at a time for every state at once, through the
+    memoized ``_move_map`` of that relabeling."""
 
     def __init__(self, n: int, what: str):
         _check_permutation_capacity(n, what)
-        self.states = tuple(itertools.permutations(range(n)))
+        self.n = n
+        self.states, _ = _permutations(n)
         super().__init__(len(self.states))
-        self.perms = np.array(self.states, dtype=np.int64)
-        # Lehmer code: digit k counts the later entries smaller than entry k
-        self.place = np.array([math.factorial(n - 1 - k) for k in range(n)], dtype=np.int64)
-        self.rows = np.arange(len(self.states))
 
     def move(self, moved, rate: float):
         """Rate from every sigma to sigma o g, where ``moved`` lists g(v)
         for each position v."""
-        images = self.perms[:, moved]
-        later_smaller = np.triu(images[:, :, None] > images[:, None, :], 1).sum(axis=2)
-        self.add(self.rows, later_smaller @ self.place, rate)
+        # one entry per row, so each entry gets its rates in the order added
+        self.matrix.ravel()[_move_map(self.n, tuple(moved))] += rate
+        self.diag -= rate
 
     def swap(self, i: int, j: int, rate: float):
-        moved = list(range(self.perms.shape[1]))
+        moved = list(range(self.n))
         moved[i], moved[j] = j, i
         self.move(moved, rate)
 

@@ -78,8 +78,11 @@ def octopus_form(graph: WeightedGraph, i: int) -> GeneratorOperator:
     for (a, b), c in coeff.items():
         # c * (I - T_ab): -c off-diagonal, +c on the diagonal
         space.swap(star[a], star[b], c)
-    # the builder accumulates sum_c c (T - I); the comparison form is its negative
-    return GeneratorOperator(space.states, -space.finish())
+    # the builder accumulates sum_c c (T - I); the comparison form is its
+    # negative, taken in place rather than in a second n! x n! array
+    matrix = space.finish()
+    np.negative(matrix, out=matrix)
+    return GeneratorOperator(space.states, matrix)
 
 
 def octopus_extremes(graph: WeightedGraph, i: int) -> tuple[float, float]:

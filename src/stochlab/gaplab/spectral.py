@@ -3,9 +3,11 @@
 A dense generator's gap comes from a full symmetric eigendecomposition.
 ``extreme_eigenvalues`` splits a dense matrix into the connected
 components of its nonzero pattern, found by ``graphs._components`` as for
-``WeightedGraph.is_connected``, and solves the components of each size in
-one batched ``eigvalsh``; the dense hub comparison form at vertex i has one
-component of |S|! states per coset of Sym(S), S = {i} u N(i), which is why
+``WeightedGraph.is_connected`` (it reads the pattern through a boolean
+mask: 0.3-0.4 ms on a 720 x 720 hub form, where ``np.nonzero`` of the
+floats takes 2.5 ms on 2 vCPUs), and solves the components of each size in one batched
+``eigvalsh``; the dense hub comparison form at vertex i has one component
+of |S|! states per coset of Sym(S), S = {i} u N(i), which is why
 ``reduction.octopus_extremes`` solves it in Sym(S) alone.  A
 permutation-space operator can instead be read from its irrep blocks
 (``irreps.block_spectrum``): ``block_gap`` takes the smallest eigenvalue

@@ -103,8 +103,9 @@ def simulate_voter(cfg: VoterConfig, t_max: float, seed: int,
     every ``record_dt`` (None or 0: no path points)."""
     _check_horizon(t_max)
     check_record_dt(t_max, record_dt)
-    [(time, opinions, events, path)] = _voter_runs(cfg, adjacency_lists(cfg.graph), t_max,
-                                                   seed, (), 0, 1, record_dt)
+    [(time, opinions, events, path)] = _voter_runs(adjacency_lists(cfg.graph), cfg.rho,
+                                                   cfg.opinions, t_max, seed, (), 0, 1,
+                                                   record_dt)
     return VoterTrajectory(
         consensus_time=time,
         consensus_value=(opinions[0] if time is not None else None),
@@ -139,23 +140,25 @@ class _Trial:
         self.ended = self.consensus is not None
 
 
-def _voter_runs(cfg: VoterConfig, adj: list[list[int]], t_max: float, seed: int,
-                lane: tuple[int, ...], lo: int, hi: int, record_dt: float | None = None):
-    """Trials lo..hi-1 of (seed, lane), in trial order, each as (consensus
-    time or None, final opinions, events, recorded path)."""
-    n = cfg.graph.n
+def _voter_runs(adj: list[list[int]], rho: float | None, initial: tuple[int, ...] | None,
+                t_max: float, seed: int, lane: tuple[int, ...], lo: int, hi: int,
+                record_dt: float | None = None):
+    """Trials lo..hi-1 of (seed, lane) on the graph of ``adj``, in trial
+    order, each as (consensus time or None, final opinions, events, recorded
+    path).  Opinions start from ``initial``, or else i.i.d. with density rho."""
+    n = len(adj)
     degree = np.array([len(row) for row in adj], dtype=np.intp)
     graph = (n, np.array([j for row in adj for j in row], dtype=np.intp), degree,
              np.cumsum(degree) - degree)
-    init = 0 if cfg.opinions is not None else n
+    init = 0 if initial is not None else n
     first = init + 3 * FIRST_EVENTS  # uniforms a trial reads in its first block
     reader = thread_reader()
     window = max(1, WINDOW_UNIFORMS // first)
     streams = trial_keys(seed, lane, lo, hi)
     while keys := list(islice(streams, window)):
         uniforms = reader.rows(keys, 0, first)
-        opinions = ((uniforms[:, :init] < cfg.rho).view(np.int8).tolist() if init
-                    else [list(cfg.opinions) for _ in keys])
+        opinions = ((uniforms[:, :init] < rho).view(np.int8).tolist() if init
+                    else [list(initial) for _ in keys])
         trials = [_Trial(key, ops, n, record_dt) for key, ops in zip(keys, opinions)]
         live = [i for i, trial in enumerate(trials) if not trial.ended]
         if live:
@@ -261,7 +264,7 @@ def consensus_rate(cfg: VoterConfig, t_max: float, trials: int, seed: int) -> Co
     check_trials(trials)
     adj = adjacency_lists(cfg.graph)
     times = []
-    for time, _, _, _ in _voter_runs(cfg, adj, t_max, seed, (2,), 0, trials):
+    for time, _, _, _ in _voter_runs(adj, cfg.rho, cfg.opinions, t_max, seed, (2,), 0, trials):
         if time is not None:
             times.append(time)
     stats = TrialStats(trials=trials, survivals=len(times), master_seed=seed, lane="voter/2")
@@ -333,12 +336,12 @@ class DualityReport:
         }
 
 
-def _duality_chunk(cfg, adj, target, t, seed, lo, hi):
+def _duality_chunk(adj, rho, target, t, seed, lo, hi):
     """Trials lo..hi-1 of both sides: the voter count and the walk values."""
     count = 0
-    for _, opinions, _, _ in _voter_runs(cfg, adj, t, seed, (3,), lo, hi):
+    for _, opinions, _, _ in _voter_runs(adj, rho, None, t, seed, (3,), lo, hi):
         count += all(opinions[v] == 1 for v in target)
-    values = [cfg.rho ** _walk_survivors(adj, target, t, rng)
+    values = [rho ** _walk_survivors(adj, target, t, rng)
               for rng in trial_buffers(seed, (4,), lo, hi)]
     return count, values
 
@@ -352,9 +355,10 @@ def duality_check(graph: WeightedGraph, target, t: float, rho: float,
     the mean of rho raised to the number of surviving coalescing walkers
     started on ``target`` and run for time t.  Reports a two-sample z.
 
-    With workers > 1 the trials run in separate processes; the reduction
-    replays per-trial values in trial order, so the report is identical to
-    the single-process run.
+    With workers > 1 the trials run in separate processes, each sent rho
+    and the adjacency lists, not the dense weights; the reduction replays
+    per-trial values in trial order, so the report is identical to the
+    single-process run.
     """
     target = tuple(sorted(set(target)))
     if not target:
@@ -362,11 +366,11 @@ def duality_check(graph: WeightedGraph, target, t: float, rho: float,
     for v in target:
         if not 0 <= v < graph.n:
             raise ValueError(f"target vertex {v} outside 0..{graph.n - 1}")
-    cfg = VoterConfig(graph, rho=rho)  # a connected unit-weight graph and rho in [0, 1]
+    VoterConfig(graph, rho=rho)  # checks for a connected unit-weight graph and rho in [0, 1]
     _check_horizon(t)
     check_trials(trials)
 
-    parts = run_trials(_duality_chunk, (cfg, adjacency_lists(graph), target, t, seed), trials,
+    parts = run_trials(_duality_chunk, (adjacency_lists(graph), rho, target, t, seed), trials,
                        workers)
     lhs = sum(count for count, _ in parts) / trials
     lhs_var = lhs * (1 - lhs) / trials

@@ -18,7 +18,9 @@ optimized code in ``src/`` against it.
   its pushforward maps whole window arrays; its sampler draws by random
   insertion.
 * gaplab: the positive-weight edges read pair by pair, row-major, which
-  ``WeightedGraph.edges`` lists from one ``np.nonzero``; the Dirichlet
+  ``WeightedGraph.edges`` lists from one read of the nonzero pattern; the
+  permutation-space builder ranking every move afresh, which
+  ``generators._PermutationSpace`` reads from memoized move maps; the Dirichlet
   form and variance of the variational gap characterization, and the
   reduced graph embedded back on the full vertex set, for the reduction's
   monotonicity checks.
@@ -41,6 +43,7 @@ from stochlab.colorlab import (canonical_form, descent_set_probability, eliminat
 from stochlab.colorlab.measure import _canonical_proper_words
 from stochlab.colorlab.words import CLOSE, NEUTRAL, OPEN, _enum_dispersed
 from stochlab.gaplab import GeneratorOperator, WeightedGraph, reduce_vertex
+from stochlab.gaplab.generators import _PermutationSpace
 from stochlab.ipslab.contact import STANDARD, ContactConfig
 from stochlab.ipslab.voter import adjacency_lists
 
@@ -324,6 +327,23 @@ def pair_edges(graph: WeightedGraph) -> list[tuple[int, int, float]]:
     """(i, j, weight) for every pair i < j of positive weight, row by row."""
     w = graph.weights
     return [(i, j, w[i, j]) for i in range(graph.n) for j in range(i + 1, graph.n) if w[i, j] > 0]
+
+
+class LehmerPermutationSpace(_PermutationSpace):
+    """The permutation-space builder with no memo: each move ranks the images
+    of all n! states afresh by their Lehmer codes, digit k counting the later
+    entries smaller than entry k, and adds its rate by row and column."""
+
+    def __init__(self, n: int, what: str):
+        super().__init__(n, what)
+        self.perms = np.array(self.states, dtype=np.int64)
+        self.place = np.array([math.factorial(n - 1 - k) for k in range(n)], dtype=np.int64)
+        self.rows = np.arange(len(self.states))
+
+    def move(self, moved, rate: float):
+        images = self.perms[:, list(moved)]
+        later_smaller = np.triu(images[:, :, None] > images[:, None, :], 1).sum(axis=2)
+        self.add(self.rows, later_smaller @ self.place, rate)
 
 
 def dirichlet_form(op: GeneratorOperator, f) -> float:

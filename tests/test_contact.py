@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stochlab.gaplab import cycle_graph
 from stochlab.ipslab import (
+    DUALITY_Z_BOUND,
     ContactConfig,
     TrialStats,
     VoterConfig,
@@ -187,6 +188,36 @@ class TestEstimateSurvival:
     def test_stats_invariant(self):
         with pytest.raises(ValueError):
             TrialStats(trials=5, survivals=6)
+
+
+class TestSelfDualityAtScale:
+    """Self-duality on an interval past the exact laws' 12 sites:
+    P(xi_t^A meets B) = P(xi_t^B meets A) for a symmetric standard contact
+    process.  With A = {x} and B the whole interval, survival from x equals
+    P(x occupied at t) from full occupancy; the two sides are estimated from
+    independent trials and compared by a two-sample z.  The threshold
+    process is not self-dual, and the same z must exceed the bound there."""
+
+    LENGTH, SITE, T, TRIALS = 16, 8, 3.0, 2000
+
+    def _z(self, cfg, seed: int) -> float:
+        survival = estimate_survival(cfg, self.T, self.TRIALS, seed, init=(self.SITE,)).fraction
+        full = range(1, self.LENGTH + 1)
+        occupied = sum(self.SITE in simulate_contact(cfg, full, self.T, seed=s).final_occupied
+                       for s in range(seed * self.TRIALS, (seed + 1) * self.TRIALS)) / self.TRIALS
+        spread = math.sqrt((survival * (1 - survival) + occupied * (1 - occupied)) / self.TRIALS)
+        return (survival - occupied) / spread
+
+    @pytest.mark.parametrize("neighborhood, lam, seed", [
+        ((-1, 1), 2.0, 41),
+        ((-2, -1, 1, 2), 1.0, 42),
+    ], ids=["nearest", "range-2"])
+    def test_standard_process_is_self_dual(self, neighborhood, lam, seed):
+        cfg = ContactConfig(lam, self.LENGTH, neighborhood)
+        assert abs(self._z(cfg, seed)) <= DUALITY_Z_BOUND
+
+    def test_threshold_process_is_not(self):
+        assert self._z(threshold_config(1.2, self.LENGTH), 43) > DUALITY_Z_BOUND
 
 
 class TestFixedStepCrossValidation:

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from references import LehmerPermutationSpace
 from stochlab.gaplab import (
     CapacityError,
     HyperWeights,
@@ -11,12 +12,16 @@ from stochlab.gaplab import (
     complete_graph,
     exclusion_generator,
     interchange_generator,
+    octopus_form,
     path_graph,
     random_connected_graph,
+    random_hyperweights,
     rw_generator,
     shuffle_gap_comparison,
     single_edge,
+    star_graph,
 )
+from stochlab.gaplab import generators, reduction
 
 
 def assert_valid_generator(op, atol=1e-12):
@@ -189,3 +194,55 @@ class TestSingleParticleRates:
 
     def test_empty_rates(self):
         assert np.abs(alpha_single_particle_rates(HyperWeights(3, {})).weights).max() == 0
+
+
+class TestMemoizedMoves:
+    """The builders read each relabeling's entries from a memoized move map;
+    ranking every move afresh (``references.LehmerPermutationSpace``) must
+    give the same matrices byte for byte."""
+
+    @staticmethod
+    def _both(monkeypatch, build):
+        memoized = build()
+        with monkeypatch.context() as m:
+            m.setattr(generators, "_PermutationSpace", LehmerPermutationSpace)
+            m.setattr(reduction, "_PermutationSpace", LehmerPermutationSpace)
+            fresh = build()
+        assert memoized.states == fresh.states
+        assert memoized.matrix.tobytes() == fresh.matrix.tobytes()
+
+    @staticmethod
+    def _graphs(n):
+        rng = np.random.default_rng(100 + n)
+        return [path_graph(n), complete_graph(n, 0.5), star_graph(n, 1.5),
+                *(random_connected_graph(n, rng, edge_prob=p) for p in (0.4, 0.8))]
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_interchange_generator(self, monkeypatch, n):
+        for g in self._graphs(n):
+            self._both(monkeypatch, lambda: interchange_generator(g))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_alpha_shuffle_generator(self, monkeypatch, n):
+        rng = np.random.default_rng(200 + n)
+        hypers = [HyperWeights(n, {frozenset(range(n)): 0.75})]  # 6 vertices: 719 arrangements
+        for _ in range(3):
+            hypers.append(random_hyperweights(n, rng))
+        for h in hypers:
+            self._both(monkeypatch, lambda: alpha_shuffle_generator(h))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_octopus_form_at_every_hub(self, monkeypatch, n):
+        for g in self._graphs(n):
+            for hub in range(n):
+                self._both(monkeypatch, lambda: octopus_form(g, hub))
+
+    def test_memoized_arrays_are_read_only(self):
+        states, perms = generators._permutations(4)
+        flat = generators._move_map(4, (1, 0, 2, 3))
+        with pytest.raises(ValueError, match="read-only"):
+            perms[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            flat[0] = 0
+        assert states == tuple(itertools.permutations(range(4)))
+        assert generators._move_map(4, (1, 0, 2, 3)) is flat

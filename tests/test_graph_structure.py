@@ -1,5 +1,6 @@
 """A graph's structure is read one way: ``WeightedGraph.edges`` from one
-``np.nonzero`` of the weights, and connectivity from the component
+read of the weights' nonzero pattern (``graphs._nonzero``, a boolean mask
+read a block of rows at a time), and connectivity from the component
 labeller that ``spectral.extreme_eigenvalues`` also splits matrices by."""
 
 import tracemalloc
@@ -91,3 +92,50 @@ class TestConnectivity:
 
     def test_one_labeller(self):
         assert spectral._components is graphs._components
+
+
+def _patterns():
+    """Seeded random square matrices, n = 0..9, with the cases a boolean
+    mask could read differently from ``np.nonzero``: entries of -0.0 and
+    NaN, and entries above the diagonal only."""
+    rng = np.random.default_rng(23)
+    out = [np.zeros((0, 0)), np.zeros((1, 1)), np.full((1, 1), np.nan), np.full((1, 1), -0.0)]
+    for _ in range(60):
+        n = int(rng.integers(1, 10))
+        upper = np.triu(rng.random((n, n)) < 0.3, 1) * rng.random((n, n))
+        upper[np.triu(rng.random((n, n)) < 0.15, 1)] = -0.0
+        upper[np.triu(rng.random((n, n)) < 0.05, 1)] = np.nan
+        out += [np.where(np.tri(n, dtype=bool), upper.T, upper), upper]
+    return out
+
+
+class TestPatternReader:
+    """``graphs._nonzero`` against ``np.nonzero``, whole and in blocks of
+    one row, of two rows and of more than the matrix."""
+
+    @pytest.fixture(params=[None, 16, 1], ids=["default", "two-rows", "one-row"])
+    def mask_bytes(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(graphs, "MASK_BYTES", request.param)
+
+    def test_indices_equal_nonzero(self, mask_bytes):
+        for matrix in _patterns():
+            got, want = graphs._nonzero(matrix), np.nonzero(matrix)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    def test_components_equal_the_nonzero_labeller(self, mask_bytes, monkeypatch):
+        matrices = [m for m in _patterns() if m.size]
+        got = [graphs._components(m) for m in matrices]
+        monkeypatch.setattr(graphs, "_nonzero", np.nonzero)
+        for m, g in zip(matrices, got):
+            for a, b in zip(g, graphs._components(m)):
+                assert np.array_equal(a, b), m
+
+    def test_edges_equal_the_nonzero_edges(self, mask_bytes, monkeypatch):
+        graphs_ = [WeightedGraph(m) for m in _patterns()
+                   if np.isfinite(m).all() and np.array_equal(m, m.T)]
+        got = [list(g.edges()) for g in graphs_]
+        monkeypatch.setattr(graphs, "_nonzero", np.nonzero)
+        assert got == [list(g.edges()) for g in graphs_]
+        assert any(np.signbit(g.weights).any() for g in graphs_)  # -0.0 weights were read

@@ -1,4 +1,6 @@
 import math
+import os
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from stochlab.ipslab import (
     VoterConfig,
     consensus_rate,
     duality_check,
+    parallel,
     simulate_voter,
     trial_generator,
     voter,
@@ -164,6 +167,25 @@ class TestDuality:
         a = duality_check(cycle_graph(6), (0, 2), t=1.0, rho=0.5, trials=500, seed=4)
         b = duality_check(cycle_graph(6), (0, 2), t=1.0, rho=0.5, trials=500, seed=4)
         assert a == b
+
+    def test_workers_are_sent_the_adjacency_not_the_weights(self, monkeypatch):
+        # each chunk's arguments go through pickle as they would to a worker;
+        # a 400-vertex path's dense weights alone pickle to 1.28 MB
+        sent = []
+
+        def in_process(chunk_fn, args, trials, workers):
+            payload = pickle.dumps(args)
+            sent.append(len(payload))
+            return [chunk_fn(*pickle.loads(payload), lo, hi)
+                    for lo, hi in parallel.chunk_ranges(trials, workers)]
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(voter, "run_trials", in_process)
+        g = path_graph(400)
+        reports = [duality_check(g, (199, 200), 1.0, 0.5, 60, seed=7, workers=w)
+                   for w in (1, 2, 3, 8)]
+        assert all(rep == reports[0] for rep in reports)
+        assert max(sent) < 32 * 1024, sent
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -79,7 +79,8 @@ def window(cfg):
 
 def assert_kernel_matches_reference(cfg, t_max, seed, lane, lo, hi, record_dt=None):
     adj = voter.adjacency_lists(cfg.graph)
-    got = list(voter._voter_runs(cfg, adj, t_max, seed, lane, lo, hi, record_dt))
+    got = list(voter._voter_runs(adj, cfg.rho, cfg.opinions, t_max, seed, lane, lo, hi,
+                                   record_dt))
     want = [run_voter(cfg, adj, t_max, rng, record_dt)
             for rng in trial_buffers(seed, lane, lo, hi)]
     assert len(got) == hi - lo
