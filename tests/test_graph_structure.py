@@ -110,10 +110,10 @@ def _patterns():
 
 
 class TestPatternReader:
-    """``graphs._nonzero`` against ``np.nonzero``, whole and in blocks of
-    one row, of two rows and of more than the matrix."""
+    """``graphs._nonzero`` against ``np.nonzero``, with the matrix read as
+    one block (the default), a few rows at a time, and one row at a time."""
 
-    @pytest.fixture(params=[None, 16, 1], ids=["default", "two-rows", "one-row"])
+    @pytest.fixture(params=[None, 16, 1], ids=["one-block", "few-rows", "one-row"])
     def mask_bytes(self, request, monkeypatch):
         if request.param is not None:
             monkeypatch.setattr(graphs, "MASK_BYTES", request.param)
