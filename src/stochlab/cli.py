@@ -24,10 +24,12 @@ Words are digit strings ("1213"); wildcard positions are dots ("1.3").
 Rationals print as "p/q" in lowest terms.  Seeds fully determine stochastic
 output (``ipslab.rng`` defines the per-trial streams), and ``--trials`` is
 capped at 2**32, one 32-bit entropy word per trial index.  ``sim contact``
-and ``sim duality`` take ``--parallel`` (or the LIGGETT_LAB_THREADS
-environment variable; either must be >= 1) and split trials across at most
-one process per CPU and per chunk of trials; the reduction replays results
-in trial order, so the reported numbers do not change.
+and ``sim duality`` take ``--parallel`` (>= 1, default 1) and split trials
+across at most one process per CPU and per chunk of trials; the reduction
+replays results in trial order, so the reported numbers do not change.
+gaplab's zero threshold and identity tolerance are fixed
+(``gaplab.DEFAULT_TOL_ZERO``, ``gaplab.DEFAULT_RTOL``), so no option can
+loosen a verdict; the gap reports carry them as ``tolZero`` and ``rtol``.
 """
 
 from __future__ import annotations
@@ -88,18 +90,6 @@ def _flatten(prefix: str, value, out: dict[str, str]):
         else:
             text = str(value)
         out[prefix] = text
-
-
-def resolve_workers() -> int:
-    """Worker processes from LIGGETT_LAB_THREADS (an integer >= 1), else 1."""
-    env = os.environ.get("LIGGETT_LAB_THREADS")
-    try:
-        workers = int(env) if env else 1
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"LIGGETT_LAB_THREADS must be an integer >= 1, got {env!r}")
-    return workers
 
 
 def boolean(text: str) -> bool:
@@ -206,8 +196,7 @@ def cmd_gap_report(args):
     if args.shuffle and not net.hyper.rates:
         raise ValueError(f"--shuffle: {args.graph} has no 'h' records; the shuffle needs "
                          "subset rates")
-    report = gaplab.gap_report(net.graph, hyper=net.hyper if args.shuffle else None,
-                               tol_zero=args.tol_zero, rtol=args.rtol)
+    report = gaplab.gap_report(net.graph, hyper=net.hyper if args.shuffle else None)
     return report.to_dict(), None
 
 
@@ -245,8 +234,8 @@ def cmd_gap_shuffle(args):
     net = gaplab.parse_graph_file(args.graph)
     if not net.hyper.rates:
         raise ValueError(f"{args.graph} has no 'h' records; the shuffle needs subset rates")
-    return gaplab.shuffle_gap_comparison(net.hyper, tol_zero=args.tol_zero,
-                                         rtol=args.rtol), None
+    return {**gaplab.shuffle_gap_comparison(net.hyper), "tolZero": gaplab.DEFAULT_TOL_ZERO,
+            "rtol": gaplab.DEFAULT_RTOL}, None
 
 
 # --- sim subcommands ---------------------------------------------------------
@@ -263,7 +252,7 @@ def cmd_sim_contact(args):
     make = ipslab.threshold_config if args.mode == "threshold" else ipslab.ContactConfig
     cfg = make(args.lam, args.L)
     est = ipslab.estimate_survival(cfg, args.tmax, args.trials, args.seed,
-                                   workers=args.parallel or resolve_workers())
+                                   workers=args.parallel or 1)
     if args.csv:
         out = ipslab.simulate_contact(cfg, ipslab.center_seed(cfg), args.tmax,
                                       args.seed, record_dt=args.tmax / 100)
@@ -287,7 +276,7 @@ def cmd_sim_duality(args):
     target = _vertices(args.set)
     _in_graph(net.graph, target, "--set vertex")
     rep = ipslab.duality_check(net.graph, target, args.t, args.rho, args.trials,
-                               args.seed, workers=args.parallel or resolve_workers())
+                               args.seed, workers=args.parallel or 1)
     return rep.to_dict(), None
 
 
@@ -355,16 +344,13 @@ _FORMULA_WORD = _rule(lambda w, a: set(w) <= _letters(4) and colorlab.is_proper(
                       "a proper word over digits 1..4 with --source formula")
 _GRAPH = _Opt("--graph", str, _READ, required=True)
 _VERTEX = _Opt("--vertex", int, _at_least(0), required=True)
-_TOLS = (_Opt("--tol-zero", float, _at_least(0), default=gaplab.DEFAULT_TOL_ZERO),
-         _Opt("--rtol", float, _at_least(0), default=gaplab.DEFAULT_RTOL))
 _TRIALS = _Opt("--trials", int, _number(lambda n: 1 <= n <= ipslab.MAX_TRIALS, "in 1..2**32"),
                required=True)
 _SEED = _Opt("--seed", int, _number(lambda s: 0 <= s < 2**64, "in 0..2**64-1"), required=True)
 _RHO = _Opt("--rho", float, _number(lambda r: 0 <= r <= 1, "in 0..1"), required=True)
 _CSV = _Opt("--csv", str, _WRITE, help="write a trajectory CSV here")
 _CONFIG = _Opt("--config", str, _READ, help="key=value file with defaults")
-_PARALLEL = _Opt("--parallel", int, _at_least(1),
-                 help="worker processes (default: LIGGETT_LAB_THREADS or 1)")
+_PARALLEL = _Opt("--parallel", int, _at_least(1), help="worker processes (default 1)")
 _COMMON = (_Opt("--out", str, _WRITE, help="write the full JSON report to this file"),
            _Opt("--expect", str, _rule(lambda v, a: all("=" in e for e in v), "KEY=VALUE"),
                 default=(), action="append",
@@ -400,13 +386,13 @@ _COMMANDS = {
         _Opt("--n", int, _at_least(0), required=True),)),
     "gap.report": (cmd_gap_report, "walk, interchange, and exclusion gaps", (
         _GRAPH, _Opt("--shuffle", boolean, _ANY, default=False,
-                     help="include the subset-shuffle comparison"), *_TOLS)),
+                     help="include the subset-shuffle comparison"))),
     "gap.reduce": (cmd_gap_reduce, "remove one vertex, redistributing conductances",
                    (_GRAPH, _VERTEX)),
     "gap.octopus": (cmd_gap_octopus, "eigen-bounds of the hub comparison form",
                     (_GRAPH, _VERTEX)),
     "gap.shuffle": (cmd_gap_shuffle, "subset-shuffle gap vs its single-particle walk",
-                    (_GRAPH, *_TOLS)),
+                    (_GRAPH,)),
     "sim.contact": (cmd_sim_contact, "contact process survival or edge speed", (
         _Opt("--lambda", float, _at_least(0), dest="lam", required=True),
         _Opt("--L", int, _at_least(1), required=True, when=lambda a: not a.edge_speed,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,13 +209,13 @@ def random_connected_graph(n: int, rng: np.random.Generator,
             return g
 
 
-def random_hyperweights(n: int, rng: np.random.Generator,
-                        max_subsets: int = 4) -> HyperWeights:
-    """Random rated subsets whose single-particle graph is connected."""
+def random_hyperweights(n: int, rng: np.random.Generator) -> HyperWeights:
+    """Random rated subsets, 1 to 4 of them, whose single-particle graph is
+    connected."""
     from .generators import alpha_single_particle_rates
 
     while True:
-        count = int(rng.integers(1, max_subsets + 1))
+        count = int(rng.integers(1, 5))
         rates: dict[frozenset[int], float] = {}
         for _ in range(count):
             size = int(rng.integers(2, n + 1))
@@ -268,84 +269,87 @@ def parse_network(text: str) -> Network:
     edges: list[tuple[int, int, float]] = []
     rates: dict[frozenset[int], float] = {}
 
-    def err(lineno, line, token, message):
-        column = line.find(token) + 1 if token and token in line else 1
-        raise GraphFormatError(message, lineno, column)
+    # the helpers read the record being parsed: lineno, raw and tokens
+    def err(k, message):
+        """Refuse the record, pointing at its k-th token."""
+        starts = [m.start() for m in re.finditer(r"\S+", raw)]
+        raise GraphFormatError(message, lineno, starts[k] + 1)
 
-    def number(lineno, line, token, what):
+    def integers(lo, hi, message):
+        """tokens[lo:hi] as ints, else an error at the first that is not one."""
+        out = []
+        for k in range(lo, hi):
+            try:
+                out.append(int(tokens[k]))
+            except ValueError:
+                err(k, message)
+        return out
+
+    def number(k, what):
         """A weight or rate: a float, finite and nonnegative."""
+        token = tokens[k]
         try:
             value = float(token)
         except ValueError:
-            err(lineno, line, token, f"bad {what} {token!r}")
+            err(k, f"bad {what} {token!r}")
         if not math.isfinite(value):
-            err(lineno, line, token, f"{what} must be finite, got {token!r}")
+            err(k, f"{what} must be finite, got {token!r}")
         if value < 0:
-            err(lineno, line, token, f"{what} must be nonnegative")
+            err(k, f"{what} must be nonnegative")
         return value
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         tag = tokens[0]
         if tag == "n":
             if n is not None:
-                err(lineno, raw, tag, "duplicate 'n' record")
+                err(0, "duplicate 'n' record")
             if len(tokens) != 2:
-                err(lineno, raw, tag, "'n' record needs exactly one count")
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                err(lineno, raw, tokens[1], f"bad vertex count {tokens[1]!r}")
+                err(0, "'n' record needs exactly one count")
+            n = integers(1, 2, f"bad vertex count {tokens[1]!r}")[0]
             if n < 1:
-                err(lineno, raw, tokens[1], "vertex count must be >= 1")
+                err(1, "vertex count must be >= 1")
             # parsing peaks at 9.0-10.3 bytes per n^2: the float weights and their checks
             have = physical_memory_bytes()
             if 12 * n * n > have:
-                err(lineno, raw, tokens[1], f"vertex count {n} needs dense weights larger "
+                err(1, f"vertex count {n} needs dense weights larger "
                     f"than the {have / 2**30:.1f} GiB of physical memory")
         elif tag == "e":
             if n is None:
-                err(lineno, raw, tag, "'e' record before 'n'")
+                err(0, "'e' record before 'n'")
             if len(tokens) != 4:
-                err(lineno, raw, tag, "'e' record needs: e <i> <j> <weight>")
-            try:
-                i, j = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                err(lineno, raw, tokens[1], "endpoints must be integers")
-            if not (0 <= i < n and 0 <= j < n):
-                err(lineno, raw, tokens[1], f"endpoint outside 0..{n - 1}")
+                err(0, "'e' record needs: e <i> <j> <weight>")
+            i, j = integers(1, 3, "endpoints must be integers")
+            if not 0 <= i < n:
+                err(1, f"endpoint {i} outside 0..{n - 1}")
+            if not 0 <= j < n:
+                err(2, f"endpoint {j} outside 0..{n - 1}")
             if i >= j:
-                err(lineno, raw, tokens[1], f"edges require i < j, got {i} >= {j}")
-            edges.append((i, j, number(lineno, raw, tokens[3], "weight")))
+                err(1, f"edges require i < j, got {i} >= {j}")
+            edges.append((i, j, number(3, "weight")))
         elif tag == "h":
             if n is None:
-                err(lineno, raw, tag, "'h' record before 'n'")
+                err(0, "'h' record before 'n'")
             if len(tokens) < 2:
-                err(lineno, raw, tag, "'h' record needs: h <k> <v1> ... <vk> <rate>")
-            try:
-                k = int(tokens[1])
-            except ValueError:
-                err(lineno, raw, tokens[1], f"bad subset size {tokens[1]!r}")
+                err(0, "'h' record needs: h <k> <v1> ... <vk> <rate>")
+            k = integers(1, 2, f"bad subset size {tokens[1]!r}")[0]
             if k < 2:
-                err(lineno, raw, tokens[1], "subset size must be >= 2")
+                err(1, "subset size must be >= 2")
             if len(tokens) != k + 3:
-                err(lineno, raw, tag, f"'h' record needs {k} vertices and a rate")
-            try:
-                verts = [int(t) for t in tokens[2 : 2 + k]]
-            except ValueError:
-                err(lineno, raw, tokens[2], "vertices must be integers")
-            for v in verts:
+                err(0, f"'h' record needs {k} vertices and a rate")
+            verts = integers(2, 2 + k, "vertices must be integers")
+            for at, v in enumerate(verts, start=2):
                 if not 0 <= v < n:
-                    err(lineno, raw, str(v), f"vertex {v} outside 0..{n - 1}")
-            if len(set(verts)) != k:
-                err(lineno, raw, tokens[2], "subset vertices must be distinct")
+                    err(at, f"vertex {v} outside 0..{n - 1}")
             subset = frozenset(verts)
-            rates[subset] = rates.get(subset, 0.0) + number(lineno, raw, tokens[2 + k], "rate")
+            if len(subset) != k:
+                err(next(at for at in range(3, 2 + k) if verts[at - 2] in verts[:at - 2]),
+                    "subset vertices must be distinct")
+            rates[subset] = rates.get(subset, 0.0) + number(2 + k, "rate")
         else:
-            err(lineno, raw, tag, f"unknown record type {tag!r}")
+            err(0, f"unknown record type {tag!r}")
     if n is None:
         raise GraphFormatError("missing 'n' record", 1)
     return Network(WeightedGraph.from_edges(n, edges), HyperWeights(n, rates))

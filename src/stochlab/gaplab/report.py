@@ -16,7 +16,7 @@ from .graphs import HyperWeights, WeightedGraph
 from .irreps import block_spectrum
 from .spectral import DEFAULT_TOL_ZERO, ReducibilityError, block_gap, spectral_gap
 
-DEFAULT_RTOL = 1e-8
+DEFAULT_RTOL = 1e-8  # fixed, like DEFAULT_TOL_ZERO; the reports carry both
 
 
 @dataclass
@@ -25,9 +25,6 @@ class GapReport:
     lambda_rw: float
     lambda_ip: float
     exclusion_gaps: list[float]
-    zero_eig_count: int
-    tol_zero: float
-    rtol: float
     identity_ok: bool
     exclusion_constant: bool
     contraction_ok: bool
@@ -43,9 +40,9 @@ class GapReport:
             "lambdaRW": self.lambda_rw,
             "lambdaIP": self.lambda_ip,
             "exclusionGaps": self.exclusion_gaps,
-            "zeroEigCount": self.zero_eig_count,
-            "tolZero": self.tol_zero,
-            "rtol": self.rtol,
+            "zeroEigCount": 1,  # spectral_gap and block_gap raise on any other count
+            "tolZero": DEFAULT_TOL_ZERO,
+            "rtol": DEFAULT_RTOL,
             "identityOk": self.identity_ok,
             "exclusionConstant": self.exclusion_constant,
             "contractionOk": self.contraction_ok,
@@ -59,31 +56,29 @@ class GapReport:
         return out
 
 
-def gap_report(graph: WeightedGraph, hyper: HyperWeights | None = None,
-               tol_zero: float = DEFAULT_TOL_ZERO, rtol: float = DEFAULT_RTOL) -> GapReport:
+def gap_report(graph: WeightedGraph, hyper: HyperWeights | None = None) -> GapReport:
     """Compute the walk, interchange, and exclusion gaps of one graph.
 
     Flags any relative deviation of the interchange or exclusion gaps from
-    the walk gap beyond ``rtol``.  When subset rates are supplied, the
-    shuffle gap is compared against the walk with the single-particle
-    rates; that comparison is reported, not asserted (it is a conjecture).
+    the walk gap beyond ``DEFAULT_RTOL`` (1e-8); eigenvalues below
+    ``DEFAULT_TOL_ZERO`` (1e-9) times the spectral radius count as zero.
+    When subset rates are supplied, the shuffle gap is compared against the
+    walk with the single-particle rates; that comparison is reported, not
+    asserted (it is a conjecture).
     """
     if not graph.is_connected:
         raise ReducibilityError("gap report requires a connected graph")
     # the blocks first: they refuse n > irreps.MAX_VERTICES before any dense step
     blocks = block_spectrum(graph.n, {(i, j): w for i, j, w in graph.edges()})
-    lam_rw = spectral_gap(rw_generator(graph), tol_zero)
-    lam_ip = block_gap(blocks, tol_zero)
-    exclusion = [
-        spectral_gap(exclusion_generator(graph, k), tol_zero)
-        for k in range(1, graph.n)
-    ]
+    lam_rw = spectral_gap(rw_generator(graph))
+    lam_ip = block_gap(blocks)
+    exclusion = [spectral_gap(exclusion_generator(graph, k)) for k in range(1, graph.n)]
     deviations = [abs(lam_ip - lam_rw)] + [abs(g - lam_rw) for g in exclusion]
     max_rel = max(deviations) / lam_rw
-    identity_ok = abs(lam_ip - lam_rw) <= rtol * lam_rw
-    exclusion_constant = all(abs(g - lam_rw) <= rtol * lam_rw for g in exclusion)
-    contraction_ok = lam_ip <= lam_rw * (1 + rtol)
-    flags = _standard_block_flags(blocks, lam_rw, rtol, "walk gap")
+    identity_ok = abs(lam_ip - lam_rw) <= DEFAULT_RTOL * lam_rw
+    exclusion_constant = all(abs(g - lam_rw) <= DEFAULT_RTOL * lam_rw for g in exclusion)
+    contraction_ok = lam_ip <= lam_rw * (1 + DEFAULT_RTOL)
+    flags = _standard_block_flags(blocks, lam_rw, "walk gap")
     if not identity_ok:
         flags.append("interchange gap deviates from walk gap")
     if not exclusion_constant:
@@ -95,16 +90,13 @@ def gap_report(graph: WeightedGraph, hyper: HyperWeights | None = None,
         lambda_rw=lam_rw,
         lambda_ip=lam_ip,
         exclusion_gaps=exclusion,
-        zero_eig_count=1,
-        tol_zero=tol_zero,
-        rtol=rtol,
         identity_ok=identity_ok,
         exclusion_constant=exclusion_constant,
         contraction_ok=contraction_ok,
         max_rel_deviation=max_rel,
     )
     if hyper is not None:
-        shuffle_report = shuffle_gap_comparison(hyper, tol_zero, rtol)
+        shuffle_report = shuffle_gap_comparison(hyper)
         report.lambda_shuffle = shuffle_report["lambdaShuffle"]
         report.lambda_shuffle_rw = shuffle_report["lambdaShuffleRW"]
         report.shuffle_identity_ok = shuffle_report["shuffleIdentityOk"]
@@ -114,12 +106,12 @@ def gap_report(graph: WeightedGraph, hyper: HyperWeights | None = None,
     return report
 
 
-def shuffle_gap_comparison(hyper: HyperWeights, tol_zero: float = DEFAULT_TOL_ZERO,
-                           rtol: float = DEFAULT_RTOL) -> dict:
+def shuffle_gap_comparison(hyper: HyperWeights) -> dict:
     """Gap of the subset-shuffle process vs the single-particle walk.
 
-    The equality of the two is conjectural: disagreements are flagged in
-    the result but never raised.
+    The equality of the two is conjectural: a relative disagreement beyond
+    ``DEFAULT_RTOL`` (1e-8) is flagged in the result but never raised.  The
+    gaps read ``DEFAULT_TOL_ZERO`` (1e-9) as ``spectral_gap`` does.
     """
     single = alpha_single_particle_rates(hyper)
     if not any(rate > 0 for rate in hyper.rates.values()):
@@ -137,10 +129,10 @@ def shuffle_gap_comparison(hyper: HyperWeights, tol_zero: float = DEFAULT_TOL_ZE
             "flags": ["single-particle graph is disconnected"],
         }
     blocks = block_spectrum(hyper.n, subset_rates=hyper.rates)
-    lam_shuffle = block_gap(blocks, tol_zero)
-    lam_walk = spectral_gap(rw_generator(single), tol_zero)
-    flags = _standard_block_flags(blocks, lam_walk, rtol, "single-particle walk gap")
-    agree = abs(lam_shuffle - lam_walk) <= rtol * max(lam_walk, 1e-300)
+    lam_shuffle = block_gap(blocks)
+    lam_walk = spectral_gap(rw_generator(single))
+    flags = _standard_block_flags(blocks, lam_walk, "single-particle walk gap")
+    agree = abs(lam_shuffle - lam_walk) <= DEFAULT_RTOL * max(lam_walk, 1e-300)
     if not agree:
         flags.append(
             f"shuffle gap {lam_shuffle:.12g} differs from single-particle walk "
@@ -154,11 +146,11 @@ def shuffle_gap_comparison(hyper: HyperWeights, tol_zero: float = DEFAULT_TOL_ZE
     }
 
 
-def _standard_block_flags(blocks, lam_walk: float, rtol: float, walk: str) -> list[str]:
+def _standard_block_flags(blocks, lam_walk: float, walk: str) -> list[str]:
     """A flag unless the (n-1, 1) block's smallest eigenvalue is the walk gap."""
     shape, eigenvalues = blocks[1]  # partitions order: (n), then (n-1, 1)
     low = float(eigenvalues[0])
-    if abs(low - lam_walk) <= rtol * lam_walk:
+    if abs(low - lam_walk) <= DEFAULT_RTOL * lam_walk:
         return []
     return [f"irrep block {shape} has smallest eigenvalue {low:.12g}, not the {walk} "
             f"{lam_walk:.12g}"]

@@ -22,24 +22,25 @@ import numpy as np
 from .generators import GeneratorOperator
 from .graphs import _components
 
-DEFAULT_TOL_ZERO = 1e-9
+DEFAULT_TOL_ZERO = 1e-9  # fixed, like every verdict threshold: no option loosens it
 
 
 class ReducibilityError(RuntimeError):
     """The generator's zero eigenvalue is not simple (disconnected support)."""
 
 
-def spectral_gap(op: GeneratorOperator, tol_zero: float = DEFAULT_TOL_ZERO) -> float:
+def spectral_gap(op: GeneratorOperator) -> float:
     """Smallest nonzero eigenvalue of the negated rate matrix.
 
-    Eigenvalues below ``tol_zero`` times the spectral radius count as zero;
-    exactly one is allowed, otherwise ReducibilityError is raised.
+    Eigenvalues below ``DEFAULT_TOL_ZERO`` (1e-9) times the spectral radius
+    count as zero; exactly one is allowed, otherwise ReducibilityError is
+    raised.
     """
     eigenvalues = np.linalg.eigvalsh(-op.dense())
     radius = float(np.abs(eigenvalues).max()) if eigenvalues.size else 0.0
     if radius == 0.0:
         raise ReducibilityError("zero generator has no spectral gap")
-    threshold = tol_zero * radius
+    threshold = DEFAULT_TOL_ZERO * radius
     nonzero = eigenvalues[eigenvalues > threshold]
     zero_count = eigenvalues.size - nonzero.size
     if zero_count != 1:
@@ -50,19 +51,20 @@ def spectral_gap(op: GeneratorOperator, tol_zero: float = DEFAULT_TOL_ZERO) -> f
     return float(nonzero[0])
 
 
-def block_gap(blocks, tol_zero: float = DEFAULT_TOL_ZERO) -> float:
+def block_gap(blocks) -> float:
     """Spectral gap of a negated generator from its ``block_spectrum``.
 
     The trivial block (n) holds the zero eigenvalue; the gap is the
-    smallest eigenvalue of every other block, and one below ``tol_zero``
-    times the spectral radius (the largest over all blocks) raises
-    ReducibilityError, as a second zero eigenvalue does in ``spectral_gap``.
+    smallest eigenvalue of every other block, and one below
+    ``DEFAULT_TOL_ZERO`` (1e-9) times the spectral radius (the largest over
+    all blocks) raises ReducibilityError, as a second zero eigenvalue does
+    in ``spectral_gap``.
     """
     radius = max(float(np.abs(ev).max()) for _, ev in blocks)
     if radius == 0.0:
         raise ReducibilityError("zero generator has no spectral gap")
     gap = min(float(ev[0]) for shape, ev in blocks if len(shape) > 1)
-    if gap <= tol_zero * radius:
+    if gap <= DEFAULT_TOL_ZERO * radius:
         raise ReducibilityError(
             f"a nontrivial irrep block has eigenvalue {gap:.3g}, below the zero "
             "threshold; the chain is reducible"

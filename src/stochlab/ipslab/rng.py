@@ -255,10 +255,10 @@ def _blocks(read):
         block = min(2 * block, MAX_BLOCK)
 
 
-def binomial_ci(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Normal-approximation confidence interval for a proportion."""
+def binomial_ci(successes: int, trials: int) -> tuple[float, float]:
+    """Normal-approximation 95% confidence interval for a proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p = successes / trials
-    half = z * math.sqrt(p * (1 - p) / trials)
+    half = 1.96 * math.sqrt(p * (1 - p) / trials)
     return max(0.0, p - half), min(1.0, p + half)

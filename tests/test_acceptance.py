@@ -149,19 +149,20 @@ def test_05_pushforward():
 
 def test_06_gap_identity():
     started = time.perf_counter()
-    rtol = 1e-8
+    rtol = gaplab.DEFAULT_RTOL
+    assert rtol == 1e-8  # fixed: no caller can loosen the identity checks
     graphs = 0
     worst = 0.0
     for n in (2, 3, 4, 5):
         for g in gaplab.connected_graph_representatives(n):
-            r = gaplab.gap_report(g, rtol=rtol)
+            r = gaplab.gap_report(g)
             assert r.identity_ok and r.exclusion_constant and r.contraction_ok
             worst = max(worst, r.max_rel_deviation)
             graphs += 1
     rng = np.random.default_rng(2024)
     for _ in range(50):
         g = gaplab.random_connected_graph(6, rng)
-        r = gaplab.gap_report(g, rtol=rtol)
+        r = gaplab.gap_report(g)
         assert r.identity_ok and r.exclusion_constant and r.contraction_ok
         worst = max(worst, r.max_rel_deviation)
         graphs += 1

@@ -373,38 +373,31 @@ class TestSimCommands:
         parallel["inputs"].pop("parallel", None)
         assert stable(serial) == stable(parallel)
 
-    def test_env_thread_fallback(self, monkeypatch):
-        monkeypatch.setenv("LIGGETT_LAB_THREADS", "2")
-        code, report = run("sim", "contact", "--lambda", "1.0", "--L", "21",
-                           "--tmax", "3", "--trials", "8", "--seed", "4")
-        assert code == 0
-
     CONTACT = ("sim", "contact", "--lambda", "1.0", "--L", "21", "--tmax", "3",
                "--trials", "8", "--seed", "4")
     DUALITY = ("sim", "duality", "--graph", "{path3}", "--set", "0,2", "--t", "1",
                "--rho", "0.5", "--trials", "200", "--seed", "3")
 
-    @pytest.mark.parametrize("command, flag, env, named", [
-        pytest.param(CONTACT, "-3", None, "--parallel", id="-3-None---parallel"),
-        pytest.param(CONTACT, "0", None, "--parallel", id="0-None---parallel"),
-        pytest.param(CONTACT, None, "0", "LIGGETT_LAB_THREADS",
-                     id="None-0-LIGGETT_LAB_THREADS"),
+    @pytest.mark.parametrize("command, flag", [
+        pytest.param(CONTACT, "-3", id="-3-None---parallel"),
+        pytest.param(CONTACT, "0", id="0-None---parallel"),
         # only contact and duality read --parallel; argparse rejects it elsewhere
-        pytest.param(("color", "prob", "--word", "12"), "-3", None, "--parallel",
-                     id="color-prob--3"),
-        pytest.param(("gap", "report", "--graph", "{path3}"), "0", None, "--parallel",
-                     id="gap-report-0"),
+        pytest.param(("color", "prob", "--word", "12"), "-3", id="color-prob--3"),
+        pytest.param(("gap", "report", "--graph", "{path3}"), "0", id="gap-report-0"),
     ])
-    def test_bad_worker_count_exits_two(self, monkeypatch, capsys, path3,
-                                        command, flag, env, named):
-        if env is not None:
-            monkeypatch.setenv("LIGGETT_LAB_THREADS", env)
-        argv = [arg.format(path3=path3) for arg in command]
-        if flag is not None:
-            argv += ["--parallel", flag]
+    def test_bad_worker_count_exits_two(self, capsys, path3, command, flag):
+        argv = [arg.format(path3=path3) for arg in command] + ["--parallel", flag]
         code, report = run(*argv)
         assert code == 2 and report is None
-        assert named in capsys.readouterr().err
+        assert "--parallel" in capsys.readouterr().err
+
+    def test_worker_count_is_read_from_no_environment_variable(self, monkeypatch):
+        # --parallel and the config key are the one way to set it
+        code, plain = run(*self.CONTACT)
+        monkeypatch.setenv("LIGGETT_LAB_THREADS", "0")
+        code_env, with_env = run(*self.CONTACT)
+        assert code == code_env == 0
+        assert stable(with_env) == stable(plain) and "parallel" not in plain["inputs"]
 
     @pytest.mark.parametrize("command, flag", [
         (("sim", "contact", "--lambda", "nan", "--L", "50", "--tmax", "5"), "--lambda"),
@@ -667,22 +660,39 @@ class TestDomains:
         return str(p)
 
     @pytest.mark.parametrize("argv, flag", [
-        (("gap", "report", "--graph", "{path3}", "--rtol", "nan"), "--rtol"),
-        (("gap", "report", "--graph", "{path3}", "--rtol", "-1"), "--rtol"),
-        (("gap", "report", "--graph", "{path3}", "--tol-zero", "-1"), "--tol-zero"),
-        (("gap", "shuffle", "--graph", "{hyper}", "--rtol", "nan"), "--rtol"),
-        (("gap", "shuffle", "--graph", "{hyper}", "--rtol", "-1"), "--rtol"),
-        (("gap", "shuffle", "--graph", "{hyper}", "--tol-zero", "-1"), "--tol-zero"),
+        (("gap", "reduce", "--graph", "{path3}", "--vertex", "-1"), "--vertex"),
+        (TestSimCommands.CONTACT + ("--lambda", "-1"), "--lambda"),
+        (TestSimCommands.CONTACT + ("--trials", "0"), "--trials"),
+        (TestSimCommands.CONTACT + ("--tmax", "0"), "--tmax"),
+        (TestSimCommands.DUALITY + ("--t", "-1"), "--t"),
+        (("sim", "voter", "--graph", "{path3}", "--rho", "nan", "--tmax", "1", "--trials", "2",
+          "--seed", "1"), "--rho"),
         (TestSimCommands.CONTACT + ("--L", "0"), "--L"),
         (TestSimCommands.CONTACT + ("--seed", "-1"), "--seed"),
         (TestSimCommands.DUALITY + ("--rho", "2"), "--rho"),
         (TestSimCommands.DUALITY + ("--set", "a,b"), "--set"),
     ])
-    def test_library_domain_errors_name_the_flag(self, capsys, path3, hyper, argv, flag):
-        code, report = run(*(arg.format(path3=path3, hyper=hyper) for arg in argv))
+    def test_library_domain_errors_name_the_flag(self, capsys, path3, argv, flag):
+        code, report = run(*(arg.format(path3=path3) for arg in argv))
         assert code == 2 and report is None
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} must be") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("gap", "report", "--graph", "{path3}", "--tol-zero", "1e-9"),
+        ("gap", "shuffle", "--graph", "{hyper}", "--rtol", "0.1"),
+    ])
+    def test_gap_tolerances_are_not_options(self, capsys, path3, hyper, argv):
+        # a tolerance that the command line could loosen would loosen the verdict
+        code, report = run(*(arg.format(path3=path3, hyper=hyper) for arg in argv))
+        assert code == 2 and report is None
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+    def test_gap_reports_carry_the_fixed_tolerances(self, path3, hyper):
+        for argv in (("gap", "report", "--graph", path3), ("gap", "shuffle", "--graph", hyper)):
+            code, report = run(*argv)
+            assert code == 0 and not {"tol_zero", "rtol"} & set(report["inputs"])
+            assert (report["tolZero"], report["rtol"]) == (1e-9, 1e-8)
 
     @pytest.mark.parametrize("argv", [
         ("color", "sample", "--n", "3", "--seed", "-1"),  # any integer seeds random.Random
@@ -809,7 +819,6 @@ OUTSIDE = {
     "--n": ["--n", "-1"], "--seed": ["--seed", "-1"], ("color.sample", "--seed"): ["--seed", "x"],
     "--count": ["--count", "-1"], "--graph": ["--graph", "{missing}"],
     "--vertex": ["--vertex", "-1"], "--shuffle": ["--shuffle=yes"],
-    "--tol-zero": ["--tol-zero", "-1"], "--rtol": ["--rtol", "nan"],
     "--lambda": ["--lambda", "-1"], "--L": ["--L", "0"], "--tmax": ["--tmax", "-1"],
     "--trials": ["--trials", "0"], "--mode": ["--mode", "thresold"],
     "--edge-speed": ["--edge-speed=yes"], "--left-depth": ["--edge-speed", "--left-depth", "-1"],
@@ -895,6 +904,10 @@ def test_readme_commands_parse_and_settle(tmp_path, monkeypatch):
     lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
              for line in block.splitlines() if line.startswith("stochlab ")]
     assert lines
+    # and its prose names no flag that no command declares
+    declared = {opt.flag for op in cli._COMMANDS for opt in cli._options(op)}
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme))
+    assert named and named <= declared, sorted(named - declared)
     parser = cli.build_parser()
     for line in lines:
         try:

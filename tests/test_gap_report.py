@@ -23,7 +23,7 @@ class TestGapReport:
         assert r.lambda_ip == pytest.approx(1.0, abs=1e-9)
         assert [pytest.approx(1.0, abs=1e-9)] * 2 == r.exclusion_gaps
         assert r.identity_ok and r.exclusion_constant and r.contraction_ok
-        assert r.zero_eig_count == 1
+        assert r.to_dict()["zeroEigCount"] == 1
         assert r.flags == []
 
     def test_identity_on_all_small_connected_graphs(self):
@@ -57,10 +57,11 @@ class TestGapReport:
 
     def test_dict_keys(self):
         d = gap_report(path_graph(3)).to_dict()
-        for key in ("lambdaRW", "lambdaIP", "exclusionGaps", "zeroEigCount",
-                    "identityOk", "maxRelDeviation"):
-            assert key in d
-        assert "lambdaShuffle" not in d
+        assert list(d) == ["n", "lambdaRW", "lambdaIP", "exclusionGaps", "zeroEigCount",
+                           "tolZero", "rtol", "identityOk", "exclusionConstant",
+                           "contractionOk", "maxRelDeviation", "flags"]
+        # the tolerances are fixed, and the reports carry them
+        assert (d["zeroEigCount"], d["tolZero"], d["rtol"]) == (1, 1e-9, 1e-8)
 
     def test_with_shuffle_section(self):
         h = HyperWeights(3, {frozenset({0, 1, 2}): 1.0, frozenset({0, 1}): 0.5})

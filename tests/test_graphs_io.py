@@ -138,6 +138,18 @@ class TestParsing:
         # the offending record is the last line
         assert (exc.value.line, exc.value.column) == (len(text.splitlines()), column)
 
+    @pytest.mark.parametrize("text,message,column", [
+        ("n 5\nh 5 0 1 2 3 5 0.2\n", "vertex 5 outside 0..4", 13),
+        ("n 3\ne 0 7 1.0\n", "endpoint 7 outside 0..2", 5),
+        ("n 3\ne 0 x 1.0\n", "endpoints must be integers", 5),
+        ("n 3\nh 2 0 x 1.0\n", "vertices must be integers", 7),
+    ])
+    def test_errors_point_at_the_offending_token(self, text, message, column):
+        # the token's own position, not the first occurrence of its text
+        with pytest.raises(GraphFormatError) as exc:
+            parse_network(text)
+        assert str(exc.value) == f"line 2, column {column}: {message}"
+
     def test_vertex_count_is_bounded_by_physical_memory(self, monkeypatch):
         # parsing peaks at 9.0-10.3 bytes per n^2; each n is charged 12
         monkeypatch.setattr(graphs, "physical_memory_bytes", lambda: 12 * 1000 ** 2)

@@ -72,3 +72,11 @@ def test_src_derives_streams_one_way():
              for path in (ROOT / "src").rglob("*.py") if path.resolve() not in allowed
              if (used := _names(path) & {"trial_generator", "SeedSequence", "Philox"})}
     assert named == {}
+
+
+def test_src_reads_no_environment_variable():
+    # a setting comes from the command line or a --config file, one declared
+    # option each, never from the environment as well
+    named = {str(path.relative_to(ROOT)): used for path in (ROOT / "src").rglob("*.py")
+             if (used := _names(path) & {"environ", "environb", "getenv", "getenvb"})}
+    assert named == {}
