@@ -391,8 +391,9 @@ class TestSimCommands:
         assert code == 2 and report is None
         assert "--parallel" in capsys.readouterr().err
 
-    def test_worker_count_is_read_from_no_environment_variable(self, monkeypatch):
-        # --parallel and the config key are the one way to set it
+    def test_env_thread_fallback(self, monkeypatch):
+        # LIGGETT_LAB_THREADS is no fallback: --parallel and the config key
+        # are the one way to set the worker count
         code, plain = run(*self.CONTACT)
         monkeypatch.setenv("LIGGETT_LAB_THREADS", "0")
         code_env, with_env = run(*self.CONTACT)
