@@ -1,12 +1,12 @@
-"""Event-driven contact process on a finite interval or the sparse line.
+"""The contact process on a finite interval or the sparse line, on two engines.
 
-Exact-in-law continuous-time simulation: the total rate is the number of
-occupied sites plus the summed birth rates of the eligible vacant sites,
-holding times are exponential with that rate, and the next event is picked
-proportionally.  Vacant sites are bucketed by their occupied-neighbor
-count, which keeps both the total birth rate and the proportional pick
-exact (rates are integer multiples of the birth parameter) and makes every
-event O(neighborhood size).
+The event loop (``_run``) is exact-in-law continuous-time simulation: the
+total rate is the number of occupied sites plus the summed birth rates of
+the eligible vacant sites, holding times are exponential with that rate,
+and the next event is picked proportionally.  Vacant sites are bucketed by
+their occupied-neighbor count, which keeps both the total birth rate and
+the proportional pick exact (rates are integer multiples of the birth
+parameter) and makes every event O(neighborhood size).
 
 Two flat lists, ``code`` and ``where``, hold a window of sites around the
 first initial site (the origin): site origin + c sits at index c, negative
@@ -22,7 +22,27 @@ tables give a vacant site's birth weight.  Occupying site 1 or L is flagged
 so supercritical runs can detect that the edge touched the truncation.  The
 sparse mode places no sentinels, which realizes a window that follows the
 support; both modes run one loop.  Each event reads three uniforms from the
-trial's stream, its step, its branch and its index, as one triple.
+trial's stream, its step, its branch and its index, as one triple.  The
+loop runs ``simulate_contact`` (trial 0 of the empty lane),
+``right_edge_speed`` (lane 1) and threshold-mode survival (lane 0).
+
+``estimate_survival`` runs standard-mode trials on a lockstep kernel
+(``_lockstep_window``, lane 5): the trials of a window are the rows of
+numpy arrays, and one numpy step advances every live row by one event of
+the occupied-site form.  Each occupied site rings at rate 1 + |N| lam; it
+dies with probability 1 / (1 + |N| lam) and otherwise tries a birth at a
+uniform offset.  So every vacant site is born at lam per occupied neighbor,
+the event loop's rate, and the two engines share one law; a birth onto an
+occupied site is a step that changes nothing, the price of steps that read
+no rate table.  Every step reads three uniforms of the trial's own stream,
+a block at a time through ``StreamReader.rows``, so a trial's outcome
+depends only on (seed, lane, trial) at any window, block or worker count.
+Both engines take holding times with ``math.log1p`` (numpy's ``log1p``
+rounds differently on some inputs and machines).  Threshold-mode survival
+stays on the event loop, lane 0 (``_survival_chunk``): there most proposed
+births would land on occupied sites or be refused, and a lockstep with
+acceptance 1/(occupied neighbors) measured slower than the loop.  The tests
+also run standard-mode survival on lane 0 as the lockstep's witness.
 """
 
 from __future__ import annotations
@@ -31,10 +51,14 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
+
+import numpy as np
 
 from ..memory import physical_memory_bytes
 from .parallel import run_trials
-from .rng import UniformBuffer, binomial_ci, check_trials, trial_buffers
+from .rng import (UniformBuffer, binomial_ci, check_trials, thread_reader, trial_buffers,
+                  trial_keys)
 from .stats import TrialStats, check_record_dt
 
 STANDARD = "standard"
@@ -94,12 +118,18 @@ def check_sparse_span(cfg: ContactConfig, init, t_max: float, name: str = "t_max
     initial span and R sites each side.  It bounds memory, not time."""
     if cfg.length is not None or not init:
         return
-    reach = cfg.neighborhood[-1]
-    rate = cfg.lam * sum(d for d in cfg.neighborhood if d > 0)
-    span = max(init) - min(init) + 1 + 2 * reach * (1 + rate * t_max)
+    span = _span_bound(cfg, init, t_max)
     if span * SITE_BYTES > physical_memory_bytes():
         raise ValueError(f"{name} {t_max:g} lets a sparse-line run at rate {cfg.lam:g} touch "
                          f"up to {span:.3g} sites, more than physical memory holds")
+
+
+def _span_bound(cfg: ContactConfig, init, t_max: float) -> float:
+    """``check_sparse_span``'s bound on the sites a sparse-line run from the
+    nonempty ``init`` touches by ``t_max``."""
+    reach = cfg.neighborhood[-1]
+    rate = cfg.lam * sum(d for d in cfg.neighborhood if d > 0)
+    return max(init) - min(init) + 1 + 2 * reach * (1 + rate * t_max)
 
 
 @dataclass(frozen=True)
@@ -146,6 +176,14 @@ def _mark_outside(code: list, half: int, ends: tuple[int, ...], reach: int):
                     code[y] = OUTSIDE
 
 
+def _check_init(cfg: ContactConfig, sites) -> None:
+    """Refuse an initial site outside 1..L on an interval (both engines)."""
+    if cfg.length is not None:
+        for x in sites:
+            if not 1 <= x <= cfg.length:
+                raise ValueError(f"initial site {x} outside 1..{cfg.length}")
+
+
 @cache
 def _birth_weights(threshold: bool, degree: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """A vacant site's birth weight in units of lam by its count k (k, or in
@@ -164,12 +202,8 @@ def _run(cfg: ContactConfig, init, t_max: float, rng: UniformBuffer,
     sites = sorted(set(init))  # the initial sites take the birth branch first
     origin = sites[0] if sites else 0
     born = [x - origin for x in sites]  # the loop holds sites relative to origin
-    ends = ()
-    if cfg.length is not None:
-        for x in sites:
-            if not 1 <= x <= cfg.length:
-                raise ValueError(f"initial site {x} outside 1..{cfg.length}")
-        ends = (1 - origin, cfg.length - origin)
+    _check_init(cfg, sites)
+    ends = () if cfg.length is None else (1 - origin, cfg.length - origin)
     half = 8  # the window holds sites -half .. half - 1 past origin
     while born and half <= born[-1] + reach:
         half *= 2
@@ -330,6 +364,207 @@ class SurvivalEstimate:
         }
 
 
+LOCKSTEP_LANE = (5,)
+FIRST_STEPS = 2            # steps a trial reads in its first block; later blocks double
+BLOCK_UNIFORMS = 1 << 18   # the most uniforms a block array holds (2 MiB), unless one
+                           # step of every row alone needs more
+WINDOW_SITES = 1 << 21     # sites a window's rows hold together at its widest estimate
+# lockstep site codes: bit 0 means occupied, and a birth needs both low bits clear
+HELD, BARRED, UNREACHED, MARGIN = 1, 2, 4, 8
+_BIRTHS = np.array([code & (HELD | BARRED) == 0 for code in range(16)])  # by code
+
+
+def _lockstep_runs(cfg: ContactConfig, init, t_max: float, seed: int, lo: int, hi: int):
+    """Trials lo..hi-1 of (seed, LOCKSTEP_LANE) from the occupied set
+    ``init`` up to ``t_max``, in trial order, each as (final occupied sites,
+    boundary hit).  Trials run in windows of rows that hold about
+    WINDOW_SITES sites together when they span ``_span_bound``'s sites.
+    Standard mode only: the kernel has no threshold births."""
+    init = sorted(set(init))
+    _check_init(cfg, init)
+    if not init:  # every trial starts extinct
+        for _ in range(lo, hi):
+            yield (), False
+        return
+    span = _span_bound(cfg, init, t_max)
+    if cfg.length is not None:
+        span = min(span, cfg.length + 2 * cfg.neighborhood[-1])
+    rows = max(1, int(WINDOW_SITES // (2 * span + 16)))  # a window doubles from 16 sites
+    streams = trial_keys(seed, LOCKSTEP_LANE, lo, hi)
+    while keys := list(islice(streams, rows)):
+        yield from _lockstep_window(cfg, init, t_max, keys)
+
+
+def _site_codes(width: int, half: int, origin: int, ends: tuple[int, ...], reach: int):
+    """The codes of a fresh row whose column c holds site origin + c - half:
+    MARGIN on the 2 reach columns at either side, BARRED on the finite
+    mode's sentinels and UNREACHED on sites 1 and L (the columns of both
+    returned too)."""
+    codes = np.zeros(width, dtype=np.int8)
+    codes[:2 * reach] = codes[width - 2 * reach:] = MARGIN
+    end_cols = [e - origin + half for e in ends]
+    barred = [c - j for c in end_cols[:1] for j in range(1, reach + 1)]
+    barred += [c + j for c in end_cols[1:] for j in range(1, reach + 1)]
+    for c in barred:
+        if 0 <= c < width:
+            codes[c] = BARRED
+    for c in end_cols:
+        if 0 <= c < width:
+            codes[c] |= UNREACHED
+    return codes, end_cols
+
+
+def _lockstep_window(cfg: ContactConfig, init: list[int], t_max: float, keys) -> list:
+    """One window of standard-mode trials, one row each, stepped together:
+    every step advances each live row by one event of the occupied-site form.
+
+    A row holds its trial's site codes (column c is site origin + c - half)
+    and, in swap-with-last order, its occupied sites as flat indices into
+    all rows' codes.  An occupied site rings at rate 1 + |N| lam and dies
+    with probability 1 / (1 + |N| lam); otherwise it tries a birth at a
+    uniform offset, which needs a vacant site inside the interval, so a
+    vacant site is born at lam per occupied neighbor, the event loop's
+    rate.  A step reads three uniforms of the trial's stream (its time, the
+    site and its action); the rows read their next block together through
+    ``StreamReader.rows``.
+
+    A row that ends (extinct, or its next event past t_max) is recorded
+    and frozen (no deaths, births or time) until the block ends or a
+    quarter of its rows have ended; then the live rows are compacted.  A
+    birth into the MARGIN doubles every row's window, as ``_widened``
+    does, so every site a step reads stays inside its row.
+    """
+    lam, offsets = cfg.lam, np.array(cfg.neighborhood, dtype=np.intp)
+    reach = cfg.neighborhood[-1]
+    ring = 1 + len(offsets) * lam
+    per_step = 3  # uniforms a step reads: its time, the site and its action
+    ends = () if cfg.length is None else (1, cfg.length)
+    origin = init[0]
+    half = 8  # column half holds the origin; occupied columns stay >= 2 reach from either side
+    while half <= init[-1] - origin + 2 * reach:
+        half *= 2
+    width = 2 * half
+    n = len(keys)
+    codes, end_cols = _site_codes(width, half, origin, ends, reach)
+    occ = np.tile(codes, (n, 1))
+    occ[:, [x - origin + half for x in init]] = HELD
+    base = np.arange(n) * width
+    sites = np.zeros((n, width), dtype=np.intp)
+    sites[:, :len(init)] = [x - origin + half for x in init]
+    sites += base[:, None]
+    count = np.full(n, float(len(init)))  # a float, as the rates and the site pick read it
+    top = base + len(init)  # one past a row's last occupied site, in sites.ravel()
+    t = np.zeros(n)
+    ids = list(range(n))
+    results: list = [None] * n
+
+    def covers() -> bool:  # no birth can reach the margin any more
+        return bool(ends) and end_cols[0] >= 2 * reach and end_cols[1] < width - 2 * reach
+
+    def record(rows, alive: bool):
+        hits = np.zeros(len(rows), dtype=bool)
+        for c in end_cols:
+            if 0 <= c < width:
+                hits |= occ[rows, c] & ~MARGIN != UNREACHED
+        for r, hit in zip(rows.tolist(), hits.tolist()):
+            final = ()
+            if alive:
+                final = tuple(sorted(f - r * width - half + origin
+                                     for f in sites.ravel()[r * width:top[r]].tolist()))
+            results[ids[r]] = final, hit
+
+    covered = covers()
+    reader = thread_reader()
+    log1p = math.log1p
+    gain = np.empty(n)
+    read, steps = 0, max(1, min(FIRST_STEPS, BLOCK_UNIFORMS // (n * per_step)))
+    while True:
+        u = reader.rows(keys, read, per_step * steps).reshape(n, steps, per_step)
+        # one row per step, one column per trial
+        wait = np.fromiter(map(log1p, memoryview(np.negative(u[:, :, 0]).ravel())), float,
+                           n * steps).reshape(n, steps)
+        wait = np.ascontiguousarray(wait.T / -ring)  # divided by the occupied count below
+        pick = u[:, :, 1].T.copy()
+        action = u[:, :, 2].T * ring
+        dies = action < 1
+        keeps = ~dies
+        move = np.zeros((steps, n), dtype=np.intp)  # the birth's offset; 0 on a death
+        if lam:
+            j = np.minimum(((action[keeps] - 1) / lam).astype(np.intp), len(offsets) - 1)
+            move[keeps] = offsets[j]
+        occ_flat, sites_flat = occ.ravel(), sites.ravel()
+
+        def freeze(rows, step: int):
+            t[rows] = -math.inf
+            dies[step:, rows] = False
+            keeps[step:, rows] = True
+            move[step:, rows] = 0  # a birth onto the ringing site itself never happens
+
+        ended = 0
+        for s in range(steps):
+            np.divide(wait[s], count, out=gain)
+            t += gain
+            if np.maximum.reduce(t) > t_max:
+                over = np.flatnonzero(t > t_max)
+                record(over, True)
+                freeze(over, s)
+                ended += len(over)
+            # u * n < n for every double u < 1 that Generator.random returns
+            # (a multiple of 2**-53), so the index needs no clamp
+            i = np.add(base, pick[s] * count, dtype=np.intp, casting="unsafe")  # cast truncates
+            x = sites_flat[i]
+            y = x + move[s]
+            code = occ_flat[y]
+            born = _BIRTHS.take(code)
+            new = code + born
+            new *= keeps[s]  # a death empties its site, which is y
+            occ_flat[y] = new
+            d = dies[s]
+            sites_flat[i] = np.where(d, sites_flat[top - 1], x)
+            sites_flat[top] = y
+            delta = np.subtract(born, d, dtype=np.int8)
+            top += delta
+            count += delta
+            if not covered and np.maximum.reduce(new) > MARGIN and \
+                    ((new & (MARGIN | HELD)) == MARGIN | HELD).any():
+                fresh, end_cols = _site_codes(2 * width, 2 * half, origin, ends, reach)
+                occ = np.tile(fresh, (n, 1))
+                occ[:, half:half + width] = occ_flat.reshape(n, width) & ~MARGIN
+                grown = np.zeros((n, 2 * width), dtype=np.intp)
+                grown[:, :width] = sites + (base + half)[:, None]  # column c moves to c + half
+                sites = grown
+                half, width = 2 * half, 2 * width
+                base = np.arange(n) * width
+                top = base + count.astype(np.intp)
+                occ_flat, sites_flat = occ.ravel(), sites.ravel()
+                covered = covers()
+            if not np.logical_and.reduce(count):
+                out = np.flatnonzero(count == 0)
+                record(out, False)
+                count[out] = 1  # revived on the origin, then frozen
+                top[out] = base[out] + 1
+                sites_flat[base[out]] = base[out] + half
+                occ_flat[base[out] + half] = HELD
+                freeze(out, s + 1)
+                ended += len(out)
+            if 4 * ended >= n:
+                break
+        read += (s + 1) * per_step
+        live = np.flatnonzero(t > -math.inf)
+        if len(live) == 0:
+            return results
+        if len(live) < n:
+            n = len(live)
+            keys = [keys[r] for r in live.tolist()]
+            ids = [ids[r] for r in live.tolist()]
+            occ, count, t = occ[live], count[live], t[live]
+            sites = sites[live] + ((np.arange(n) - live) * width)[:, None]
+            base = np.arange(n) * width
+            top = base + count.astype(np.intp)
+            gain = np.empty(n)
+        steps = min(2 * steps, max(1, BLOCK_UNIFORMS // (n * per_step)))
+
+
 def _survival_chunk(cfg, init, t_max, seed, lo, hi):
     survivals = boundary = 0
     for rng in trial_buffers(seed, (0,), lo, hi):
@@ -339,15 +574,35 @@ def _survival_chunk(cfg, init, t_max, seed, lo, hi):
     return survivals, boundary
 
 
+def _lockstep_chunk(cfg, init, t_max, seed, lo, hi):
+    survivals = boundary = 0
+    for final, hit in _lockstep_runs(cfg, init, t_max, seed, lo, hi):
+        survivals += bool(final)
+        boundary += hit
+    return survivals, boundary
+
+
+def _survival_estimate(survivals: int, boundary_hits: int, trials: int, seed: int,
+                       lane: str) -> SurvivalEstimate:
+    low, high = binomial_ci(survivals, trials)
+    stats = TrialStats(
+        trials=trials, survivals=survivals, master_seed=seed, lane=lane,
+        notes=("finite-size surrogate: fixed interval and horizon",),
+    )
+    return SurvivalEstimate(survivals / trials, low, high, boundary_hits, stats)
+
+
 def estimate_survival(cfg: ContactConfig, t_max: float, trials: int, seed: int,
                       init=None, workers: int = 1) -> SurvivalEstimate:
     """Fraction of trials still occupied at t_max, with a 95% interval.
 
     The infinite-volume survival probability is not observable here: this
     is a finite-interval, finite-horizon surrogate (noted in the output).
-    Trials split across processes when workers > 1; per-trial streams are
-    seed-derived and the counts are order-independent, so the result is
-    identical to the single-process run.
+    Standard-mode trials run on the lockstep kernel, lane 5
+    (``_lockstep_window``), threshold-mode trials on the event loop, lane 0,
+    where they measured faster.  Trials split across processes when
+    workers > 1; per-trial streams are seed-derived and the counts are
+    order-independent, so the result is identical to the single-process run.
     """
     _check_horizon(t_max)
     check_trials(trials)
@@ -355,15 +610,11 @@ def estimate_survival(cfg: ContactConfig, t_max: float, trials: int, seed: int,
         init = center_seed(cfg)
     init = tuple(init)
     check_sparse_span(cfg, init, t_max)
-    parts = run_trials(_survival_chunk, (cfg, init, t_max, seed), trials, workers)
-    survivals = sum(p[0] for p in parts)
-    boundary_hits = sum(p[1] for p in parts)
-    low, high = binomial_ci(survivals, trials)
-    stats = TrialStats(
-        trials=trials, survivals=survivals, master_seed=seed, lane="contact/0",
-        notes=("finite-size surrogate: fixed interval and horizon",),
-    )
-    return SurvivalEstimate(survivals / trials, low, high, boundary_hits, stats)
+    chunk, lane = ((_survival_chunk, "contact/0") if cfg.mode == THRESHOLD
+                   else (_lockstep_chunk, "contact/5"))
+    parts = run_trials(chunk, (cfg, init, t_max, seed), trials, workers)
+    return _survival_estimate(sum(p[0] for p in parts), sum(p[1] for p in parts), trials,
+                              seed, lane)
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,17 @@ returns the same stretch of many streams as one 2-D array.  Each thread
 reads through one reader of its own (``thread_reader``), built once.
 ``trial_buffers`` hands out one ``UniformBuffer`` per trial, reading its
 blocks as one-row reads, for the event loops that read a few uniforms per
-event (contact process, coalescing walks); the voter kernel reads whole
-windows of trials with ``rows``.  The values are the same as
-``trial_generator``'s, bit for bit, at any worker count.  Trial indices
-are single 32-bit entropy words, so at most ``MAX_TRIALS`` = 2**32 trials
-share a (seed, lane).
+event (contact process, coalescing walks); the voter kernel and the
+contact survival kernel read whole windows of trials with ``rows``.  The
+values are the same as ``trial_generator``'s, bit for bit, at any worker
+count.  Trial indices are single 32-bit entropy words, so at most
+``MAX_TRIALS`` = 2**32 trials share a (seed, lane).
+
+The lanes in use: () a single ``simulate_contact`` or ``simulate_voter``
+trajectory, (0,) contact survival on the event loop (threshold mode, and
+standard mode as the tests' witness), (1,) edge speed, (2,) consensus, (3,)
+and (4,) the voter and coalescing-walk sides of the duality check, (5,)
+standard-mode contact survival on the lockstep kernel.
 """
 
 from __future__ import annotations

@@ -26,7 +26,11 @@ optimized code in ``src/`` against it.
   monotonicity checks.
 * ipslab: exact transient laws of small systems by uniformization, for
   the contact process on an interval, coalescing walks and the voter
-  model, which the event loops' Monte Carlo means are tested against.
+  model, which the event loops' Monte Carlo means are tested against;
+  and standard-mode contact survival estimated on the event loop, lane 0,
+  one trial at a time (the stream of the older survival entries in
+  ``golden/ipslab_seeded.json``), the witness that ``estimate_survival``'s
+  lockstep kernel on lane 5 is compared with.
 """
 
 from __future__ import annotations
@@ -44,7 +48,9 @@ from stochlab.colorlab.measure import _canonical_proper_words
 from stochlab.colorlab.words import CLOSE, NEUTRAL, OPEN, _enum_dispersed
 from stochlab.gaplab import GeneratorOperator, WeightedGraph, reduce_vertex
 from stochlab.gaplab.generators import _PermutationSpace
+from stochlab.ipslab import contact
 from stochlab.ipslab.contact import STANDARD, ContactConfig
+from stochlab.ipslab.parallel import run_trials
 from stochlab.ipslab.voter import adjacency_lists
 
 # --- colorlab ----------------------------------------------------------------
@@ -511,3 +517,23 @@ def walk_law(graph: WeightedGraph, target, t: float) -> dict[frozenset, float]:
     p0 = np.zeros(len(subsets))
     p0[index[frozenset(target)]] = 1.0
     return dict(zip(subsets, uniformized(p0, apply_q, float(exits.max()), t).tolist()))
+
+
+# --- contact survival on the event loop ----------------------------------------
+
+
+def event_loop_survival(cfg: ContactConfig, t_max: float, trials: int, seed: int,
+                        init=None, workers: int = 1) -> contact.SurvivalEstimate:
+    """``estimate_survival`` as it was before the lockstep kernel, in either
+    mode: one ``contact._run`` per trial on lane 0, reported as lane
+    "contact/0"."""
+    init = tuple(contact.center_seed(cfg) if init is None else init)
+    parts = run_trials(contact._survival_chunk, (cfg, init, t_max, seed), trials, workers)
+    return contact._survival_estimate(sum(p[0] for p in parts), sum(p[1] for p in parts),
+                                      trials, seed, "contact/0")
+
+
+def lockstep_outcomes(cfg: ContactConfig, init, t_max: float, seed: int, lo: int, hi: int):
+    """The lockstep kernel's (final occupied sites, boundary hit) of trials
+    lo..hi-1 as a list, which ``run_trials`` can send between processes."""
+    return list(contact._lockstep_runs(cfg, init, t_max, seed, lo, hi))

@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import event_loop_survival, lockstep_outcomes
 
 from stochlab.gaplab import cycle_graph
 from stochlab.ipslab import (
@@ -19,6 +21,7 @@ from stochlab.ipslab import (
     threshold_config,
     trial_generator,
 )
+from stochlab.ipslab.parallel import run_trials
 
 
 class TestConfig:
@@ -190,23 +193,82 @@ class TestEstimateSurvival:
             TrialStats(trials=5, survivals=6)
 
 
+def _two_sample_z(p: float, q: float, trials: int) -> float:
+    spread = math.sqrt((p * (1 - p) + q * (1 - q)) / trials)
+    return (p - q) / spread
+
+
+class TestLockstepKernel:
+    """``estimate_survival``'s lockstep kernel (lane 5, standard mode)
+    against the event loop it replaced (lane 0), and its trials'
+    independence of how they are split into chunks, windows, blocks and
+    processes."""
+
+    @pytest.mark.parametrize("init, t_max, seed", [((30,), 20.0, 71), ((1,), 8.0, 73)],
+                             ids=["center", "site-1"])
+    def test_survival_and_boundary_hits_match_the_event_loop(self, init, t_max, seed):
+        # from the center, a fraction of the trials reaches site 1 or L = 60
+        # by t_max after the window has widened; from site 1 every trial
+        # counts as a hit at once, in both engines
+        cfg, trials = ContactConfig(2.0, length=60), 2000
+        lockstep = estimate_survival(cfg, t_max, trials, seed, init=init)
+        event_loop = event_loop_survival(cfg, t_max, trials, seed, init=init)
+        assert abs(_two_sample_z(lockstep.fraction, event_loop.fraction, trials)) \
+            <= DUALITY_Z_BOUND
+        if 1 in init:
+            assert lockstep.boundary_hits == event_loop.boundary_hits == trials
+        else:
+            assert 0 < event_loop.boundary_hits < trials
+            hits = lockstep.boundary_hits / trials, event_loop.boundary_hits / trials
+            assert abs(_two_sample_z(*hits, trials)) <= DUALITY_Z_BOUND
+
+    def test_threshold_survival_stays_on_the_event_loop(self):
+        cfg = threshold_config(1.2, length=30)
+        assert estimate_survival(cfg, 4.0, 50, seed=9) == event_loop_survival(cfg, 4.0, 50, 9)
+
+    @pytest.mark.parametrize("cfg, init", [
+        (ContactConfig(2.0), (0, 3)),
+        (ContactConfig(1.7, length=30), (1, 15)),
+    ], ids=["sparse", "interval"])
+    def test_outcomes_do_not_depend_on_the_split(self, monkeypatch, cfg, init):
+        trials, split, args = 61, 23, (cfg, init, 6.0, 81)
+        whole = lockstep_outcomes(*args, 0, trials)
+        assert 0 < sum(bool(final) for final, _ in whole) < trials
+        halves = lockstep_outcomes(*args, 0, split) + lockstep_outcomes(*args, split, trials)
+        assert whole == halves
+        workers = run_trials(lockstep_outcomes, args, trials, 2)
+        assert whole == [outcome for part in workers for outcome in part]
+        monkeypatch.setattr(contact, "WINDOW_SITES", 1)  # a window per trial
+        monkeypatch.setattr(contact, "BLOCK_UNIFORMS", 1)  # a block per step
+        assert whole == lockstep_outcomes(*args, 0, trials)
+
+
+@cache
+def _occupied_from_full(cfg, length: int, site: int, t: float, trials: int, seed: int) -> float:
+    """P(site occupied at t) from the full interval, over event-loop seeds."""
+    full = range(1, length + 1)
+    return sum(site in simulate_contact(cfg, full, t, seed=s).final_occupied
+               for s in range(seed * trials, (seed + 1) * trials)) / trials
+
+
 class TestSelfDualityAtScale:
     """Self-duality on an interval past the exact laws' 12 sites:
     P(xi_t^A meets B) = P(xi_t^B meets A) for a symmetric standard contact
     process.  With A = {x} and B the whole interval, survival from x equals
     P(x occupied at t) from full occupancy; the two sides are estimated from
     independent trials and compared by a two-sample z.  The threshold
-    process is not self-dual, and the same z must exceed the bound there."""
+    process is not self-dual, and the same z must exceed the bound there.
+    Standard-mode survival runs on ``estimate_survival``'s lockstep kernel
+    here and on the event loop in the subclass below; both read the same
+    full-interval side.  Threshold survival runs on the event loop in both."""
 
     LENGTH, SITE, T, TRIALS = 16, 8, 3.0, 2000
+    survival = staticmethod(estimate_survival)
 
     def _z(self, cfg, seed: int) -> float:
-        survival = estimate_survival(cfg, self.T, self.TRIALS, seed, init=(self.SITE,)).fraction
-        full = range(1, self.LENGTH + 1)
-        occupied = sum(self.SITE in simulate_contact(cfg, full, self.T, seed=s).final_occupied
-                       for s in range(seed * self.TRIALS, (seed + 1) * self.TRIALS)) / self.TRIALS
-        spread = math.sqrt((survival * (1 - survival) + occupied * (1 - occupied)) / self.TRIALS)
-        return (survival - occupied) / spread
+        survival = self.survival(cfg, self.T, self.TRIALS, seed, init=(self.SITE,)).fraction
+        occupied = _occupied_from_full(cfg, self.LENGTH, self.SITE, self.T, self.TRIALS, seed)
+        return _two_sample_z(survival, occupied, self.TRIALS)
 
     @pytest.mark.parametrize("neighborhood, lam, seed", [
         ((-1, 1), 2.0, 41),
@@ -218,6 +280,10 @@ class TestSelfDualityAtScale:
 
     def test_threshold_process_is_not(self):
         assert self._z(threshold_config(1.2, self.LENGTH), 43) > DUALITY_Z_BOUND
+
+
+class TestSelfDualityAtScaleEventLoop(TestSelfDualityAtScale):
+    survival = staticmethod(event_loop_survival)
 
 
 class TestFixedStepCrossValidation:
@@ -269,6 +335,7 @@ class TestSparseSpanBound:
     def one_mib(self, monkeypatch):
         monkeypatch.setattr(contact, "physical_memory_bytes", lambda: 2**20)
         monkeypatch.setattr(contact, "_run", None)  # no trial may start
+        monkeypatch.setattr(contact, "_lockstep_runs", None)
 
     @pytest.mark.parametrize("call", [
         lambda t: simulate_contact(ContactConfig(3.0), (0,), t, seed=1),

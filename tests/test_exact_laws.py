@@ -1,4 +1,5 @@
-"""The event loops against exact transient laws of small systems.
+"""The event loops and the lockstep survival kernel against exact
+transient laws of small systems.
 
 ``references.py`` computes the laws by uniformization, with the Poisson
 mass left out below 1e-14.  The first tests check those laws against
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from references import contact_law, voter_law, walk_law
+from references import contact_law, lockstep_outcomes, voter_law, walk_law
 
 from stochlab.gaplab import cycle_graph, path_graph
 from stochlab.ipslab import (
@@ -111,6 +112,24 @@ def _chi_square_z(observed: np.ndarray, expected: np.ndarray) -> float:
     chi2 = ((observed - expected) ** 2 / expected).sum()
     df = len(expected) - 1
     return ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+
+
+class TestLockstepAgainstExactLaws:
+    """The final occupied sets of ``estimate_survival``'s lockstep kernel
+    (lane 5, standard mode), trial by trial, against the exact law: a wrong
+    rate anywhere in the occupied-site form, such as a death or birth
+    branch weighted by the wrong ring rate, moves the law of the final set."""
+
+    @pytest.mark.parametrize("cfg, init, seed", [
+        (ContactConfig(1.5, length=8), tuple(range(1, 9)), 61),
+        (ContactConfig(1.0, length=8, neighborhood=(-2, -1, 1, 2)), (4,), 62),
+    ], ids=["standard", "range-2"])
+    def test_final_set_law(self, cfg, init, seed):
+        trials, t_max = 2500, 1.0
+        law = contact_law(cfg, init, t_max)
+        finals = [final for final, _ in lockstep_outcomes(cfg, init, t_max, seed, 0, trials)]
+        observed = np.bincount([_mask(f) for f in finals], minlength=len(law))
+        assert _chi_square_z(observed, trials * law) <= Z_BOUND
 
 
 class TestEventLoopsAgainstExactLaws:

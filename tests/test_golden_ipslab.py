@@ -3,8 +3,13 @@
 ``golden/ipslab_seeded.json`` was written by this module's ``__main__``
 from the code as it stood before RNG blocks grew geometrically and
 adjacency was built once per estimator; both changes must leave every
-seeded stream untouched.  The outputs carry no timing fields, so the
-comparison is plain ``==`` after a JSON round trip (which turns tuples
+seeded stream untouched.  Its three older survival entries are the
+estimator as it ran on the event loop, lane 0, which threshold-mode
+``estimate_survival`` and ``references.event_loop_survival`` still run;
+the ``*_lockstep`` entries, added when standard-mode ``estimate_survival``
+moved onto the lockstep kernel, pin lane 5: an interval, the sparse line
+(whose window doubles) and two workers.  The outputs carry no timing
+fields, so the comparison is plain ``==`` after a JSON round trip (which turns tuples
 into lists and keeps floats exact).  Never regenerate the file to make a
 refactor pass: a mismatch is a bug in the refactor.
 """
@@ -12,6 +17,8 @@ refactor pass: a mismatch is a bug in the refactor.
 import json
 from dataclasses import asdict
 from pathlib import Path
+
+from references import event_loop_survival
 
 from stochlab import ipslab
 from stochlab.gaplab import cycle_graph
@@ -31,10 +38,10 @@ def seeded_outputs() -> dict:
         "simulate_contact_threshold": asdict(
             ipslab.simulate_contact(threshold, full, 5.0, seed=98, record_dt=0.5)),
         "simulate_voter": asdict(ipslab.simulate_voter(voter, 20.0, seed=12, record_dt=1.0)),
-        "estimate_survival": ipslab.estimate_survival(standard, 5.0, 40, seed=4).to_dict(),
+        "estimate_survival": event_loop_survival(standard, 5.0, 40, seed=4).to_dict(),
         "estimate_survival_threshold": ipslab.estimate_survival(
             threshold, 5.0, 40, seed=4).to_dict(),
-        "estimate_survival_w2": ipslab.estimate_survival(
+        "estimate_survival_w2": event_loop_survival(
             standard, 5.0, 40, seed=4, workers=2).to_dict(),
         "duality_check": ipslab.duality_check(
             cycle_graph(10), (0, 1), 2.0, 0.5, 400, seed=5).to_dict(),
@@ -42,6 +49,12 @@ def seeded_outputs() -> dict:
             cycle_graph(10), (0, 1), 2.0, 0.5, 400, seed=5, workers=2).to_dict(),
         "consensus_rate": ipslab.consensus_rate(voter, 100.0, 50, seed=2).to_dict(),
         "right_edge_speed": {**edge.to_dict(), "trialSlopes": list(edge.trial_slopes)},
+        "estimate_survival_lockstep": ipslab.estimate_survival(
+            standard, 5.0, 40, seed=4).to_dict(),
+        "estimate_survival_lockstep_sparse": ipslab.estimate_survival(
+            ipslab.ContactConfig(2.5), 8.0, 40, seed=4).to_dict(),
+        "estimate_survival_lockstep_w2": ipslab.estimate_survival(
+            standard, 5.0, 40, seed=4, workers=2).to_dict(),
     }
 
 

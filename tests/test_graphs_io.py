@@ -29,6 +29,15 @@ class TestWeightedGraph:
         with pytest.raises(ValueError):
             WeightedGraph(w)
 
+    @pytest.mark.parametrize("i, j", [(298, 299), (299, 297), (0, 299), (299, 127)])
+    def test_one_asymmetric_entry_in_any_tile_rejected(self, i, j):
+        # the symmetry check reads 128 x 128 tiles; 300 vertices leave a
+        # partial last tile, which holds every pair here but (0, 299) and (299, 127)
+        w = path_graph(300).weights.copy()
+        w[i, j] += 0.5
+        with pytest.raises(ValueError, match="symmetric"):
+            WeightedGraph(w)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             WeightedGraph.from_edges(2, [(0, 1, -1.0)])

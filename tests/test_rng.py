@@ -159,6 +159,9 @@ def test_estimators_reject_more_than_two_to_the_32_trials(monkeypatch, estimator
     for module in (contact, voter):
         monkeypatch.setattr(module, "trial_buffers", _no_work)
         monkeypatch.setattr(module, "run_trials", _no_work, raising=False)
+        # the lockstep and voter kernels key and read whole windows of trials
+        monkeypatch.setattr(module, "trial_keys", _no_work)
+        monkeypatch.setattr(module, "thread_reader", _no_work)
     monkeypatch.setattr(voter, "_voter_runs", _no_work)
     with pytest.raises(ValueError, match="trials must be in 1..2\\*\\*32"):
         estimator(2**32 + 1)
