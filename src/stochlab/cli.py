@@ -251,6 +251,7 @@ def cmd_sim_contact(args):
         return est.to_dict(), None
     make = ipslab.threshold_config if args.mode == "threshold" else ipslab.ContactConfig
     cfg = make(args.lam, args.L)
+    ipslab.contact.check_sparse_span(cfg, ipslab.center_seed(cfg), args.tmax, "--tmax")
     est = ipslab.estimate_survival(cfg, args.tmax, args.trials, args.seed,
                                    workers=args.parallel or 1)
     if args.csv:
@@ -395,8 +396,8 @@ _COMMANDS = {
                     (_GRAPH,)),
     "sim.contact": (cmd_sim_contact, "contact process survival or edge speed", (
         _Opt("--lambda", float, _at_least(0), dest="lam", required=True),
-        _Opt("--L", int, _at_least(1), required=True, when=lambda a: not a.edge_speed,
-             help="interval length (survival mode)"),
+        _Opt("--L", int, _at_least(1), when=lambda a: not a.edge_speed,
+             help="interval length (survival mode; default: the sparse line)"),
         _Opt("--tmax", float, _number(lambda t: t > 0, "> 0"), required=True),
         _TRIALS, _SEED,
         _Opt("--mode", str, _one_of("standard", "threshold"),

@@ -26,23 +26,17 @@ trial's stream, its step, its branch and its index, as one triple.  The
 loop runs ``simulate_contact`` (trial 0 of the empty lane),
 ``right_edge_speed`` (lane 1) and threshold-mode survival (lane 0).
 
-``estimate_survival`` runs standard-mode trials on a lockstep kernel
-(``_lockstep_window``, lane 5): the trials of a window are the rows of
-numpy arrays, and one numpy step advances every live row by one event of
-the occupied-site form.  Each occupied site rings at rate 1 + |N| lam; it
-dies with probability 1 / (1 + |N| lam) and otherwise tries a birth at a
-uniform offset.  So every vacant site is born at lam per occupied neighbor,
-the event loop's rate, and the two engines share one law; a birth onto an
-occupied site is a step that changes nothing, the price of steps that read
-no rate table.  Every step reads three uniforms of the trial's own stream,
-a block at a time through ``StreamReader.rows``, so a trial's outcome
-depends only on (seed, lane, trial) at any window, block or worker count.
-Both engines take holding times with ``math.log1p`` (numpy's ``log1p``
-rounds differently on some inputs and machines).  Threshold-mode survival
-stays on the event loop, lane 0 (``_survival_chunk``): there most proposed
-births would land on occupied sites or be refused, and a lockstep with
-acceptance 1/(occupied neighbors) measured slower than the loop.  The tests
-also run standard-mode survival on lane 0 as the lockstep's witness.
+``estimate_survival`` runs standard-mode trials on the lockstep shell
+(``lockstep.py``, lane 5) in the occupied-site form (``_ContactRows``):
+each occupied site rings at rate 1 + |N| lam, dies with probability
+1 / (1 + |N| lam) and otherwise tries a birth at a uniform offset.  So
+every vacant site is born at lam per occupied neighbor, the event loop's
+rate, and the two engines share one law; a birth onto an occupied site is
+a step that changes nothing, the price of steps that read no rate table.
+Threshold-mode survival stays on the event loop, lane 0
+(``_survival_chunk``): there most proposed births would land on occupied
+sites or be refused, and a lockstep with acceptance 1/(occupied neighbors)
+measured slower than the loop.
 """
 
 from __future__ import annotations
@@ -51,14 +45,13 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cache
-from itertools import islice
 
 import numpy as np
 
 from ..memory import physical_memory_bytes
+from .lockstep import Lockstep
 from .parallel import run_trials
-from .rng import (UniformBuffer, binomial_ci, check_trials, thread_reader, trial_buffers,
-                  trial_keys)
+from .rng import UniformBuffer, binomial_ci, check_trials, trial_buffers
 from .stats import TrialStats, check_record_dt
 
 STANDARD = "standard"
@@ -365,10 +358,6 @@ class SurvivalEstimate:
 
 
 LOCKSTEP_LANE = (5,)
-FIRST_STEPS = 2            # steps a trial reads in its first block; later blocks double
-BLOCK_UNIFORMS = 1 << 18   # the most uniforms a block array holds (2 MiB), unless one
-                           # step of every row alone needs more
-WINDOW_SITES = 1 << 21     # sites a window's rows hold together at its widest estimate
 # lockstep site codes: bit 0 means occupied, and a birth needs both low bits clear
 HELD, BARRED, UNREACHED, MARGIN = 1, 2, 4, 8
 _BIRTHS = np.array([code & (HELD | BARRED) == 0 for code in range(16)])  # by code
@@ -377,9 +366,9 @@ _BIRTHS = np.array([code & (HELD | BARRED) == 0 for code in range(16)])  # by co
 def _lockstep_runs(cfg: ContactConfig, init, t_max: float, seed: int, lo: int, hi: int):
     """Trials lo..hi-1 of (seed, LOCKSTEP_LANE) from the occupied set
     ``init`` up to ``t_max``, in trial order, each as (final occupied sites,
-    boundary hit).  Trials run in windows of rows that hold about
-    WINDOW_SITES sites together when they span ``_span_bound``'s sites.
-    Standard mode only: the kernel has no threshold births."""
+    boundary hit).  A window's rows hold about ``lockstep.WINDOW_SITES``
+    sites together when they span ``_span_bound``'s sites.  Standard mode
+    only: the kernel has no threshold births."""
     init = sorted(set(init))
     _check_init(cfg, init)
     if not init:  # every trial starts extinct
@@ -389,10 +378,8 @@ def _lockstep_runs(cfg: ContactConfig, init, t_max: float, seed: int, lo: int, h
     span = _span_bound(cfg, init, t_max)
     if cfg.length is not None:
         span = min(span, cfg.length + 2 * cfg.neighborhood[-1])
-    rows = max(1, int(WINDOW_SITES // (2 * span + 16)))  # a window doubles from 16 sites
-    streams = trial_keys(seed, LOCKSTEP_LANE, lo, hi)
-    while keys := list(islice(streams, rows)):
-        yield from _lockstep_window(cfg, init, t_max, keys)
+    # a row doubles from 16 sites
+    yield from _ContactRows.runs(seed, LOCKSTEP_LANE, lo, hi, 2 * span + 16, t_max, cfg, init)
 
 
 def _site_codes(width: int, half: int, origin: int, ends: tuple[int, ...], reach: int):
@@ -414,155 +401,97 @@ def _site_codes(width: int, half: int, origin: int, ends: tuple[int, ...], reach
     return codes, end_cols
 
 
-def _lockstep_window(cfg: ContactConfig, init: list[int], t_max: float, keys) -> list:
-    """One window of standard-mode trials, one row each, stepped together:
-    every step advances each live row by one event of the occupied-site form.
+class _ContactRows(Lockstep):
+    """One window of standard-mode trials: column c of a row holds site
+    origin + c - half, and a birth needs a vacant site inside the interval.
+    A row ends at t_max or when it dies out.  A birth into the MARGIN
+    doubles every row's window, as ``_widened`` does, so every site a step
+    reads stays inside its row."""
 
-    A row holds its trial's site codes (column c is site origin + c - half)
-    and, in swap-with-last order, its occupied sites as flat indices into
-    all rows' codes.  An occupied site rings at rate 1 + |N| lam and dies
-    with probability 1 / (1 + |N| lam); otherwise it tries a birth at a
-    uniform offset, which needs a vacant site inside the interval, so a
-    vacant site is born at lam per occupied neighbor, the event loop's
-    rate.  A step reads three uniforms of the trial's stream (its time, the
-    site and its action); the rows read their next block together through
-    ``StreamReader.rows``.
+    def __init__(self, cfg: ContactConfig, init: list[int], keys: list):
+        self.lam, self.offsets = cfg.lam, np.array(cfg.neighborhood, dtype=np.intp)
+        self.reach = reach = cfg.neighborhood[-1]
+        self.ring = 1 + len(self.offsets) * self.lam
+        self.ends = () if cfg.length is None else (1, cfg.length)
+        self.origin = origin = init[0]
+        half = 8  # column half holds the origin; occupied columns stay >= 2 reach from either side
+        while half <= init[-1] - origin + 2 * reach:
+            half *= 2
+        self.half = half
+        codes, self.end_cols = _site_codes(2 * half, half, origin, self.ends, reach)
+        super().__init__(keys, codes, [x - origin + half for x in init])  # marked 1, HELD
+        self.covered = self._covers()
 
-    A row that ends (extinct, or its next event past t_max) is recorded
-    and frozen (no deaths, births or time) until the block ends or a
-    quarter of its rows have ended; then the live rows are compacted.  A
-    birth into the MARGIN doubles every row's window, as ``_widened``
-    does, so every site a step reads stays inside its row.
-    """
-    lam, offsets = cfg.lam, np.array(cfg.neighborhood, dtype=np.intp)
-    reach = cfg.neighborhood[-1]
-    ring = 1 + len(offsets) * lam
-    per_step = 3  # uniforms a step reads: its time, the site and its action
-    ends = () if cfg.length is None else (1, cfg.length)
-    origin = init[0]
-    half = 8  # column half holds the origin; occupied columns stay >= 2 reach from either side
-    while half <= init[-1] - origin + 2 * reach:
-        half *= 2
-    width = 2 * half
-    n = len(keys)
-    codes, end_cols = _site_codes(width, half, origin, ends, reach)
-    occ = np.tile(codes, (n, 1))
-    occ[:, [x - origin + half for x in init]] = HELD
-    base = np.arange(n) * width
-    sites = np.zeros((n, width), dtype=np.intp)
-    sites[:, :len(init)] = [x - origin + half for x in init]
-    sites += base[:, None]
-    count = np.full(n, float(len(init)))  # a float, as the rates and the site pick read it
-    top = base + len(init)  # one past a row's last occupied site, in sites.ravel()
-    t = np.zeros(n)
-    ids = list(range(n))
-    results: list = [None] * n
+    def _covers(self) -> bool:  # no birth can reach the margin any more
+        cols, width = self.end_cols, self.cells.shape[1]
+        return bool(self.ends) and cols[0] >= 2 * self.reach and cols[1] < width - 2 * self.reach
 
-    def covers() -> bool:  # no birth can reach the margin any more
-        return bool(ends) and end_cols[0] >= 2 * reach and end_cols[1] < width - 2 * reach
+    def decode(self, action):
+        action = action * self.ring
+        self.dies = action < 1
+        self.keeps = ~self.dies
+        self.move = np.zeros(action.shape, dtype=np.intp)  # the birth's offset; 0 on a death
+        if self.lam:
+            j = np.minimum(((action[self.keeps] - 1) / self.lam).astype(np.intp),
+                           len(self.offsets) - 1)
+            self.move[self.keeps] = self.offsets[j]
 
-    def record(rows, alive: bool):
+    def freeze(self, rows, step: int):
+        self.dies[step:, rows] = False
+        self.keeps[step:, rows] = True
+        self.move[step:, rows] = 0  # a birth onto the ringing site itself never happens
+
+    def record(self, rows):
         hits = np.zeros(len(rows), dtype=bool)
-        for c in end_cols:
-            if 0 <= c < width:
-                hits |= occ[rows, c] & ~MARGIN != UNREACHED
-        for r, hit in zip(rows.tolist(), hits.tolist()):
+        for c in self.end_cols:
+            if 0 <= c < self.cells.shape[1]:
+                hits |= self.cells[rows, c] & ~MARGIN != UNREACHED
+        sites, width, shift = self.sites.ravel(), self.cells.shape[1], self.origin - self.half
+        for r, hit, alive in zip(rows.tolist(), hits.tolist(), self.count[rows].tolist()):
             final = ()
             if alive:
-                final = tuple(sorted(f - r * width - half + origin
-                                     for f in sites.ravel()[r * width:top[r]].tolist()))
-            results[ids[r]] = final, hit
+                final = tuple(sorted(f - r * width + shift
+                                     for f in sites[r * width:self.top[r]].tolist()))
+            self.results[self.ids[r]] = final, hit
 
-    covered = covers()
-    reader = thread_reader()
-    log1p = math.log1p
-    gain = np.empty(n)
-    read, steps = 0, max(1, min(FIRST_STEPS, BLOCK_UNIFORMS // (n * per_step)))
-    while True:
-        u = reader.rows(keys, read, per_step * steps).reshape(n, steps, per_step)
-        # one row per step, one column per trial
-        wait = np.fromiter(map(log1p, memoryview(np.negative(u[:, :, 0]).ravel())), float,
-                           n * steps).reshape(n, steps)
-        wait = np.ascontiguousarray(wait.T / -ring)  # divided by the occupied count below
-        pick = u[:, :, 1].T.copy()
-        action = u[:, :, 2].T * ring
-        dies = action < 1
-        keeps = ~dies
-        move = np.zeros((steps, n), dtype=np.intp)  # the birth's offset; 0 on a death
-        if lam:
-            j = np.minimum(((action[keeps] - 1) / lam).astype(np.intp), len(offsets) - 1)
-            move[keeps] = offsets[j]
-        occ_flat, sites_flat = occ.ravel(), sites.ravel()
+    def step(self, s: int, i):
+        cells, sites, top = self.cells.ravel(), self.sites.ravel(), self.top
+        x = sites[i]
+        y = x + self.move[s]
+        code = cells[y]
+        born = _BIRTHS.take(code)
+        new = code + born
+        new *= self.keeps[s]  # a death empties its site, which is y
+        cells[y] = new
+        d = self.dies[s]
+        sites[i] = np.where(d, sites[top - 1], x)
+        sites[top] = y
+        delta = np.subtract(born, d, dtype=np.int8)
+        top += delta
+        self.count += delta
+        if not self.covered and np.maximum.reduce(new) > MARGIN and \
+                ((new & (MARGIN | HELD)) == MARGIN | HELD).any():
+            self._widen()
+        if not np.logical_and.reduce(self.count):
+            out = np.flatnonzero(self.count == 0)
+            self.end(out, s + 1)
+            base = self.base[out]  # revived on the origin, then frozen
+            self.count[out] = 1
+            self.top[out] = base + 1
+            self.sites.ravel()[base] = base + self.half
+            self.cells.ravel()[base + self.half] = HELD
 
-        def freeze(rows, step: int):
-            t[rows] = -math.inf
-            dies[step:, rows] = False
-            keeps[step:, rows] = True
-            move[step:, rows] = 0  # a birth onto the ringing site itself never happens
-
-        ended = 0
-        for s in range(steps):
-            np.divide(wait[s], count, out=gain)
-            t += gain
-            if np.maximum.reduce(t) > t_max:
-                over = np.flatnonzero(t > t_max)
-                record(over, True)
-                freeze(over, s)
-                ended += len(over)
-            # u * n < n for every double u < 1 that Generator.random returns
-            # (a multiple of 2**-53), so the index needs no clamp
-            i = np.add(base, pick[s] * count, dtype=np.intp, casting="unsafe")  # cast truncates
-            x = sites_flat[i]
-            y = x + move[s]
-            code = occ_flat[y]
-            born = _BIRTHS.take(code)
-            new = code + born
-            new *= keeps[s]  # a death empties its site, which is y
-            occ_flat[y] = new
-            d = dies[s]
-            sites_flat[i] = np.where(d, sites_flat[top - 1], x)
-            sites_flat[top] = y
-            delta = np.subtract(born, d, dtype=np.int8)
-            top += delta
-            count += delta
-            if not covered and np.maximum.reduce(new) > MARGIN and \
-                    ((new & (MARGIN | HELD)) == MARGIN | HELD).any():
-                fresh, end_cols = _site_codes(2 * width, 2 * half, origin, ends, reach)
-                occ = np.tile(fresh, (n, 1))
-                occ[:, half:half + width] = occ_flat.reshape(n, width) & ~MARGIN
-                grown = np.zeros((n, 2 * width), dtype=np.intp)
-                grown[:, :width] = sites + (base + half)[:, None]  # column c moves to c + half
-                sites = grown
-                half, width = 2 * half, 2 * width
-                base = np.arange(n) * width
-                top = base + count.astype(np.intp)
-                occ_flat, sites_flat = occ.ravel(), sites.ravel()
-                covered = covers()
-            if not np.logical_and.reduce(count):
-                out = np.flatnonzero(count == 0)
-                record(out, False)
-                count[out] = 1  # revived on the origin, then frozen
-                top[out] = base[out] + 1
-                sites_flat[base[out]] = base[out] + half
-                occ_flat[base[out] + half] = HELD
-                freeze(out, s + 1)
-                ended += len(out)
-            if 4 * ended >= n:
-                break
-        read += (s + 1) * per_step
-        live = np.flatnonzero(t > -math.inf)
-        if len(live) == 0:
-            return results
-        if len(live) < n:
-            n = len(live)
-            keys = [keys[r] for r in live.tolist()]
-            ids = [ids[r] for r in live.tolist()]
-            occ, count, t = occ[live], count[live], t[live]
-            sites = sites[live] + ((np.arange(n) - live) * width)[:, None]
-            base = np.arange(n) * width
-            top = base + count.astype(np.intp)
-            gain = np.empty(n)
-        steps = min(2 * steps, max(1, BLOCK_UNIFORMS // (n * per_step)))
+    def _widen(self):
+        half, width, n = self.half, self.cells.shape[1], len(self.keys)
+        fresh, self.end_cols = _site_codes(2 * width, 2 * half, self.origin, self.ends,
+                                           self.reach)
+        cells = np.tile(fresh, (n, 1))
+        cells[:, half:half + width] = self.cells & ~MARGIN
+        sites = np.zeros((n, 2 * width), dtype=np.intp)
+        sites[:, :width] = self.sites + (self.base + half)[:, None]  # column c moves to c + half
+        self.cells, self.sites, self.half = cells, sites, 2 * half
+        self._rebase()
+        self.covered = self._covers()
 
 
 def _survival_chunk(cfg, init, t_max, seed, lo, hi):
@@ -598,8 +527,8 @@ def estimate_survival(cfg: ContactConfig, t_max: float, trials: int, seed: int,
 
     The infinite-volume survival probability is not observable here: this
     is a finite-interval, finite-horizon surrogate (noted in the output).
-    Standard-mode trials run on the lockstep kernel, lane 5
-    (``_lockstep_window``), threshold-mode trials on the event loop, lane 0,
+    Standard-mode trials run on the lockstep shell, lane 5
+    (``_ContactRows``), threshold-mode trials on the event loop, lane 0,
     where they measured faster.  Trials split across processes when
     workers > 1; per-trial streams are seed-derived and the counts are
     order-independent, so the result is identical to the single-process run.

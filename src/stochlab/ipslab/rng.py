@@ -21,9 +21,9 @@ that it reseats to (key, counter) for each stream it reads: ``rows``
 returns the same stretch of many streams as one 2-D array.  Each thread
 reads through one reader of its own (``thread_reader``), built once.
 ``trial_buffers`` hands out one ``UniformBuffer`` per trial, reading its
-blocks as one-row reads, for the event loops that read a few uniforms per
-event (contact process, coalescing walks); the voter kernel and the
-contact survival kernel read whole windows of trials with ``rows``.  The
+blocks as one-row reads, for the contact process's event loop, which reads
+a few uniforms per event; the voter kernel and the lockstep shell
+(``lockstep.py``) read whole windows of trials with ``rows``.  The
 values are the same as ``trial_generator``'s, bit for bit, at any worker
 count.  Trial indices are single 32-bit entropy words, so at most
 ``MAX_TRIALS`` = 2**32 trials share a (seed, lane).
@@ -31,8 +31,9 @@ count.  Trial indices are single 32-bit entropy words, so at most
 The lanes in use: () a single ``simulate_contact`` or ``simulate_voter``
 trajectory, (0,) contact survival on the event loop (threshold mode, and
 standard mode as the tests' witness), (1,) edge speed, (2,) consensus, (3,)
-and (4,) the voter and coalescing-walk sides of the duality check, (5,)
-standard-mode contact survival on the lockstep kernel.
+the voter side of the duality check, (4,) only the tests' witness
+coalescing walks on their event loop, and on the lockstep shell (5,)
+standard-mode contact survival and (6,) the duality check's coalescing walks.
 """
 
 from __future__ import annotations
@@ -175,6 +176,13 @@ class UniformBuffer:
     def __iter__(self):
         """The iterator that ``next`` steps, for loops that read uniforms in groups."""
         return self.next.__self__
+
+
+def log1p_of_negated(u: np.ndarray) -> np.ndarray:
+    """``log1p(-u)`` elementwise by ``math.log1p``, in u's shape: the
+    kernels' holding times, taken as the event loops take them."""
+    return np.fromiter(map(math.log1p, memoryview(np.negative(u).ravel())), float,
+                       u.size).reshape(u.shape)
 
 
 def trial_buffers(master_seed: int, lane: tuple[int, ...], lo: int, hi: int):

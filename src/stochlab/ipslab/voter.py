@@ -25,20 +25,19 @@ twice as long, as long as a window's array holds at most
 ``WINDOW_UNIFORMS`` doubles.  Every seeded value is that of the one-event
 loop, bit for bit; the tests keep that loop as the reference.
 
-Coalescing walks stay on an event loop (``_walk_survivors``): the step
-rate and the index of the walker that moves both depend on how many
-walkers are left, so their draws are not state-free.  A lockstep across
-trials, one numpy step per event index for every live trial, was rejected:
-the slowest trial sets the number of steps.  The 150 consensus trials of
-the benchmark's ``sim-many-trials`` workload at seed 17 average 894 events
-but the longest has 5173, and the lockstep took 0.25-0.32 s against this
-kernel's 0.044 s (2-vCPU VM).
+The walk side of ``duality_check`` runs on the lockstep shell
+(``lockstep.py``, lane 6, ``_Walks``), whose trials are short: a row's
+cells mark the vertices walkers sit on, and a move onto an occupied vertex
+is a merge.  A lockstep for the voter side was rejected: the slowest trial
+sets the number of steps.  The 150 consensus trials of the benchmark's
+``sim-many-trials`` workload at seed 17 average 894 events but the longest
+has 5173, and the lockstep took 0.25-0.32 s against this kernel's 0.044 s
+(2-vCPU VM).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
@@ -46,8 +45,9 @@ from itertools import islice
 import numpy as np
 
 from ..gaplab.graphs import WeightedGraph
+from .lockstep import Lockstep
 from .parallel import run_trials
-from .rng import UniformBuffer, check_trials, thread_reader, trial_buffers, trial_keys
+from .rng import check_trials, log1p_of_negated, thread_reader, trial_keys
 from .stats import TrialStats, check_record_dt
 
 
@@ -140,6 +140,14 @@ class _Trial:
         self.ended = self.consensus is not None
 
 
+def _csr(adj: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The neighbors of ``adj`` in one array, each vertex's degree and the
+    index of its first neighbor."""
+    degree = np.array([len(row) for row in adj], dtype=np.intp)
+    return (np.array([j for row in adj for j in row], dtype=np.intp), degree,
+            np.cumsum(degree) - degree)
+
+
 def _voter_runs(adj: list[list[int]], rho: float | None, initial: tuple[int, ...] | None,
                 t_max: float, seed: int, lane: tuple[int, ...], lo: int, hi: int,
                 record_dt: float | None = None):
@@ -147,9 +155,7 @@ def _voter_runs(adj: list[list[int]], rho: float | None, initial: tuple[int, ...
     order, each as (consensus time or None, final opinions, events, recorded
     path).  Opinions start from ``initial``, or else i.i.d. with density rho."""
     n = len(adj)
-    degree = np.array([len(row) for row in adj], dtype=np.intp)
-    graph = (n, np.array([j for row in adj for j in row], dtype=np.intp), degree,
-             np.cumsum(degree) - degree)
+    graph = (n, *_csr(adj))
     init = 0 if initial is not None else n
     first = init + 3 * FIRST_EVENTS  # uniforms a trial reads in its first block
     reader = thread_reader()
@@ -183,9 +189,7 @@ def _voter_block(running: list[_Trial], uniforms, t_max: float, record_dt: float
     n, neighbors, degree, first = graph
     count, events = len(running), uniforms.shape[1] // 3
     uniforms = uniforms.reshape(count, events, 3)
-    log1p = math.log1p
-    steps = np.fromiter(map(log1p, (-uniforms[:, :, 0]).ravel().tolist()), float,
-                        count * events).reshape(count, events)
+    steps = log1p_of_negated(uniforms[:, :, 0])
     steps /= -n  # the loop's t - log1p(-u) / n, added in order by cumsum
     steps[:, 0] += [trial.t for trial in running]
     times = np.cumsum(steps, axis=1, out=steps)
@@ -272,40 +276,52 @@ def consensus_rate(cfg: VoterConfig, t_max: float, trials: int, seed: int) -> Co
     return ConsensusEstimate(len(times) / trials, mean_time, stats)
 
 
-def _walk_survivors(adj: list[list[int]], start, t_max: float, rng: UniformBuffer) -> int:
-    """Number of distinct walkers left at t_max, merging on meeting."""
-    walkers = sorted(set(start))  # positions, in the order a uniform pick indexes them
-    occupied = set(walkers)
-    alive = len(walkers)
-    if alive < 2:
-        return alive
-    t = 0.0
-    stream = iter(rng)
-    # each event reads three uniforms: the step, the walker and its neighbor
-    for step, pick, neighbor in zip(map(math.log1p, map(operator.neg, stream)), stream, stream):
-        t -= step / alive
-        if t > t_max:
-            break
-        i = int(pick * alive)
-        if i >= alive:  # u * n can round up to n at the float edge
-            i = alive - 1
-        old = walkers[i]
-        neighbors = adj[old]
-        degree = len(neighbors)
-        j = int(neighbor * degree)
-        if j >= degree:
-            j = degree - 1
-        new = neighbors[j]
-        occupied.remove(old)
-        if new in occupied:  # merged into the sitting walker
-            del walkers[i]
-            alive -= 1
-            if alive == 1:
-                break
-        else:
-            occupied.add(new)
-            walkers[i] = new
-    return alive
+def _walk_runs(adj: list[list[int]], start, t_max: float, seed: int, lo: int, hi: int):
+    """The number of coalescing walkers left at t_max in trials lo..hi-1 of
+    (seed, (6,)), started one on each vertex of ``start``, in trial order."""
+    start = sorted(set(start))
+    if len(start) < 2:  # nothing to merge
+        return iter([len(start)] * (hi - lo))
+    return _Walks.runs(seed, (6,), lo, hi, len(adj), t_max, _csr(adj), start)
+
+
+class _Walks(Lockstep):
+    """One window of walk trials: cell v of a row is 1 while a walker sits
+    on vertex v.  The walker that rings leaves for its neighbor ``int(u
+    deg)`` and merges into a walker there.  A row ends at t_max, or when one
+    walker is left."""
+
+    def __init__(self, graph, start: list[int], keys: list):
+        self.neighbors, self.degree, self.first = graph
+        super().__init__(keys, np.zeros(len(self.degree), dtype=np.int8), start)
+
+    def decode(self, action):
+        self.hop = action.copy()
+
+    def step(self, s: int, i):
+        cells, sites, base, top = self.cells.ravel(), self.sites.ravel(), self.base, self.top
+        x = sites[i]
+        v = x - base
+        y = base + self.neighbors[self.first[v] + (self.hop[s] * self.degree[v]).astype(np.intp)]
+        merged = cells[y]
+        cells[x] = 0
+        cells[y] = 1
+        sites[i] = np.where(merged, sites[top - 1], y)
+        top -= merged
+        self.count -= merged
+        if np.logical_or.reduce(merged):
+            self.end(np.flatnonzero(merged * (self.count == 1)), s + 1)
+
+    def record(self, rows):
+        for r, walkers in zip(rows.tolist(), self.count[rows].tolist()):
+            self.results[self.ids[r]] = int(walkers)
+
+    def freeze(self, rows, step: int):
+        # the row keeps one walker, which moves on and never merges
+        self.cells[rows] = 0
+        self.cells.ravel()[self.sites[rows, 0]] = 1
+        self.count[rows] = 1
+        self.top[rows] = self.base[rows] + 1
 
 
 @dataclass(frozen=True)
@@ -341,9 +357,7 @@ def _duality_chunk(adj, rho, target, t, seed, lo, hi):
     count = 0
     for _, opinions, _, _ in _voter_runs(adj, rho, None, t, seed, (3,), lo, hi):
         count += all(opinions[v] == 1 for v in target)
-    values = [rho ** _walk_survivors(adj, target, t, rng)
-              for rng in trial_buffers(seed, (4,), lo, hi)]
-    return count, values
+    return count, [rho ** walkers for walkers in _walk_runs(adj, target, t, seed, lo, hi)]
 
 
 def duality_check(graph: WeightedGraph, target, t: float, rho: float,
@@ -372,6 +386,11 @@ def duality_check(graph: WeightedGraph, target, t: float, rho: float,
 
     parts = run_trials(_duality_chunk, (adjacency_lists(graph), rho, target, t, seed), trials,
                        workers)
+    return _duality_report(parts, trials, target, t, rho, seed)
+
+
+def _duality_report(parts, trials, target, t, rho, seed) -> DualityReport:
+    """The report from each chunk's voter count and walk values, in trial order."""
     lhs = sum(count for count, _ in parts) / trials
     lhs_var = lhs * (1 - lhs) / trials
 

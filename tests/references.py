@@ -27,15 +27,19 @@ optimized code in ``src/`` against it.
 * ipslab: exact transient laws of small systems by uniformization, for
   the contact process on an interval, coalescing walks and the voter
   model, which the event loops' Monte Carlo means are tested against;
-  and standard-mode contact survival estimated on the event loop, lane 0,
+  standard-mode contact survival estimated on the event loop, lane 0,
   one trial at a time (the stream of the older survival entries in
   ``golden/ipslab_seeded.json``), the witness that ``estimate_survival``'s
-  lockstep kernel on lane 5 is compared with.
+  lockstep kernel on lane 5 is compared with; and coalescing walks on an
+  event loop, one ``UniformBuffer`` per trial (lane 4 in the older duality
+  entries there), the witness of the walk side of ``duality_check``, which
+  runs on the lockstep shell on lane 6.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,9 +52,10 @@ from stochlab.colorlab.measure import _canonical_proper_words
 from stochlab.colorlab.words import CLOSE, NEUTRAL, OPEN, _enum_dispersed
 from stochlab.gaplab import GeneratorOperator, WeightedGraph, reduce_vertex
 from stochlab.gaplab.generators import _PermutationSpace
-from stochlab.ipslab import contact
+from stochlab.ipslab import contact, voter
 from stochlab.ipslab.contact import STANDARD, ContactConfig
 from stochlab.ipslab.parallel import run_trials
+from stochlab.ipslab.rng import UniformBuffer, trial_buffers
 from stochlab.ipslab.voter import adjacency_lists
 
 # --- colorlab ----------------------------------------------------------------
@@ -537,3 +542,76 @@ def lockstep_outcomes(cfg: ContactConfig, init, t_max: float, seed: int, lo: int
     """The lockstep kernel's (final occupied sites, boundary hit) of trials
     lo..hi-1 as a list, which ``run_trials`` can send between processes."""
     return list(contact._lockstep_runs(cfg, init, t_max, seed, lo, hi))
+
+
+# --- coalescing walks on the event loop -----------------------------------------
+
+
+def _walk_survivors(adj: list[list[int]], start, t_max: float, rng: UniformBuffer) -> int:
+    """Number of distinct walkers left at t_max, merging on meeting."""
+    walkers = sorted(set(start))  # positions, in the order a uniform pick indexes them
+    occupied = set(walkers)
+    alive = len(walkers)
+    if alive < 2:
+        return alive
+    t = 0.0
+    stream = iter(rng)
+    # each event reads three uniforms: the step, the walker and its neighbor
+    for step, pick, neighbor in zip(map(math.log1p, map(operator.neg, stream)), stream, stream):
+        t -= step / alive
+        if t > t_max:
+            break
+        i = int(pick * alive)
+        if i >= alive:  # u * n can round up to n at the float edge
+            i = alive - 1
+        old = walkers[i]
+        neighbors = adj[old]
+        degree = len(neighbors)
+        j = int(neighbor * degree)
+        if j >= degree:
+            j = degree - 1
+        new = neighbors[j]
+        occupied.remove(old)
+        if new in occupied:  # merged into the sitting walker
+            del walkers[i]
+            alive -= 1
+            if alive == 1:
+                break
+        else:
+            occupied.add(new)
+            walkers[i] = new
+    return alive
+
+
+def witness_walks(graph: WeightedGraph, start, t_max: float, seed: int, lane: tuple[int, ...],
+                  lo: int, hi: int) -> list[int]:
+    """``_walk_survivors`` of trials lo..hi-1 of (seed, lane)."""
+    adj = adjacency_lists(graph)
+    return [_walk_survivors(adj, start, t_max, rng) for rng in trial_buffers(seed, lane, lo, hi)]
+
+
+def walk_outcomes(graph: WeightedGraph, start, t_max: float, seed: int, lo: int,
+                  hi: int) -> list[int]:
+    """The walk kernel's walkers left at t_max in trials lo..hi-1 of lane 6,
+    as a list, which ``run_trials`` can send between processes."""
+    return list(voter._walk_runs(adjacency_lists(graph), start, t_max, seed, lo, hi))
+
+
+def _witness_duality_chunk(adj, rho, target, t, seed, lo, hi):
+    count = 0
+    for _, opinions, _, _ in voter._voter_runs(adj, rho, None, t, seed, (3,), lo, hi):
+        count += all(opinions[v] == 1 for v in target)
+    values = [rho ** _walk_survivors(adj, target, t, rng)
+              for rng in trial_buffers(seed, (4,), lo, hi)]
+    return count, values
+
+
+def witness_duality(graph: WeightedGraph, target, t: float, rho: float, trials: int,
+                    seed: int, workers: int = 1) -> voter.DualityReport:
+    """``duality_check`` as it was before the walk side moved onto the
+    lockstep shell: the voter side on lane 3 and ``_walk_survivors`` on
+    lane 4, for a valid target."""
+    target = tuple(sorted(set(target)))
+    parts = run_trials(_witness_duality_chunk, (adjacency_lists(graph), rho, target, t, seed),
+                       trials, workers)
+    return voter._duality_report(parts, trials, target, t, rho, seed)

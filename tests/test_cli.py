@@ -442,6 +442,24 @@ class TestSimCommands:
         assert out.returncode == 2 and out.stdout == ""
         assert out.stderr.startswith("error: --tmax 1e+09 lets a sparse-line run")
 
+    def test_survival_without_an_interval_runs_on_the_sparse_line(self):
+        code, report = run("sim", "contact", "--lambda", "1.5", "--tmax", "4", "--trials", "20",
+                           "--seed", "1")
+        want = ipslab.estimate_survival(ipslab.ContactConfig(1.5), 4.0, 20, seed=1)
+        assert code == 0 and "L" not in report["inputs"]
+        assert (report["fraction"], report["lane"]) == (want.fraction, "contact/5")
+
+    def test_survival_horizon_past_memory_exits_two_at_once(self):
+        # without --L the survival run is on the sparse line, whose span grows
+        # with t: a fresh process bounds the run by a timeout
+        src = Path(cli.__file__).resolve().parents[1]
+        argv = ["sim", "contact", "--lambda", "3", "--tmax", "1e9", "--trials", "1", "--seed", "1"]
+        out = subprocess.run([sys.executable, "-m", "stochlab.cli", *argv],
+                             capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+                             timeout=60)
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith("error: --tmax 1e+09 lets a sparse-line run")
+
     def test_contact_csv(self, tmp_path):
         csv = tmp_path / "traj.csv"
         code, _ = run("sim", "contact", "--lambda", "1.0", "--L", "21", "--tmax", "3",

@@ -15,6 +15,7 @@ from stochlab.ipslab import (
     VoterConfig,
     contact,
     estimate_survival,
+    lockstep,
     right_edge_speed,
     simulate_contact,
     simulate_voter,
@@ -238,8 +239,8 @@ class TestLockstepKernel:
         assert whole == halves
         workers = run_trials(lockstep_outcomes, args, trials, 2)
         assert whole == [outcome for part in workers for outcome in part]
-        monkeypatch.setattr(contact, "WINDOW_SITES", 1)  # a window per trial
-        monkeypatch.setattr(contact, "BLOCK_UNIFORMS", 1)  # a block per step
+        monkeypatch.setattr(lockstep, "WINDOW_SITES", 1)  # a window per trial
+        monkeypatch.setattr(lockstep, "BLOCK_UNIFORMS", 1)  # a block per step
         assert whole == lockstep_outcomes(*args, 0, trials)
 
 

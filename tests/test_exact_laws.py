@@ -1,24 +1,28 @@
-"""The event loops and the lockstep survival kernel against exact
-transient laws of small systems.
+"""The event loops and the lockstep kernels (contact survival and the
+coalescing walks) against exact transient laws of small systems.
 
 ``references.py`` computes the laws by uniformization, with the Poisson
 mass left out below 1e-14.  The first tests check those laws against
 theorems (total mass, the voter/coalescing-walk duality, the contact
 process's self-duality); the rest compare seeded Monte Carlo means with the
 exact means as one-sample z scores, |z| <= 3, and the final occupied set's
-whole law with the exact law as a chi-square z score, z <= 3.  Seeds and
-trial counts are frozen.
+whole law with the exact law as a chi-square z score, z <= 3; a
+proportion that the duality theorem gives exactly is held to
+``DUALITY_Z_BOUND``.  Seeds and trial counts are frozen.
 """
 
 import math
 
 import numpy as np
 import pytest
-from references import contact_law, lockstep_outcomes, voter_law, walk_law
+from references import contact_law, lockstep_outcomes, voter_law, walk_law, walk_outcomes
 
-from stochlab.gaplab import cycle_graph, path_graph
+from stochlab.gaplab import cycle_graph, path_graph, star_graph
 from stochlab.ipslab import (
+    DUALITY_Z_BOUND,
     ContactConfig,
+    VoterConfig,
+    consensus_rate,
     duality_check,
     estimate_survival,
     simulate_contact,
@@ -73,6 +77,14 @@ class TestOracles:
         assert abs(lhs - rhs) <= 1e-12
         assert round(lhs, 6) == DUALITY
 
+    @pytest.mark.parametrize("graph", [cycle_graph(10), path_graph(7), star_graph(7)],
+                             ids=["cycle", "path", "star"])
+    def test_consensus_is_dual_to_walks_from_every_vertex(self, graph):
+        # unanimity at t has mass E[rho^N + (1 - rho)^N], N the walkers left at t
+        # when one starts on every vertex
+        for t in (1.0, 4.0):
+            assert abs(_consensus_mass(graph, 0.3, t) - _dual_consensus(graph, 0.3, t)) <= 1e-12
+
     @pytest.mark.parametrize("a, b", [((4,), (1,)), ((1, 2), (7, 8)), ((2, 5, 8), (3,))])
     def test_contact_self_duality(self, a, b):
         # P(A_t meets B) = P(B_t meets A) for the standard contact process
@@ -93,6 +105,16 @@ class TestOracles:
             contact_law(ContactConfig(1.0, length=13), (1,), 1.0)
         with pytest.raises(ValueError):
             contact_law(ContactConfig(1.0), (0,), 1.0)
+
+
+def _consensus_mass(graph, rho: float, t: float) -> float:
+    law = voter_law(graph, rho, t)
+    return float(law[0] + law[-1])
+
+
+def _dual_consensus(graph, rho: float, t: float) -> float:
+    return sum(p * (rho ** len(walkers) + (1 - rho) ** len(walkers))
+               for walkers, p in walk_law(graph, range(graph.n), t).items())
 
 
 def _z(values, exact: float) -> float:
@@ -130,6 +152,41 @@ class TestLockstepAgainstExactLaws:
         finals = [final for final, _ in lockstep_outcomes(cfg, init, t_max, seed, 0, trials)]
         observed = np.bincount([_mask(f) for f in finals], minlength=len(law))
         assert _chi_square_z(observed, trials * law) <= Z_BOUND
+
+
+class TestWalkLockstepAgainstExactLaws:
+    """The walkers left at t by ``duality_check``'s walk kernel (lane 6),
+    trial by trial, against their exact law: a kernel that lets two walkers
+    share a vertex, or moves them at the wrong rate, moves this law."""
+
+    @pytest.mark.parametrize("graph, start, t, seed", [
+        (cycle_graph(10), (0, 1), 2.0, 63),
+        (path_graph(6), (0, 2, 5), 1.0, 64),
+    ], ids=["cycle", "path"])
+    def test_walkers_left_law(self, graph, start, t, seed):
+        trials = 4000
+        law = np.zeros(len(start) + 1)
+        for walkers, p in walk_law(graph, start, t).items():
+            law[len(walkers)] += p
+        observed = np.bincount(walk_outcomes(graph, start, t, seed, 0, trials),
+                               minlength=len(law))
+        assert _chi_square_z(observed, trials * law) <= Z_BOUND
+
+
+class TestConsensusAgainstItsDual:
+    """``consensus_rate`` against P(consensus by t), which the walks from
+    every vertex give exactly (unanimity is absorbing), at horizons where
+    it is between 0.3 and 0.8."""
+
+    @pytest.mark.parametrize("graph, t, seed", [
+        (cycle_graph(10), 4.0, 65),
+        (star_graph(7), 1.0, 66),
+    ], ids=["cycle", "star"])
+    def test_rate_matches_the_exact_value(self, graph, t, seed):
+        trials, exact = 4000, _dual_consensus(graph, 0.3, t)
+        assert 0.3 <= exact <= 0.8
+        est = consensus_rate(VoterConfig(graph, rho=0.3), t, trials, seed)
+        assert abs(est.rate - exact) <= DUALITY_Z_BOUND * math.sqrt(exact * (1 - exact) / trials)
 
 
 class TestEventLoopsAgainstExactLaws:

@@ -8,7 +8,10 @@ estimator as it ran on the event loop, lane 0, which threshold-mode
 ``estimate_survival`` and ``references.event_loop_survival`` still run;
 the ``*_lockstep`` entries, added when standard-mode ``estimate_survival``
 moved onto the lockstep kernel, pin lane 5: an interval, the sparse line
-(whose window doubles) and two workers.  The outputs carry no timing
+(whose window doubles) and two workers.  Likewise the two older duality
+entries are ``references.witness_duality``, whose walks run on their event
+loop on lane 4, and the ``duality_check_lockstep*`` entries pin the walk
+side on the lockstep shell, lane 6.  The outputs carry no timing
 fields, so the comparison is plain ``==`` after a JSON round trip (which turns tuples
 into lists and keeps floats exact).  Never regenerate the file to make a
 refactor pass: a mismatch is a bug in the refactor.
@@ -18,7 +21,7 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
-from references import event_loop_survival
+from references import event_loop_survival, witness_duality
 
 from stochlab import ipslab
 from stochlab.gaplab import cycle_graph
@@ -43,9 +46,9 @@ def seeded_outputs() -> dict:
             threshold, 5.0, 40, seed=4).to_dict(),
         "estimate_survival_w2": event_loop_survival(
             standard, 5.0, 40, seed=4, workers=2).to_dict(),
-        "duality_check": ipslab.duality_check(
+        "duality_check": witness_duality(
             cycle_graph(10), (0, 1), 2.0, 0.5, 400, seed=5).to_dict(),
-        "duality_check_w2": ipslab.duality_check(
+        "duality_check_w2": witness_duality(
             cycle_graph(10), (0, 1), 2.0, 0.5, 400, seed=5, workers=2).to_dict(),
         "consensus_rate": ipslab.consensus_rate(voter, 100.0, 50, seed=2).to_dict(),
         "right_edge_speed": {**edge.to_dict(), "trialSlopes": list(edge.trial_slopes)},
@@ -55,6 +58,10 @@ def seeded_outputs() -> dict:
             ipslab.ContactConfig(2.5), 8.0, 40, seed=4).to_dict(),
         "estimate_survival_lockstep_w2": ipslab.estimate_survival(
             standard, 5.0, 40, seed=4, workers=2).to_dict(),
+        "duality_check_lockstep": ipslab.duality_check(
+            cycle_graph(10), (0, 1), 2.0, 0.5, 400, seed=5).to_dict(),
+        "duality_check_lockstep_w2": ipslab.duality_check(
+            cycle_graph(10), (0, 1), 2.0, 0.5, 400, seed=5, workers=2).to_dict(),
     }
 
 

@@ -11,7 +11,9 @@ before their state moved into one code map, and is compared with plain
 span grow (a sparse run that travels far both ways, one started near
 10**15, an interval of 10**12 sites and one whose window grows onto both
 end sites) were added from the loop as it stood before its state moved
-into windowed lists.  Never regenerate the file to make a
+into windowed lists.  The coalescing-walk entries read the walks' event
+loop, which moved to ``references._walk_survivors`` when ``duality_check``'s
+walk side moved onto the lockstep shell.  Never regenerate the file to make a
 refactor pass: a mismatch is a bug in the refactor.
 """
 
@@ -20,6 +22,8 @@ import json
 import struct
 from dataclasses import asdict
 from pathlib import Path
+
+from references import _walk_survivors
 
 from stochlab import ipslab
 from stochlab.gaplab import cycle_graph, path_graph
@@ -48,8 +52,8 @@ def _uniform_digest() -> dict:
 
 def _walks(graph, start, t_max, seeds) -> list[int]:
     return [
-        voter._walk_survivors(voter.adjacency_lists(graph), start, t_max,
-                              ipslab.UniformBuffer(ipslab.trial_generator(s, 4, 0)))
+        _walk_survivors(voter.adjacency_lists(graph), start, t_max,
+                        ipslab.UniformBuffer(ipslab.trial_generator(s, 4, 0)))
         for s in seeds
     ]
 

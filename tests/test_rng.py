@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.random import SeedSequence
 
 from stochlab import gaplab, ipslab
-from stochlab.ipslab import contact, rng, voter
+from stochlab.ipslab import contact, lockstep, rng, voter
 from stochlab.ipslab.rng import StreamReader, stream_keys, trial_buffers, trial_generator
 
 SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
@@ -156,12 +156,53 @@ def _no_work(*args, **kwargs):
     lambda n: ipslab.duality_check(gaplab.cycle_graph(4), (0, 1), 1.0, 0.5, n, seed=1),
 ], ids=["survival", "edge-speed", "consensus", "duality"])
 def test_estimators_reject_more_than_two_to_the_32_trials(monkeypatch, estimator):
-    for module in (contact, voter):
-        monkeypatch.setattr(module, "trial_buffers", _no_work)
-        monkeypatch.setattr(module, "run_trials", _no_work, raising=False)
-        # the lockstep and voter kernels key and read whole windows of trials
-        monkeypatch.setattr(module, "trial_keys", _no_work)
-        monkeypatch.setattr(module, "thread_reader", _no_work)
-    monkeypatch.setattr(voter, "_voter_runs", _no_work)
+    # the event loops read per-trial buffers; the lockstep shell and the voter
+    # kernel key and read whole windows of trials
+    for module, names in ((contact, ("trial_buffers", "run_trials")),
+                          (voter, ("trial_keys", "thread_reader", "run_trials", "_voter_runs")),
+                          (lockstep, ("trial_keys", "thread_reader"))):
+        for name in names:
+            monkeypatch.setattr(module, name, _no_work)
     with pytest.raises(ValueError, match="trials must be in 1..2\\*\\*32"):
         estimator(2**32 + 1)
+
+
+# each public estimator and single-trajectory entry point on a tiny input
+ENTRY_POINTS = {
+    "simulate_contact": lambda: ipslab.simulate_contact(ipslab.ContactConfig(1.0, 5), (3,), 1.0,
+                                                        seed=1),
+    "simulate_voter": lambda: ipslab.simulate_voter(
+        ipslab.VoterConfig(gaplab.cycle_graph(4), rho=0.5), 1.0, seed=1),
+    "estimate_survival": lambda: ipslab.estimate_survival(ipslab.ContactConfig(1.0, 5), 1.0, 8,
+                                                          seed=1),
+    "estimate_survival[threshold]": lambda: ipslab.estimate_survival(
+        ipslab.threshold_config(1.0, 5), 1.0, 8, seed=1),
+    "right_edge_speed": lambda: ipslab.right_edge_speed(1.0, 1.0, 2, seed=1, left_depth=3),
+    "consensus_rate": lambda: ipslab.consensus_rate(
+        ipslab.VoterConfig(gaplab.cycle_graph(4), rho=0.5), 1.0, 8, seed=1),
+    "duality_check": lambda: ipslab.duality_check(gaplab.cycle_graph(4), (0, 1), 1.0, 0.5, 8,
+                                                  seed=1),
+}
+
+
+def test_entry_points_read_lanes_of_their_own(monkeypatch):
+    # two purposes on one lane would read the same streams at a seed, and
+    # their results would be silently correlated
+    read, stream_keys = [], rng.stream_keys
+
+    def recording(seed, lane, lo, hi):
+        read.append(tuple(lane))
+        return stream_keys(seed, lane, lo, hi)
+
+    monkeypatch.setattr(rng, "stream_keys", recording)
+    lanes = {}
+    for name, run in ENTRY_POINTS.items():
+        read.clear()
+        run()
+        lanes[name] = set(read)
+    # a single trajectory of either process is trial 0 of the empty lane
+    assert lanes.pop("simulate_contact") == lanes.pop("simulate_voter") == {()}
+    assert lanes["duality_check"] == {(3,), (6,)}  # lane 4 is the tests' witness walks
+    estimator_lanes = [lane for read_lanes in lanes.values() for lane in read_lanes]
+    assert all(lanes.values()) and () not in estimator_lanes
+    assert len(estimator_lanes) == len(set(estimator_lanes)), lanes

@@ -5,13 +5,16 @@ import pickle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import _walk_survivors, walk_outcomes, witness_walks
 
 from stochlab.gaplab import WeightedGraph, complete_graph, cycle_graph, path_graph
 from stochlab.ipslab import (
+    DUALITY_Z_BOUND,
     UniformBuffer,
     VoterConfig,
     consensus_rate,
     duality_check,
+    lockstep,
     parallel,
     simulate_voter,
     trial_generator,
@@ -134,17 +137,60 @@ class TestConsensusRate:
 class TestCoalescingWalkers:
     def test_no_time_no_merging(self):
         rng = UniformBuffer(trial_generator(1, 9))
-        assert voter._walk_survivors(voter.adjacency_lists(cycle_graph(10)), (0, 3, 7), 0.0,
-                                     rng) == 3
+        assert _walk_survivors(voter.adjacency_lists(cycle_graph(10)), (0, 3, 7), 0.0, rng) == 3
 
     def test_eventually_one_walker(self):
         g = complete_graph(4)
         merged_to_one = 0
         for t in range(200):
             rng = UniformBuffer(trial_generator(11, 9, t))
-            if voter._walk_survivors(voter.adjacency_lists(g), (0, 1, 2, 3), 200.0, rng) == 1:
+            if _walk_survivors(voter.adjacency_lists(g), (0, 1, 2, 3), 200.0, rng) == 1:
                 merged_to_one += 1
         assert merged_to_one >= 195  # long horizon: everyone meets
+
+
+class TestWalkKernel:
+    """``duality_check``'s walk side on the lockstep shell (lane 6) against
+    the event loop it replaced (``references._walk_survivors``), and its
+    trials' independence of how they are split into chunks, windows, blocks
+    and processes."""
+
+    @pytest.mark.parametrize("graph, t, seed", [(cycle_graph(30), 2.0, 91),
+                                                (path_graph(40), 3.0, 92)],
+                             ids=["cycle-30", "path-40"])
+    def test_walkers_left_match_the_event_loop_from_every_vertex(self, graph, t, seed):
+        trials = 2000
+        kernel = walk_outcomes(graph, range(graph.n), t, seed, 0, trials)
+        loop = witness_walks(graph, range(graph.n), t, seed, (4,), 0, trials)
+        means = [sum(side) / trials for side in (kernel, loop)]
+        spread = math.sqrt(sum(sum((x - m) ** 2 for x in side) / (trials - 1) / trials
+                               for side, m in zip((kernel, loop), means)))
+        assert abs(means[0] - means[1]) <= DUALITY_Z_BOUND * spread
+
+    def test_outcomes_do_not_depend_on_the_split(self, monkeypatch):
+        trials, split, args = 61, 23, (cycle_graph(10), (0, 3, 5, 7), 2.0, 81)
+        whole = walk_outcomes(*args, 0, trials)
+        assert len(set(whole)) > 1
+        assert whole == walk_outcomes(*args, 0, split) + walk_outcomes(*args, split, trials)
+        workers = parallel.run_trials(walk_outcomes, args, trials, 2)
+        assert whole == [walkers for part in workers for walkers in part]
+        monkeypatch.setattr(lockstep, "WINDOW_SITES", 1)  # a window per trial
+        monkeypatch.setattr(lockstep, "BLOCK_UNIFORMS", 1)  # a block per step
+        assert whole == walk_outcomes(*args, 0, trials)
+
+    @pytest.mark.parametrize("graph, target, t, left", [
+        (cycle_graph(10), (0, 3, 7), 0.0, {3}),
+        (cycle_graph(9), (4,), 3.0, {1}),
+        (path_graph(5), (0, 1), 1.0, {1, 2}),
+        (cycle_graph(10), (0, 1), 2.0, {1, 2}),
+    ], ids=["time-zero", "one-vertex", "path-end", "cycle-pair"])
+    def test_edge_cases_equal_the_event_loop_on_the_same_streams(self, graph, target, t, left):
+        # with at most two walkers both engines read a step's three uniforms
+        # alike, so on lane 6's streams they agree trial by trial; vertex 0 of
+        # a path has one neighbor, so its walker must step onto vertex 1
+        kernel = walk_outcomes(graph, target, t, 17, 0, 300)
+        assert kernel == witness_walks(graph, target, t, 17, (6,), 0, 300)
+        assert set(kernel) == left
 
 
 class TestDuality:

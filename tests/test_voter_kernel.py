@@ -10,6 +10,7 @@ event count and recorded path.
 import math
 
 import pytest
+from references import _walk_survivors
 
 from stochlab import ipslab
 from stochlab.gaplab import WeightedGraph, complete_graph, cycle_graph, path_graph
@@ -158,8 +159,10 @@ def test_duality_check_matches_reference(workers):
     adj = voter.adjacency_lists(graph)
     finals = [run_voter(cfg, adj, t, rng)[1] for rng in trial_buffers(seed, (3,), 0, trials)]
     count = sum(all(opinions[v] == 1 for v in target) for opinions in finals)
-    walks = [rho ** voter._walk_survivors(adj, target, t, rng)
-             for rng in trial_buffers(seed, (4,), 0, trials)]
+    # the walk side runs on lane 6, where with two walkers the event loop
+    # reads a step's three uniforms as the lockstep kernel does
+    walks = [rho ** _walk_survivors(adj, target, t, rng)
+             for rng in trial_buffers(seed, (6,), 0, trials)]
     rep = ipslab.duality_check(graph, target, t, rho, trials, seed, workers=workers)
     assert rep.lhs == count / trials
     assert rep.rhs == sum(walks) / trials
