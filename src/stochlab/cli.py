@@ -380,8 +380,7 @@ _COMMANDS = {
         # a printed word is one digit per letter, so a color past 9 could not be read back
         _Opt("--q", int, _number(lambda q: 2 <= q <= 9, "in 2..9 (one digit per color)"),
              default=4),
-        _Opt("--n", int, _at_least(0), required=True),
-        _Opt("--seed", int, _ANY, required=True),
+        _Opt("--n", int, _at_least(0), required=True), _SEED,
         _Opt("--count", int, _at_least(0), default=1))),
     "color.pushforward": (cmd_color_pushforward, "three-color image of the 4-color measure", (
         _Opt("--n", int, _at_least(0), required=True),)),

@@ -22,6 +22,10 @@ def sample_windows(measure, n: int, count: int, seed: int) -> list[tuple[int, ..
         raise ValueError("window length must be nonnegative")
     if count < 0:
         raise ValueError("count must be nonnegative")
+    # random.Random seeds an int by its absolute value and a float by its
+    # hash modulo 2**64, so a negative seed would alias a nonnegative one
+    if isinstance(seed, (int, float)) and seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     q = measure.q
     draw = random.Random(seed).randrange
     out = []

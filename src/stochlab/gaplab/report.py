@@ -1,17 +1,21 @@
 """Aggregate gap computations for one graph, with identity checks.
 
-The walk and exclusion gaps come from dense matrices.  The interchange and
-subset-shuffle gaps come from the operators' irrep blocks
-(``irreps.block_spectrum``, up to ``irreps.MAX_VERTICES`` vertices), whose
-(n-1, 1) block must reproduce the single-particle walk: a mismatch there
-is flagged, since it would mean the blocks themselves are wrong.
+The walk gap comes from a dense matrix; the interchange, exclusion and
+subset-shuffle gaps from the operators' irrep blocks
+(``irreps.block_spectrum``, up to ``irreps.MAX_VERTICES`` vertices), k
+particles reading the blocks (n-j, j), j <= min(k, n-k) (Young's rule).
+The (n-1, 1) block must reproduce the single-particle walk: a mismatch there
+is flagged, since it would mean the blocks themselves are wrong.  Each
+exclusion gap lies between the interchange gap and that block's smallest
+eigenvalue, so ``exclusionConstant`` follows from ``identityOk`` and an
+unflagged (n-1, 1) block; it is no longer a separate numerical check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .generators import alpha_single_particle_rates, exclusion_generator, rw_generator
+from .generators import alpha_single_particle_rates, rw_generator
 from .graphs import HyperWeights, WeightedGraph
 from .irreps import block_spectrum
 from .spectral import DEFAULT_TOL_ZERO, ReducibilityError, block_gap, spectral_gap
@@ -72,7 +76,9 @@ def gap_report(graph: WeightedGraph, hyper: HyperWeights | None = None) -> GapRe
     blocks = block_spectrum(graph.n, {(i, j): w for i, j, w in graph.edges()})
     lam_rw = spectral_gap(rw_generator(graph))
     lam_ip = block_gap(blocks)
-    exclusion = [spectral_gap(exclusion_generator(graph, k)) for k in range(1, graph.n)]
+    lows = {shape: float(ev[0]) for shape, ev in blocks}
+    n = graph.n
+    exclusion = [min(lows[n - j, j] for j in range(1, min(k, n - k) + 1)) for k in range(1, n)]
     deviations = [abs(lam_ip - lam_rw)] + [abs(g - lam_rw) for g in exclusion]
     max_rel = max(deviations) / lam_rw
     identity_ok = abs(lam_ip - lam_rw) <= DEFAULT_RTOL * lam_rw

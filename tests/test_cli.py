@@ -690,6 +690,7 @@ class TestDomains:
         (TestSimCommands.CONTACT + ("--seed", "-1"), "--seed"),
         (TestSimCommands.DUALITY + ("--rho", "2"), "--rho"),
         (TestSimCommands.DUALITY + ("--set", "a,b"), "--set"),
+        (("color", "sample", "--n", "3", "--seed", "-1"), "--seed"),
     ])
     def test_library_domain_errors_name_the_flag(self, capsys, path3, argv, flag):
         code, report = run(*(arg.format(path3=path3) for arg in argv))
@@ -714,7 +715,7 @@ class TestDomains:
             assert (report["tolZero"], report["rtol"]) == (1e-9, 1e-8)
 
     @pytest.mark.parametrize("argv", [
-        ("color", "sample", "--n", "3", "--seed", "-1"),  # any integer seeds random.Random
+        ("color", "sample", "--n", "3", "--seed", "18446744073709551615"),
         ("color", "prob", "--q", "1", "--word", "1", "--source", "formula"),
         ("sim", "voter", "--graph", "{path3}", "--rho", "0", "--tmax", "0", "--trials", "2",
          "--seed", "1"),

@@ -13,7 +13,7 @@ from stochlab.gaplab import (
     random_hyperweights,
     shuffle_gap_comparison,
 )
-from stochlab.gaplab import report
+from stochlab.gaplab import generators, report
 
 
 class TestGapReport:
@@ -54,6 +54,19 @@ class TestGapReport:
         monkeypatch.setattr(report, "rw_generator", dense)
         with pytest.raises(CapacityError, match="2 to 8 vertices, got 9"):
             gap_report(path_graph(9))
+
+    def test_no_dense_exclusion_matrix_is_built(self, monkeypatch):
+        def dense(*_args):
+            raise AssertionError("a dense exclusion matrix was built")
+
+        # the name, and the builder that fills a dense exclusion matrix under any import
+        monkeypatch.setattr(generators, "exclusion_generator", dense)
+        monkeypatch.setattr(generators, "_MatrixBuilder", dense)
+        rng = np.random.default_rng(2024)
+        for g in [random_connected_graph(n, rng) for n in range(2, 9)]:
+            r = gap_report(g)
+            assert r.identity_ok and r.exclusion_constant and r.contraction_ok
+            assert r.flags == [] and len(r.exclusion_gaps) == g.n - 1
 
     def test_dict_keys(self):
         d = gap_report(path_graph(3)).to_dict()

@@ -116,6 +116,43 @@ class TestBlockSpectra:
             assert_matches_dense(blocks, -gaplab.alpha_shuffle_generator(h).matrix)
 
 
+class TestYoungsRule:
+    """The k-particle exclusion process is the interchange process seen on
+    k-subsets: its permutation module holds the irreps (n - j, j),
+    j <= min(k, n - k), once each, which is where ``gap_report`` reads the
+    exclusion gaps from.  The dense exclusion generator is the witness."""
+
+    @staticmethod
+    def check_against_dense(graphs):
+        cases = 0
+        for g in graphs:
+            n = g.n
+            blocks = dict(irreps.block_spectrum(n, edge_coeffs(g)))
+            report = gaplab.gap_report(g)
+            for k in range(1, n):
+                dense = np.linalg.eigvalsh(-gaplab.exclusion_generator(g, k).dense())
+                shapes = [(n - j, j) if j else (n,) for j in range(min(k, n - k) + 1)]
+                union = np.sort(np.concatenate([blocks[shape] for shape in shapes]))
+                assert len(union) == math.comb(n, k)
+                radius = np.abs(dense).max()
+                assert np.abs(union - dense).max() <= 1e-12 * radius
+                assert report.exclusion_gaps[k - 1] == pytest.approx(dense[1], rel=1e-12)
+                cases += 1
+        return cases
+
+    def test_exclusion_spectra_are_unions_of_two_row_blocks(self):
+        rng = np.random.default_rng(1717)
+        graphs = [gaplab.random_connected_graph(n, rng) for n in range(3, 9) for _ in range(4)]
+        assert self.check_against_dense(graphs) == 108
+
+    def test_criterion_06_graphs_match_dense_exclusion(self):
+        # every class at n <= 5 and 50 weighted graphs at n = 6
+        graphs = [g for n in (2, 3, 4, 5) for g in gaplab.connected_graph_representatives(n)]
+        rng = np.random.default_rng(2024)
+        graphs += [gaplab.random_connected_graph(6, rng) for _ in range(50)]
+        assert self.check_against_dense(graphs) == 357
+
+
 class TestLargeReports:
     def test_seven_cycle_gap(self):
         report = gaplab.gap_report(gaplab.cycle_graph(7))

@@ -73,6 +73,13 @@ def test_bad_arguments():
         sample_windows(m, 2, -5, seed=1)
 
 
+def test_negative_seed_refused():
+    # random.Random would seed -5 as 5 and -5.0 as 2**64 - 5
+    for seed in (-5, -5.0):
+        with pytest.raises(ValueError, match=f"seed must be nonnegative, got {seed}"):
+            sample_windows(recursion_measure(4), 8, 3, seed=seed)
+
+
 def test_q2_words_alternate():
     words = sample_windows(recursion_measure(2), 9, 40, seed=3)
     assert set(words) == {(1, 2) * 4 + (1,), (2, 1) * 4 + (2,)}
