@@ -266,8 +266,6 @@ def _run(cfg: ContactConfig, init, t_max: float, rng: UniformBuffer,
         r = branch * total
         if r < n_occupied:
             i = int(index * n_occupied)
-            if i >= n_occupied:  # u * n can round up to n at the float edge
-                i = n_occupied - 1
             x = occupied[i]
             last = occupied.pop()
             if last != x:
@@ -310,10 +308,7 @@ def _run(cfg: ContactConfig, init, t_max: float, rng: UniformBuffer,
                         break
                     r -= w
             # with no break, the last nonempty bucket absorbs any float roundoff in r
-            i = int(index * chosen_size)
-            if i >= chosen_size:
-                i = chosen_size - 1
-            x = chosen[i]
+            x = chosen[int(index * chosen_size)]
             if not inner_lo <= x <= inner_hi:  # its neighborhood leaves the window
                 code, where = _widened(code, half), _widened(where, half)
                 half *= 2
@@ -446,16 +441,17 @@ class _ContactRows(Lockstep):
         for c in self.end_cols:
             if 0 <= c < self.cells.shape[1]:
                 hits |= self.cells[rows, c] & ~MARGIN != UNREACHED
-        sites, width, shift = self.sites.ravel(), self.cells.shape[1], self.origin - self.half
-        for r, hit, alive in zip(rows.tolist(), hits.tolist(), self.count[rows].tolist()):
+        width, shift = self.cells.shape[1], self.origin - self.half
+        for r, hit, alive in zip(rows.tolist(), hits.tolist(),
+                                 self.count[rows].astype(np.intp).tolist()):
             final = ()
             if alive:
-                final = tuple(sorted(f - r * width + shift
-                                     for f in sites[r * width:self.top[r]].tolist()))
+                final = tuple(sorted(f - r * width + shift for f in self.sites[r, :alive].tolist()))
             self.results[self.ids[r]] = final, hit
 
     def step(self, s: int, i):
-        cells, sites, top = self.cells.ravel(), self.sites.ravel(), self.top
+        cells, sites = self.cells.ravel(), self.sites.ravel()
+        top = np.add(self.base, self.count, dtype=np.intp, casting="unsafe")
         x = sites[i]
         y = x + self.move[s]
         code = cells[y]
@@ -466,9 +462,7 @@ class _ContactRows(Lockstep):
         d = self.dies[s]
         sites[i] = np.where(d, sites[top - 1], x)
         sites[top] = y
-        delta = np.subtract(born, d, dtype=np.int8)
-        top += delta
-        self.count += delta
+        self.count += np.subtract(born, d, dtype=np.int8)
         if not self.covered and np.maximum.reduce(new) > MARGIN and \
                 ((new & (MARGIN | HELD)) == MARGIN | HELD).any():
             self._widen()
@@ -477,7 +471,6 @@ class _ContactRows(Lockstep):
             self.end(out, s + 1)
             base = self.base[out]  # revived on the origin, then frozen
             self.count[out] = 1
-            self.top[out] = base + 1
             self.sites.ravel()[base] = base + self.half
             self.cells.ravel()[base + self.half] = HELD
 
@@ -529,7 +522,8 @@ def estimate_survival(cfg: ContactConfig, t_max: float, trials: int, seed: int,
     is a finite-interval, finite-horizon surrogate (noted in the output).
     Standard-mode trials run on the lockstep shell, lane 5
     (``_ContactRows``), threshold-mode trials on the event loop, lane 0,
-    where they measured faster.  Trials split across processes when
+    where they measured faster, as do standard-mode trials whose ring rate
+    1 + |N| lam overflows to inf.  Trials split across processes when
     workers > 1; per-trial streams are seed-derived and the counts are
     order-independent, so the result is identical to the single-process run.
     """
@@ -539,8 +533,9 @@ def estimate_survival(cfg: ContactConfig, t_max: float, trials: int, seed: int,
         init = center_seed(cfg)
     init = tuple(init)
     check_sparse_span(cfg, init, t_max)
-    chunk, lane = ((_survival_chunk, "contact/0") if cfg.mode == THRESHOLD
-                   else (_lockstep_chunk, "contact/5"))
+    chunk, lane = ((_lockstep_chunk, "contact/5") if cfg.mode == STANDARD and
+                   math.isfinite(1 + len(cfg.neighborhood) * cfg.lam)
+                   else (_survival_chunk, "contact/0"))
     parts = run_trials(chunk, (cfg, init, t_max, seed), trials, workers)
     return _survival_estimate(sum(p[0] for p in parts), sum(p[1] for p in parts), trials,
                               seed, lane)

@@ -4,14 +4,15 @@ The trials of a window are the rows of numpy arrays, and one numpy step
 advances every live row by one event.  A row holds its trial's cells, int8
 codes that the process defines (bit 0 set while occupied), and in
 swap-with-last order its occupied cells as flat indices into all rows'
-cells (``sites``; ``top`` is one past a row's last, ``count`` their
-number).  Each occupied cell rings at rate ``ring``, so a step reads three
-uniforms of the trial's stream: the holding time, the ringing cell
-``int(u count)`` and its action.  The rows read each block of steps
-together through ``StreamReader.rows``, so an outcome depends only on
-(seed, lane, trial) at any window, block or worker count.  A row that ends
-is recorded and frozen until the block ends, and then the live rows are
-compacted: a block cut short would throw away the uniforms it read.
+cells (``sites``: ``count`` of them from the row's first flat index
+``base``, so one past the last is ``base + count``).  Each occupied cell
+rings at rate ``ring``, so a step reads three uniforms of the trial's
+stream: the holding time, the ringing cell ``int(u count)`` (rng's pick
+rule) and its action.  The rows read each block of steps together through
+``StreamReader.rows``, so an outcome depends only on (seed, lane, trial)
+at any window, block or worker count.  A row that ends is recorded and
+frozen until the block ends, and then the live rows are compacted: a block
+cut short would throw away the uniforms it read.
 """
 
 from __future__ import annotations
@@ -64,10 +65,8 @@ class Lockstep:
         self.t = np.zeros(n)
 
     def _rebase(self):
-        """Each row's first flat index and its ``top``, after the rows or
-        their width changed."""
+        """Each row's first flat index, after the rows or their width changed."""
         self.base = np.arange(len(self.keys)) * self.cells.shape[1]
-        self.top = self.base + self.count.astype(np.intp)
 
     def run(self, t_max: float) -> list:
         """Step every row until it ends; the trials' records in key order."""
@@ -88,8 +87,7 @@ class Lockstep:
                 t += gain
                 if np.maximum.reduce(t) > t_max:
                     self.end(np.flatnonzero(t > t_max), s)
-                # u * n < n for every double u < 1 that Generator.random returns
-                # (a multiple of 2**-53), so the index needs no clamp
+                # int(u * n) < n by rng's pick rule, so the index needs no clamp
                 self.step(s, np.add(self.base, pick[s] * count, dtype=np.intp,
                                     casting="unsafe"))  # the cast truncates
             read += 3 * steps

@@ -34,6 +34,13 @@ standard mode as the tests' witness), (1,) edge speed, (2,) consensus, (3,)
 the voter side of the duality check, (4,) only the tests' witness
 coalescing walks on their event loop, and on the lockstep shell (5,)
 standard-mode contact survival and (6,) the duality check's coalescing walks.
+
+The pick rule: every engine picks one of n things as ``int(u * n)``, unclamped.
+``Generator.random`` returns multiples of 2**-53, so u <= 1 - 2**-53.  For an
+integer 2**e <= n < 2**(e + 1) <= 2**53 the exact u n falls short of n by at
+least n 2**-53 >= 2**(e - 53): over half the spacing 2**(e - 52) of the doubles
+there if n > 2**e, so u n rounds below n; if n = 2**e, u n is a double below n.
+So ``int(u * n) <= n - 1`` in Python and numpy float64 (``tests/test_rng.py``).
 """
 
 from __future__ import annotations
@@ -164,8 +171,8 @@ class UniformBuffer:
     it reads and a draw is one C-level call.  Philox spends one 64-bit word
     per double, so the values equal one long ``gen.random`` call whatever
     the block sizes.  Loops take exponentials as ``-math.log1p(-u) / rate``
-    (``np.log1p`` rounds differently) and indices as ``int(u * n)`` clamped
-    to n - 1.
+    (``np.log1p`` rounds differently) and indices as ``int(u * n)`` (the
+    pick rule above).
     """
 
     __slots__ = ("next",)

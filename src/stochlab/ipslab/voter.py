@@ -195,10 +195,7 @@ def _voter_block(running: list[_Trial], uniforms, t_max: float, record_dt: float
     times = np.cumsum(steps, axis=1, out=steps)
     cuts = np.count_nonzero(times <= t_max, axis=1).tolist()  # events within the horizon
     vertex = (uniforms[:, :, 1] * n).astype(np.intp)
-    np.minimum(vertex, n - 1, out=vertex)  # u * n can round up to n at the float edge
-    deg = degree[vertex]
-    pick = (uniforms[:, :, 2] * deg).astype(np.intp)
-    np.minimum(pick, deg - 1, out=pick)
+    pick = (uniforms[:, :, 2] * degree[vertex]).astype(np.intp)
     vertices = vertex.tolist()
     sources = neighbors[first[vertex] + pick].tolist()
     for trial, vs, ss, cut, row in zip(running, vertices, sources, cuts, times):
@@ -299,7 +296,8 @@ class _Walks(Lockstep):
         self.hop = action.copy()
 
     def step(self, s: int, i):
-        cells, sites, base, top = self.cells.ravel(), self.sites.ravel(), self.base, self.top
+        cells, sites, base = self.cells.ravel(), self.sites.ravel(), self.base
+        top = np.add(base, self.count, dtype=np.intp, casting="unsafe")
         x = sites[i]
         v = x - base
         y = base + self.neighbors[self.first[v] + (self.hop[s] * self.degree[v]).astype(np.intp)]
@@ -307,7 +305,6 @@ class _Walks(Lockstep):
         cells[x] = 0
         cells[y] = 1
         sites[i] = np.where(merged, sites[top - 1], y)
-        top -= merged
         self.count -= merged
         if np.logical_or.reduce(merged):
             self.end(np.flatnonzero(merged * (self.count == 1)), s + 1)
@@ -321,7 +318,6 @@ class _Walks(Lockstep):
         self.cells[rows] = 0
         self.cells.ravel()[self.sites[rows, 0]] = 1
         self.count[rows] = 1
-        self.top[rows] = self.base[rows] + 1
 
 
 @dataclass(frozen=True)

@@ -562,7 +562,7 @@ def _walk_survivors(adj: list[list[int]], start, t_max: float, rng: UniformBuffe
         if t > t_max:
             break
         i = int(pick * alive)
-        if i >= alive:  # u * n can round up to n at the float edge
+        if i >= alive:  # never fires: int(u * n) < n by the pick rule in rng.py
             i = alive - 1
         old = walkers[i]
         neighbors = adj[old]

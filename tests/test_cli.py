@@ -449,6 +449,11 @@ class TestSimCommands:
         assert code == 0 and "L" not in report["inputs"]
         assert (report["fraction"], report["lane"]) == (want.fraction, "contact/5")
 
+    def test_survival_at_an_overflowing_rate_exits_zero(self):
+        code, report = run("sim", "contact", "--lambda", "1e308", "--L", "5", "--tmax", "1",
+                           "--trials", "2", "--seed", "0")
+        assert code == 0 and report["lane"] == "contact/0"
+
     def test_survival_horizon_past_memory_exits_two_at_once(self):
         # without --L the survival run is on the sparse line, whose span grows
         # with t: a fresh process bounds the run by a timeout

@@ -227,6 +227,14 @@ class TestLockstepKernel:
         cfg = threshold_config(1.2, length=30)
         assert estimate_survival(cfg, 4.0, 50, seed=9) == event_loop_survival(cfg, 4.0, 50, 9)
 
+    def test_an_overflowing_ring_rate_runs_on_the_event_loop(self):
+        # 1 + |N| lam is inf, which the lockstep cannot split into a death
+        # and a birth, so the event loop runs the trials
+        cfg = ContactConfig(1e308, length=5)
+        est = estimate_survival(cfg, 1.0, 50, seed=0)
+        assert est.stats.lane == "contact/0"
+        assert est == event_loop_survival(cfg, 1.0, 50, 0)
+
     @pytest.mark.parametrize("cfg, init", [
         (ContactConfig(2.0), (0, 3)),
         (ContactConfig(1.7, length=30), (1, 15)),

@@ -8,7 +8,8 @@ process's self-duality); the rest compare seeded Monte Carlo means with the
 exact means as one-sample z scores, |z| <= 3, and the final occupied set's
 whole law with the exact law as a chi-square z score, z <= 3; a
 proportion that the duality theorem gives exactly is held to
-``DUALITY_Z_BOUND``.  Seeds and trial counts are frozen.
+``DUALITY_Z_BOUND``, and so is its two-sample z against the walk kernel on
+a graph past the exact laws' reach.  Seeds and trial counts are frozen.
 """
 
 import math
@@ -187,6 +188,16 @@ class TestConsensusAgainstItsDual:
         assert 0.3 <= exact <= 0.8
         est = consensus_rate(VoterConfig(graph, rho=0.3), t, trials, seed)
         assert abs(est.rate - exact) <= DUALITY_Z_BOUND * math.sqrt(exact * (1 - exact) / trials)
+
+    def test_rate_matches_the_walks_on_the_20_cycle(self):
+        # at rho = 1/2 the dual value is 2 E[(1/2)^N], N the walkers left at
+        # t of 20 started one on each vertex, estimated by the walk kernel
+        graph, t, trials, seed = cycle_graph(20), 50.0, 4000, 67
+        est = consensus_rate(VoterConfig(graph, rho=0.5), t, trials, seed)
+        dual = 0.5 ** (np.array(walk_outcomes(graph, range(20), t, seed, 0, trials)) - 1.0)
+        assert 0.3 <= dual.mean() <= 0.8
+        spread = math.sqrt((est.rate * (1 - est.rate) + dual.var()) / trials)
+        assert abs(est.rate - dual.mean()) <= DUALITY_Z_BOUND * spread
 
 
 class TestEventLoopsAgainstExactLaws:

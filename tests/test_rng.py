@@ -206,3 +206,36 @@ def test_entry_points_read_lanes_of_their_own(monkeypatch):
     estimator_lanes = [lane for read_lanes in lanes.values() for lane in read_lanes]
     assert all(lanes.values()) and () not in estimator_lanes
     assert len(estimator_lanes) == len(set(estimator_lanes)), lanes
+
+
+# The pick rule of rng's docstring: every engine picks one of n things as
+# int(u * n) with no clamp, which holds because u * n rounds below n even for
+# the largest u that Generator.random returns.
+LARGEST_U = 1 - 2**-53
+
+
+def _picks_stay_below(ns) -> bool:
+    ns = np.asarray(ns, dtype=np.int64)
+    return bool(((LARGEST_U * ns).astype(np.intp) < ns).all()) and \
+        all(int(LARGEST_U * n) < n for n in ns.tolist())
+
+
+def test_pick_rule_for_every_size_to_two_million():
+    assert _picks_stay_below(np.arange(1, 2_000_001))
+
+
+def test_pick_rule_at_powers_of_two_and_their_neighbours():
+    sizes = {m for k in range(54) for m in (2**k - 1, 2**k, 2**k + 1) if 1 <= m < 2**53}
+    assert 2**53 - 1 in sizes and 2**52 in sizes
+    assert _picks_stay_below(sorted(sizes))
+
+
+def test_pick_rule_at_random_sizes_below_two_to_the_53():
+    assert _picks_stay_below(np.random.default_rng(28).integers(1, 2**53, 100_000))
+
+
+def test_uniforms_are_multiples_of_two_to_the_minus_53():
+    u = np.concatenate([trial_generator(28, 5, 0).random(100_000),
+                        StreamReader().rows([[1, 2], [3, 4]], 3, 1000).ravel()])
+    scaled = u * 2**53
+    assert (scaled == np.floor(scaled)).all() and (u <= LARGEST_U).all()
