@@ -15,7 +15,9 @@ Each option is declared once, as an ``_Opt`` in ``_COMMANDS``: flag,
 converter, default and domain.  The parser, the ``--config`` loader and one
 check after merging all read it, so a config value is converted and checked
 like the same flag, and an out-of-domain value exits 2 naming the flag
-before any work starts.  A ``--config`` file (``sim`` commands) holds
+before any work starts.  So does an option the run would not read (``--L``
+with ``--edge-speed``), so a report's ``inputs`` lists only options the run
+read.  A ``--config`` file (``sim`` commands) holds
 ``key = value`` lines for options the command line left unset, keyed by the
 flag name with ``_`` for inner dashes (``lambda``, ``edge_speed = true``)
 or by the attribute name (``lam``).
@@ -24,7 +26,7 @@ Words are digit strings ("1213"); wildcard positions are dots ("1.3").
 Rationals print as "p/q" in lowest terms.  Seeds fully determine stochastic
 output (``ipslab.rng`` defines the per-trial streams), and ``--trials`` is
 capped at 2**32, one 32-bit entropy word per trial index.  ``sim contact``
-and ``sim duality`` take ``--parallel`` (>= 1, default 1) and split trials
+survival runs and ``sim duality`` take ``--parallel`` (>= 1, default 1) and split trials
 across at most one process per CPU and per chunk of trials; the reduction
 replays results in trial order, so the reported numbers do not change.
 gaplab's zero threshold and identity tolerance are fixed
@@ -124,20 +126,27 @@ def _in_graph(graph, vertices, name: str):
             raise ValueError(f"{name} {v} outside 0..{graph.n - 1}")
 
 
+def _hub_degree(graph, v: int) -> int:
+    """The degree of --vertex, after exit-2 checks that it is in the graph and not isolated."""
+    _in_graph(graph, (v,), "--vertex")
+    if not (degree := int((graph.weights[v] > 0).sum())):
+        raise ValueError(f"--vertex {v} is isolated")
+    return degree
+
+
 # --- color subcommands -------------------------------------------------------
 # A handler returns (payload, text): text is what stdout shows, or None when
 # stdout shows the payload as JSON.
 
 def cmd_color_prob(args):
+    word = parse_word(args.word, args.q)
     if args.source == "formula":
-        word = parse_word(args.word, 4)
         have = physical_memory_bytes()
         if colorlab.measure.formula_table_bytes(word) > have:
             raise ValueError(f"--word: the formula's Dyck-word table for this word is larger "
                              f"than the {have / 2**30:.1f} GiB of physical memory")
-        measure = colorlab.CylinderMeasure(4, "formula")
+        measure = colorlab.CylinderMeasure(args.q, "formula")
     else:
-        word = parse_word(args.word, args.q)
         measure = _recursion_measure(args.q, len(word), "--word")
     value = measure.prob(word)
     return {"value": str(value)}, str(value)
@@ -202,7 +211,7 @@ def cmd_gap_report(args):
 
 def cmd_gap_reduce(args):
     net = gaplab.parse_graph_file(args.graph)
-    _in_graph(net.graph, (args.vertex,), "--vertex")
+    _hub_degree(net.graph, args.vertex)
     reduced = gaplab.reduce_vertex(net.graph, args.vertex)
     text = gaplab.format_network(reduced)
     payload = {
@@ -215,8 +224,7 @@ def cmd_gap_reduce(args):
 
 def cmd_gap_octopus(args):
     net = gaplab.parse_graph_file(args.graph)
-    _in_graph(net.graph, (args.vertex,), "--vertex")
-    degree, cap = int((net.graph.weights[args.vertex] > 0).sum()), gaplab.irreps.MAX_VERTICES
+    degree, cap = _hub_degree(net.graph, args.vertex), gaplab.irreps.MAX_VERTICES
     if degree + 1 > cap:  # the hub form is solved on the star {vertex} u N(vertex)
         raise CapacityError(f"--vertex {args.vertex} has degree {degree}: its star of "
                             f"{degree + 1} vertices exceeds the irrep blocks' 2 to {cap} vertices")
@@ -295,7 +303,7 @@ class _Opt:
     ``boolean`` makes a switch), ``check(value, args)`` returns None inside
     its domain and otherwise what the value "must be", and ``when(args)``
     says whether the command uses it (an unused option is neither required
-    nor checked)."""
+    nor checked, and is refused if set)."""
 
     def __init__(self, flag, kind, check, *, default=None, required=False, when=None,
                  dest=None, action=None, help=None):
@@ -343,6 +351,7 @@ _DIGITS = _rule(lambda w, a: set(w) <= _letters(a.q), "digits 1..{q}")
 # the formula is the q=4 construction, asserted on proper words only
 _FORMULA_WORD = _rule(lambda w, a: set(w) <= _letters(4) and colorlab.is_proper(w),
                       "a proper word over digits 1..4 with --source formula")
+_FORMULA_Q = _rule(lambda q, a: q == 4, "4 with --source formula")
 _GRAPH = _Opt("--graph", str, _READ, required=True)
 _VERTEX = _Opt("--vertex", int, _at_least(0), required=True)
 _TRIALS = _Opt("--trials", int, _number(lambda n: 1 <= n <= ipslab.MAX_TRIALS, "in 1..2**32"),
@@ -352,6 +361,8 @@ _RHO = _Opt("--rho", float, _number(lambda r: 0 <= r <= 1, "in 0..1"), required=
 _CSV = _Opt("--csv", str, _WRITE, help="write a trajectory CSV here")
 _CONFIG = _Opt("--config", str, _READ, help="key=value file with defaults")
 _PARALLEL = _Opt("--parallel", int, _at_least(1), help="worker processes (default 1)")
+# the two sides of sim contact's --edge-speed, the one switch a `when` reads
+_SURVIVAL, _EDGE = (lambda a: not a.edge_speed), (lambda a: a.edge_speed)
 _COMMON = (_Opt("--out", str, _WRITE, help="write the full JSON report to this file"),
            _Opt("--expect", str, _rule(lambda v, a: all("=" in e for e in v), "KEY=VALUE"),
                 default=(), action="append",
@@ -364,8 +375,8 @@ _GROUPS = {"color": "exact coloring measure queries",
 # op -> (handler, help, options); the _COMMON options follow every command's own
 _COMMANDS = {
     "color.prob": (cmd_color_prob, "cylinder probability of a word", (
-        _Opt("--q", int, _rule(lambda q, a: q >= 2 or a.source == "formula",
-                               ">= 2 with --source recursion"), default=4),
+        _Opt("--q", int, lambda q, a: (_FORMULA_Q if a.source == "formula" else
+                                       _Q.check)(q, a), default=4),
         _Opt("--word", str, lambda w, a: (_FORMULA_WORD if a.source == "formula" else
                                           _DIGITS)(w, a), required=True),
         _Opt("--source", str, _one_of("recursion", "formula"), default="recursion",
@@ -395,18 +406,19 @@ _COMMANDS = {
                     (_GRAPH,)),
     "sim.contact": (cmd_sim_contact, "contact process survival or edge speed", (
         _Opt("--lambda", float, _at_least(0), dest="lam", required=True),
-        _Opt("--L", int, _at_least(1), when=lambda a: not a.edge_speed,
+        _Opt("--L", int, _at_least(1), when=_SURVIVAL,
              help="interval length (survival mode; default: the sparse line)"),
         _Opt("--tmax", float, _number(lambda t: t > 0, "> 0"), required=True),
         _TRIALS, _SEED,
-        _Opt("--mode", str, _one_of("standard", "threshold"),
+        _Opt("--mode", str, _one_of("standard", "threshold"), when=_SURVIVAL,
              help="standard (default) or threshold"),
         _Opt("--edge-speed", boolean, _ANY, default=False,
              help="half-line start; fit the right-edge speed instead"),
         _Opt("--left-depth", int, _at_least(0), default=ipslab.DEFAULT_LEFT_DEPTH,
-             when=lambda a: a.edge_speed,
+             when=_EDGE,
              help=f"--edge-speed start depth (default {ipslab.DEFAULT_LEFT_DEPTH})"),
-        _CSV, _CONFIG, _PARALLEL)),
+        _CSV, _CONFIG, _Opt("--parallel", int, _at_least(1), when=_SURVIVAL,
+                            help="worker processes (default 1; survival only)"))),
     "sim.voter": (cmd_sim_voter, "voter model consensus statistics", (
         _GRAPH, _RHO, _Opt("--tmax", float, _at_least(0), required=True), _TRIALS, _SEED,
         _CSV, _CONFIG)),
@@ -481,22 +493,30 @@ def _apply_config_file(args, opts):
 
 def _settle(args):
     """Merge the --config file, fill defaults, then check, in declaration
-    order, that each option the command uses is given and in its domain."""
+    order, that each option the command uses is given and in its domain.
+    An option the command does not use is refused if it was set, and is
+    otherwise left unset, so the report's inputs omit it."""
     opts = _options(args.op)
     if getattr(args, "config", None) is not None:
         _complain(_CONFIG, args)
         _apply_config_file(args, opts)
+    given = {opt.dest for opt in opts if getattr(args, opt.dest) is not None}
     for opt in opts:
         if getattr(args, opt.dest) is None:
             setattr(args, opt.dest, opt.default)
+    unused = [opt for opt in opts if opt.when is not None and not opt.when(args)]
     for opt in opts:
-        if opt.when is not None and not opt.when(args):
-            continue
-        if getattr(args, opt.dest) is None:
+        if opt in unused:
+            setattr(args, opt.dest, None)
+        elif getattr(args, opt.dest) is None:
             if opt.required:
                 raise ValueError(f"missing required option {opt.flag}")
-            continue
-        _complain(opt, args)
+        else:
+            _complain(opt, args)
+    for opt in unused:
+        if opt.dest in given:  # every `when` is a side of --edge-speed
+            side = "with" if args.edge_speed else "without"
+            raise ValueError(f"{opt.flag} is not read {side} --edge-speed")
 
 
 def _inputs_dict(args) -> dict:

@@ -4,7 +4,7 @@ The event loop (``_run``) is exact-in-law continuous-time simulation: the
 total rate is the number of occupied sites plus the summed birth rates of
 the eligible vacant sites, holding times are exponential with that rate,
 and the next event is picked proportionally.  Vacant sites are bucketed by
-their occupied-neighbor count, which keeps both the total birth rate and
+their occupied-neighbor count, which holds both the total birth rate and
 the proportional pick exact (rates are integer multiples of the birth
 parameter) and makes every event O(neighborhood size).
 
@@ -424,17 +424,12 @@ class _ContactRows(Lockstep):
     def decode(self, action):
         action = action * self.ring
         self.dies = action < 1
-        self.keeps = ~self.dies
         self.move = np.zeros(action.shape, dtype=np.intp)  # the birth's offset; 0 on a death
         if self.lam:
-            j = np.minimum(((action[self.keeps] - 1) / self.lam).astype(np.intp),
+            births = ~self.dies
+            j = np.minimum(((action[births] - 1) / self.lam).astype(np.intp),
                            len(self.offsets) - 1)
-            self.move[self.keeps] = self.offsets[j]
-
-    def freeze(self, rows, step: int):
-        self.dies[step:, rows] = False
-        self.keeps[step:, rows] = True
-        self.move[step:, rows] = 0  # a birth onto the ringing site itself never happens
+            self.move[births] = self.offsets[j]
 
     def record(self, rows):
         hits = np.zeros(len(rows), dtype=bool)
@@ -456,10 +451,10 @@ class _ContactRows(Lockstep):
         y = x + self.move[s]
         code = cells[y]
         born = _BIRTHS.take(code)
-        new = code + born
-        new *= self.keeps[s]  # a death empties its site, which is y
-        cells[y] = new
         d = self.dies[s]
+        new = code + born
+        new *= ~d  # a death empties its site, which is y
+        cells[y] = new
         sites[i] = np.where(d, sites[top - 1], x)
         sites[top] = y
         self.count += np.subtract(born, d, dtype=np.int8)
@@ -468,8 +463,8 @@ class _ContactRows(Lockstep):
             self._widen()
         if not np.logical_and.reduce(self.count):
             out = np.flatnonzero(self.count == 0)
-            self.end(out, s + 1)
-            base = self.base[out]  # revived on the origin, then frozen
+            self.end(out)
+            base = self.base[out]  # revived on the origin: a row is never stepped empty
             self.count[out] = 1
             self.sites.ravel()[base] = base + self.half
             self.cells.ravel()[base + self.half] = HELD

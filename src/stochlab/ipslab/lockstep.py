@@ -1,7 +1,7 @@
 """The lockstep shell that contact survival and the coalescing walks run on.
 
 The trials of a window are the rows of numpy arrays, and one numpy step
-advances every live row by one event.  A row holds its trial's cells, int8
+advances every row by one event.  A row holds its trial's cells, int8
 codes that the process defines (bit 0 set while occupied), and in
 swap-with-last order its occupied cells as flat indices into all rows'
 cells (``sites``: ``count`` of them from the row's first flat index
@@ -10,9 +10,11 @@ rings at rate ``ring``, so a step reads three uniforms of the trial's
 stream: the holding time, the ringing cell ``int(u count)`` (rng's pick
 rule) and its action.  The rows read each block of steps together through
 ``StreamReader.rows``, so an outcome depends only on (seed, lane, trial)
-at any window, block or worker count.  A row that ends is recorded and
-frozen until the block ends, and then the live rows are compacted: a block
-cut short would throw away the uniforms it read.
+at any window, block or worker count.  A row is recorded once, when it
+ends, and then runs out the block it has read: its steps write only its
+own cells, or widen every row's window, which changes no outcome.  The
+rows still live are compacted between blocks; a block cut short would
+throw away the uniforms it read.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ WINDOW_SITES = 1 << 21     # cells a window's rows hold together at their widest
 
 class Lockstep:
     """One window of trials, one row each.  A process subclasses it with
-    ``decode(action)``, which reads a block's action uniforms (one row per
-    step), ``step(s, i)``, which applies step s to the ringing cells
-    ``sites.ravel()[i]``, ``record(rows)``, which stores outcomes in
-    ``results``, and ``freeze(rows, s)``, which makes steps s.. of the block
-    change nothing in ``rows``."""
+    three hooks: ``decode(action)``, which reads a block's action uniforms
+    (one row per step), ``step(s, i)``, which applies step s to the ringing
+    cells ``sites.ravel()[i]`` of every row, ended or not, and
+    ``record(rows)``, which stores the outcomes of rows that end now in
+    ``results``."""
 
     ring = 1.0
 
@@ -86,7 +88,7 @@ class Lockstep:
                 np.divide(wait[s], count, out=gain)
                 t += gain
                 if np.maximum.reduce(t) > t_max:
-                    self.end(np.flatnonzero(t > t_max), s)
+                    self.end(np.flatnonzero(t > t_max))
                 # int(u * n) < n by rng's pick rule, so the index needs no clamp
                 self.step(s, np.add(self.base, pick[s] * count, dtype=np.intp,
                                     casting="unsafe"))  # the cast truncates
@@ -104,8 +106,8 @@ class Lockstep:
                 self._rebase()
             steps = min(2 * steps, max(1, BLOCK_UNIFORMS // (n * 3)))
 
-    def end(self, rows: np.ndarray, step: int):
-        """Record ``rows`` and freeze them from ``step`` of the block on."""
+    def end(self, rows: np.ndarray):
+        """Record those of ``rows`` that have not ended yet, and mark them ended."""
+        rows = rows[self.t[rows] > -math.inf]
         self.record(rows)
         self.t[rows] = -math.inf
-        self.freeze(rows, step)

@@ -307,17 +307,11 @@ class _Walks(Lockstep):
         sites[i] = np.where(merged, sites[top - 1], y)
         self.count -= merged
         if np.logical_or.reduce(merged):
-            self.end(np.flatnonzero(merged * (self.count == 1)), s + 1)
+            self.end(np.flatnonzero(merged * (self.count == 1)))
 
     def record(self, rows):
         for r, walkers in zip(rows.tolist(), self.count[rows].tolist()):
             self.results[self.ids[r]] = int(walkers)
-
-    def freeze(self, rows, step: int):
-        # the row keeps one walker, which moves on and never merges
-        self.cells[rows] = 0
-        self.cells.ravel()[self.sites[rows, 0]] = 1
-        self.count[rows] = 1
 
 
 @dataclass(frozen=True)

@@ -721,18 +721,61 @@ class TestDomains:
 
     @pytest.mark.parametrize("argv", [
         ("color", "sample", "--n", "3", "--seed", "18446744073709551615"),
-        ("color", "prob", "--q", "1", "--word", "1", "--source", "formula"),
         ("sim", "voter", "--graph", "{path3}", "--rho", "0", "--tmax", "0", "--trials", "2",
          "--seed", "1"),
         ("sim", "duality", "--graph", "{path3}", "--set", " 2,,0", "--t", "0", "--rho", "1",
          "--trials", "2", "--seed", "18446744073709551615"),
-        # options the chosen mode does not use are not checked
-        TestSimCommands.CONTACT + ("--left-depth", "-5"),
-        ("sim", "contact", "--lambda", "2", "--edge-speed", "--L", "0", "--tmax", "3",
-         "--trials", "2", "--seed", "4"),
     ])
     def test_domain_edges_the_library_accepts_still_run(self, path3, argv):
         assert run(*(arg.format(path3=path3) for arg in argv))[0] == 0
+
+    EDGE = ("sim", "contact", "--lambda", "2", "--edge-speed", "--tmax", "3", "--trials", "2",
+            "--seed", "4")
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(TestSimCommands.CONTACT + ("--left-depth", "-5"),
+                     "--left-depth is not read without --edge-speed", id="survival-left-depth"),
+        pytest.param(TestSimCommands.CONTACT + ("--left-depth", "7"),
+                     "--left-depth is not read without --edge-speed", id="survival-left-depth-7"),
+        pytest.param(EDGE + ("--L", "0"), "--L is not read with --edge-speed", id="edge-L-0"),
+        pytest.param(EDGE + ("--mode", "threshold"), "--mode is not read with --edge-speed",
+                     id="edge-mode"),
+        pytest.param(EDGE + ("--parallel", "2"), "--parallel is not read with --edge-speed",
+                     id="edge-parallel"),
+        # the first of several is named
+        pytest.param(EDGE + ("--mode", "threshold", "--L", "50", "--parallel", "2"),
+                     "--L is not read with --edge-speed", id="edge-mode-L-parallel"),
+        pytest.param(("color", "prob", "--q", "1", "--word", "1", "--source", "formula"),
+                     "--q must be 4 with --source formula, got 1", id="formula-q-1"),
+        pytest.param(("color", "prob", "--source", "formula", "--q", "7", "--word", "131"),
+                     "--q must be 4 with --source formula, got 7", id="formula-q-7"),
+    ])
+    def test_options_the_run_would_ignore_are_refused(self, capsys, argv, message):
+        code, report = run(*argv)
+        assert code == 2 and report is None
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("line, argv, message", [
+        ("left_depth = 5", TestSimCommands.CONTACT,
+         "--left-depth is not read without --edge-speed"),
+        ("mode = threshold", EDGE, "--mode is not read with --edge-speed"),
+        ("parallel = 2", EDGE, "--parallel is not read with --edge-speed"),
+    ], ids=["left-depth", "mode", "parallel"])
+    def test_config_options_the_run_would_ignore_are_refused(self, tmp_path, capsys, line, argv,
+                                                              message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(line + "\n")
+        code, report = run(*argv, "--config", str(cfg))
+        assert code == 2 and report is None
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_inputs_omit_the_options_of_the_other_mode(self):
+        code, survival = run(*TestSimCommands.CONTACT)
+        code_e, edge = run(*self.EDGE)
+        assert code == code_e == 0
+        assert "left_depth" not in survival["inputs"]
+        assert not {"L", "mode", "parallel"} & set(edge["inputs"])
+        assert edge["inputs"]["left_depth"] == ipslab.DEFAULT_LEFT_DEPTH
 
     @pytest.mark.parametrize("line, named", [
         ("mode = thresold", "--mode must be one of standard, threshold, got 'thresold'"),
@@ -764,6 +807,14 @@ class TestDomains:
         code, report = run(*(arg.format(path3=path3, cycle10=cycle10) for arg in argv))
         assert code == 2 and report is None
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["reduce", "octopus"])
+    def test_isolated_vertex_names_the_flag(self, tmp_path, capsys, command):
+        graph = tmp_path / "isolated.g"
+        graph.write_text("n 3\ne 0 1 1\n")
+        code, report = run("gap", command, "--graph", str(graph), "--vertex", "2")
+        assert code == 2 and report is None
+        assert capsys.readouterr().err == "error: --vertex 2 is isolated\n"
 
     @pytest.mark.parametrize("argv", [
         ("color", "prob", "--word", "12"),
@@ -868,6 +919,51 @@ def test_each_domain_refuses_a_value_outside_it(tmp_path, capsys, path3, op, fla
     code, report = run(*argv)
     assert code == 2 and report is None
     assert flag in capsys.readouterr().err
+
+
+# a run of each command in each mode ("op" or "op mode") that exits 0, with
+# the options that mode may read set
+READ = {
+    **VALID,
+    "color.prob": ["--q", "3", "--word", "12", "--source", "recursion"],
+    "color.prob formula": ["--word", "12", "--source", "formula"],
+    "color.sample": ["--n", "2", "--seed", "1", "--count", "2"],
+    "gap.shuffle": ["--graph", "{hyper}"],
+    "sim.contact": ["--lambda", "1", "--L", "5", "--tmax", "1", "--trials", "2", "--seed", "1",
+                    "--mode", "standard", "--parallel", "1", "--csv", "{csv}"],
+    "sim.contact edge-speed": ["--lambda", "2", "--edge-speed", "--left-depth", "5", "--tmax",
+                               "3", "--trials", "4", "--seed", "4", "--csv", "{csv}"],
+    "sim.voter": VALID["sim.voter"] + ["--csv", "{csv}", "--config", "{config}"],
+    "sim.duality": VALID["sim.duality"] + ["--parallel", "1", "--config", "{config}"],
+}
+
+
+class ReadRecorder:
+    """Passes attribute reads through to ``args`` and records their names."""
+
+    def __init__(self, args, read: set):
+        self._args, self._read = args, read
+
+    def __getattr__(self, name):
+        self._read.add(name)
+        return getattr(self._args, name)
+
+
+@pytest.mark.parametrize("case", sorted(READ))
+def test_every_reported_input_is_read(tmp_path, monkeypatch, path3, case):
+    hyper = tmp_path / "hyper.g"
+    hyper.write_text("n 3\nh 3 0 1 2 1.0\n")
+    config = tmp_path / "empty.cfg"
+    config.write_text("# no keys\n")
+    op, read = case.split()[0], set()
+    handler, *rest = cli._COMMANDS[op]
+    monkeypatch.setitem(cli._COMMANDS, op, (lambda args: handler(ReadRecorder(args, read)),
+                                            *rest))
+    argv = [arg.format(path3=path3, hyper=hyper, config=config, csv=tmp_path / "out.csv")
+            for arg in READ[case]]
+    code, report = run(*op.split("."), *argv)
+    assert code == 0
+    assert set(report["inputs"]) - {"config"} <= read
 
 
 @pytest.mark.parametrize("expect, status, err", [
