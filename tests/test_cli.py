@@ -721,6 +721,7 @@ class TestDomains:
 
     @pytest.mark.parametrize("argv", [
         ("color", "sample", "--n", "3", "--seed", "18446744073709551615"),
+        ("color", "prob", "--q", "2", "--word", "1"),
         ("sim", "voter", "--graph", "{path3}", "--rho", "0", "--tmax", "0", "--trials", "2",
          "--seed", "1"),
         ("sim", "duality", "--graph", "{path3}", "--set", " 2,,0", "--t", "0", "--rho", "1",
