@@ -252,6 +252,7 @@ def cmd_sim_contact(args):
     if args.edge_speed:
         ipslab.contact.check_sparse_span(ipslab.ContactConfig(args.lam),
                                          range(-args.left_depth, 1), args.tmax, "--tmax")
+        ipslab.contact.check_edge_trials(args.trials, name="--trials")
         est = ipslab.right_edge_speed(args.lam, args.tmax, args.trials, args.seed,
                                       left_depth=args.left_depth)
         if args.csv:
@@ -284,6 +285,7 @@ def cmd_sim_duality(args):
     net = gaplab.parse_graph_file(args.graph)
     target = _vertices(args.set)
     _in_graph(net.graph, target, "--set vertex")
+    ipslab.voter.check_duality_trials(args.trials, "--trials")
     rep = ipslab.duality_check(net.graph, target, args.t, args.rho, args.trials,
                                args.seed, workers=args.parallel or 1)
     return rep.to_dict(), None

@@ -17,17 +17,11 @@ from .graphs import (
     HyperWeights,
     Network,
     WeightedGraph,
-    complete_graph,
     connected_graph_representatives,
     cycle_graph,
     format_network,
     parse_graph_file,
     parse_network,
-    path_graph,
-    random_connected_graph,
-    random_hyperweights,
-    single_edge,
-    star_graph,
 )
 from .irreps import block_spectrum
 from .reduction import octopus_extremes, octopus_form, reduce_vertex
@@ -56,7 +50,6 @@ __all__ = [
     "alpha_single_particle_rates",
     "block_gap",
     "block_spectrum",
-    "complete_graph",
     "connected_graph_representatives",
     "cycle_graph",
     "exclusion_generator",
@@ -68,13 +61,8 @@ __all__ = [
     "octopus_form",
     "parse_graph_file",
     "parse_network",
-    "path_graph",
-    "random_connected_graph",
-    "random_hyperweights",
     "reduce_vertex",
     "rw_generator",
     "shuffle_gap_comparison",
-    "single_edge",
     "spectral_gap",
-    "star_graph",
 ]

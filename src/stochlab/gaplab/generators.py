@@ -36,10 +36,6 @@ class GeneratorOperator:
     states: tuple
     matrix: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.states)
-
     def dense(self) -> np.ndarray:
         return self.matrix
 

@@ -10,12 +10,13 @@ Duplicate edge or subset records are summed.  Parse errors carry the line
 and column of the offending token; an 'n' whose dense weights would not fit
 in physical memory is one.
 
-Both ``WeightedGraph.edges`` and the one component labeller, ``_components``
-(for ``WeightedGraph.is_connected`` and ``spectral.extreme_eigenvalues``),
-read a matrix's nonzero pattern with ``_nonzero``: the indices of
-``np.nonzero`` in the same row-major order, found through a boolean mask of
-at most ``MASK_BYTES``.  On a 3000-vertex path that takes 8-9 ms against
-45-60 ms for ``np.nonzero`` of the float weights (2 vCPUs).
+``WeightedGraph.edges``, ``WeightedGraph.adjacency`` and the one component
+labeller, ``_components`` (for ``WeightedGraph.is_connected`` and
+``spectral.extreme_eigenvalues``), read a matrix's nonzero pattern with
+``_nonzero``: the indices of ``np.nonzero`` in the same row-major order,
+found through a boolean mask of at most ``MASK_BYTES``.  On a 3000-vertex
+path that takes 8-9 ms against 45-60 ms for ``np.nonzero`` of the float
+weights (2 vCPUs).
 """
 
 from __future__ import annotations
@@ -72,6 +73,13 @@ class WeightedGraph:
         upper = rows < cols
         rows, cols = rows[upper], cols[upper]
         return zip(rows.tolist(), cols.tolist(), self.weights[rows, cols].tolist())
+
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every vertex's neighbors in one array, ascending per vertex, each
+        vertex's degree and the index of its first neighbor (CSR form)."""
+        rows, cols = _nonzero(self.weights)
+        degree = np.bincount(rows, minlength=self.n)
+        return cols, degree, np.cumsum(degree) - degree
 
     def strength(self, i: int) -> float:
         return float(self.weights[i].sum())
@@ -172,11 +180,7 @@ class Network:
     hyper: HyperWeights
 
 
-# --- standard small graphs --------------------------------------------------
-
-def path_graph(n: int, weight: float = 1.0) -> WeightedGraph:
-    return WeightedGraph.from_edges(n, [(i, i + 1, weight) for i in range(n - 1)])
-
+# --- the cycle and the connected classes -----------------------------------
 
 def cycle_graph(n: int, weight: float = 1.0) -> WeightedGraph:
     """The n-cycle; at n = 2 it is the single edge of ``weight``."""
@@ -186,55 +190,6 @@ def cycle_graph(n: int, weight: float = 1.0) -> WeightedGraph:
     if n > 2:
         edges.append((0, n - 1, weight))
     return WeightedGraph.from_edges(n, edges)
-
-
-def complete_graph(n: int, weight: float = 1.0) -> WeightedGraph:
-    return WeightedGraph.from_edges(
-        n, [(i, j, weight) for i in range(n) for j in range(i + 1, n)]
-    )
-
-
-def star_graph(n: int, weight: float = 1.0) -> WeightedGraph:
-    """Hub vertex 0 joined to every other vertex."""
-    return WeightedGraph.from_edges(n, [(0, j, weight) for j in range(1, n)])
-
-
-def single_edge(weight: float = 1.0) -> WeightedGraph:
-    return WeightedGraph.from_edges(2, [(0, 1, weight)])
-
-
-# --- fuzzing and enumeration ------------------------------------------------
-
-def random_connected_graph(n: int, rng: np.random.Generator,
-                           edge_prob: float = 0.5) -> WeightedGraph:
-    """Erdos-Renyi skeleton conditioned on connectivity, weights in (0, 1]."""
-    while True:
-        w = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < edge_prob:
-                    weight = 1.0 - rng.random()  # uniform on (0, 1]
-                    w[i, j] = w[j, i] = weight
-        g = WeightedGraph(w)
-        if g.is_connected:
-            return g
-
-
-def random_hyperweights(n: int, rng: np.random.Generator) -> HyperWeights:
-    """Random rated subsets, 1 to 4 of them, whose single-particle graph is
-    connected."""
-    from .generators import alpha_single_particle_rates
-
-    while True:
-        count = int(rng.integers(1, 5))
-        rates: dict[frozenset[int], float] = {}
-        for _ in range(count):
-            size = int(rng.integers(2, n + 1))
-            subset = frozenset(int(v) for v in rng.choice(n, size=size, replace=False))
-            rates[subset] = rates.get(subset, 0.0) + (1.0 - rng.random())
-        hyper = HyperWeights(n, rates)
-        if alpha_single_particle_rates(hyper).is_connected:
-            return hyper
 
 
 def connected_graph_representatives(n: int) -> list[WeightedGraph]:
@@ -371,12 +326,9 @@ def parse_graph_file(path) -> Network:
         return parse_network(fh.read())
 
 
-def format_network(graph: WeightedGraph, hyper: HyperWeights | None = None) -> str:
+def format_network(graph: WeightedGraph) -> str:
+    """``graph`` in the network format: its 'n' and 'e' records."""
     lines = [f"n {graph.n}"]
     for i, j, w in graph.edges():
         lines.append(f"e {i} {j} {float(w)!r}")
-    if hyper is not None:
-        for subset in sorted(hyper.rates, key=sorted):
-            verts = " ".join(str(v) for v in sorted(subset))
-            lines.append(f"h {len(subset)} {verts} {float(hyper.rates[subset])!r}")
     return "\n".join(lines) + "\n"

@@ -147,7 +147,10 @@ def block_spectrum(n: int, coeffs=None, subset_rates=None) -> list[tuple[tuple[i
     rates = [(sorted(subset), rate) for subset, rate in (subset_rates or {}).items() if rate]
     with np.errstate(over="ignore"):
         weights = float(c.sum())
-    diagonal = weights + sum(rate for _, rate in rates)
+    added = 0  # the rates left to right, as sum() adds them before Python 3.12
+    for _, rate in rates:
+        added += rate
+    diagonal = weights + added
     if not math.isfinite(diagonal):
         raise ValueError(f"the {'subset rates' if math.isfinite(weights) else 'edge weights'} "
                          "sum past the float range")

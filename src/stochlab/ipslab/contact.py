@@ -26,17 +26,19 @@ trial's stream, its step, its branch and its index, as one triple.  The
 loop runs ``simulate_contact`` (trial 0 of the empty lane),
 ``right_edge_speed`` (lane 1) and threshold-mode survival (lane 0).
 
-``estimate_survival`` runs standard-mode trials on the lockstep shell
-(``lockstep.py``, lane 5) in the occupied-site form (``_ContactRows``):
-each occupied site rings at rate 1 + |N| lam, dies with probability
-1 / (1 + |N| lam) and otherwise tries a birth at a uniform offset.  So
-every vacant site is born at lam per occupied neighbor, the event loop's
-rate, and the two engines share one law; a birth onto an occupied site is
-a step that changes nothing, the price of steps that read no rate table.
-Threshold-mode survival stays on the event loop, lane 0
-(``_survival_chunk``): there most proposed births would land on occupied
-sites or be refused, and a lockstep with acceptance 1/(occupied neighbors)
-measured slower than the loop.
+``estimate_survival`` runs standard-mode trials with |N| lam at most
+``LOCKSTEP_MAX_BIRTHS`` on the lockstep shell (``lockstep.py``, lane 5)
+in the occupied-site form (``_ContactRows``): each occupied site rings at
+rate 1 + |N| lam, dies with probability 1 / (1 + |N| lam) and otherwise
+tries a birth at a uniform offset.  So every vacant site is born at lam
+per occupied neighbor, the event loop's rate, and the two engines share
+one law; a birth onto an occupied site is a step that changes nothing,
+the price of steps that read no rate table.
+Standard-mode survival past that bound and threshold-mode survival stay
+on the event loop, lane 0 (``_survival_chunk``): in threshold mode most
+proposed births would land on occupied sites or be refused, and a
+lockstep with acceptance 1/(occupied neighbors) measured slower than the
+loop.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from ..memory import physical_memory_bytes
 from .lockstep import Lockstep
 from .parallel import run_trials
 from .rng import UniformBuffer, binomial_ci, check_trials, trial_buffers
-from .stats import TrialStats, check_record_dt
+from .stats import TrialStats, check_kept_trials, check_record_dt
 
 STANDARD = "standard"
 THRESHOLD = "threshold"
@@ -61,6 +63,13 @@ THRESHOLD_NEIGHBORHOOD = (-2, -1, 1, 2)
 OCCUPIED = -1
 OUTSIDE = -2
 DEFAULT_LEFT_DEPTH = 400
+EDGE_SAMPLES = 40  # right_edge_speed's path points per trial
+# bytes right_edge_speed keeps per edge sample until it returns, for --csv: the
+# (trial, t, edge) tuple, its floats and a list slot, which the list's growth
+# holds twice for a moment.  A trial keeps at most samples // 2 + 2 of them
+# (tracemalloc, rise of the peak: 2,300-3,230 bytes a trial at 40 samples,
+# 6,600-6,660 at 100)
+EDGE_SAMPLE_BYTES = 160
 # bytes a touched site of a sparse-line run holds in the window lists, the
 # occupied list and the buckets (tracemalloc: 55-68 per site a long run adds)
 SITE_BYTES = 192
@@ -353,6 +362,13 @@ class SurvivalEstimate:
 
 
 LOCKSTEP_LANE = (5,)
+# the most |N| lam that survival runs on the lockstep.  A birth onto an occupied
+# site is a step that changes nothing, so steps per event grow with lam: at
+# |N| lam = 2e6 on 5 sites a trial takes millions of steps per unit of time.
+# The bound stops that; the break-even lies lower (L = 100: the lockstep
+# measured faster at 10, slower at 20), and a rule by lam and trial count
+# waits for benchmark survival workloads on both sides of it
+LOCKSTEP_MAX_BIRTHS = 32
 # lockstep site codes: bit 0 means occupied, and a birth needs both low bits clear
 HELD, BARRED, UNREACHED, MARGIN = 1, 2, 4, 8
 _BIRTHS = np.array([code & (HELD | BARRED) == 0 for code in range(16)])  # by code
@@ -366,10 +382,6 @@ def _lockstep_runs(cfg: ContactConfig, init, t_max: float, seed: int, lo: int, h
     only: the kernel has no threshold births."""
     init = sorted(set(init))
     _check_init(cfg, init)
-    if not init:  # every trial starts extinct
-        for _ in range(lo, hi):
-            yield (), False
-        return
     span = _span_bound(cfg, init, t_max)
     if cfg.length is not None:
         span = min(span, cfg.length + 2 * cfg.neighborhood[-1])
@@ -510,26 +522,25 @@ def _survival_estimate(survivals: int, boundary_hits: int, trials: int, seed: in
 
 
 def estimate_survival(cfg: ContactConfig, t_max: float, trials: int, seed: int,
-                      init=None, workers: int = 1) -> SurvivalEstimate:
-    """Fraction of trials still occupied at t_max, with a 95% interval.
+                      workers: int = 1) -> SurvivalEstimate:
+    """Fraction of trials still occupied at t_max from ``center_seed(cfg)``,
+    with a 95% interval.
 
     The infinite-volume survival probability is not observable here: this
     is a finite-interval, finite-horizon surrogate (noted in the output).
-    Standard-mode trials run on the lockstep shell, lane 5
-    (``_ContactRows``), threshold-mode trials on the event loop, lane 0,
-    where they measured faster, as do standard-mode trials whose ring rate
-    1 + |N| lam overflows to inf.  Trials split across processes when
-    workers > 1; per-trial streams are seed-derived and the counts are
-    order-independent, so the result is identical to the single-process run.
+    Standard-mode trials with |N| lam <= ``LOCKSTEP_MAX_BIRTHS`` run on the
+    lockstep shell, lane 5 (``_ContactRows``); threshold-mode trials and
+    standard ones past that bound run on the event loop, lane 0, where
+    they measured faster.  Trials split across processes when workers > 1;
+    per-trial streams are seed-derived and the counts are order-independent,
+    so the result is identical to the single-process run.
     """
     _check_horizon(t_max)
     check_trials(trials)
-    if init is None:
-        init = center_seed(cfg)
-    init = tuple(init)
+    init = center_seed(cfg)
     check_sparse_span(cfg, init, t_max)
     chunk, lane = ((_lockstep_chunk, "contact/5") if cfg.mode == STANDARD and
-                   math.isfinite(1 + len(cfg.neighborhood) * cfg.lam)
+                   len(cfg.neighborhood) * cfg.lam <= LOCKSTEP_MAX_BIRTHS
                    else (_survival_chunk, "contact/0"))
     parts = run_trials(chunk, (cfg, init, t_max, seed), trials, workers)
     return _survival_estimate(sum(p[0] for p in parts), sum(p[1] for p in parts), trials,
@@ -554,9 +565,17 @@ class EdgeSpeedEstimate:
         }
 
 
+def check_edge_trials(trials: int, samples: int = EDGE_SAMPLES, name: str = "trials"):
+    """ValueError naming ``name`` when the edge samples that
+    ``right_edge_speed`` keeps for ``trials`` trials would not fit in
+    physical memory."""
+    check_kept_trials(trials, (samples // 2 + 2) * EDGE_SAMPLE_BYTES, name)
+
+
 def right_edge_speed(lam: float, t_max: float, trials: int, seed: int,
                      neighborhood: tuple[int, ...] = DEFAULT_NEIGHBORHOOD,
-                     left_depth: int = DEFAULT_LEFT_DEPTH, samples: int = 40) -> EdgeSpeedEstimate:
+                     left_depth: int = DEFAULT_LEFT_DEPTH,
+                     samples: int = EDGE_SAMPLES) -> EdgeSpeedEstimate:
     """Least-squares speed of the rightmost occupied site from a half-line.
 
     Starts from sites -left_depth..0 occupied on the unbounded lattice (the
@@ -571,6 +590,7 @@ def right_edge_speed(lam: float, t_max: float, trials: int, seed: int,
         raise ValueError(f"left_depth must be >= 0, got {left_depth}")
     if samples < 2:
         raise ValueError(f"samples must be >= 2 to fit a slope, got {samples}")
+    check_edge_trials(trials, samples)
     cfg = ContactConfig(lam, None, neighborhood, STANDARD)
     init = range(-left_depth, 1)
     check_sparse_span(cfg, init, t_max)
@@ -592,9 +612,9 @@ def right_edge_speed(lam: float, t_max: float, trials: int, seed: int,
     if not slopes:
         raise ValueError(f"every trial died before the fitting window t >= {t_max / 2}; "
                          "nothing to fit")
-    mean = sum(slopes) / len(slopes)
+    mean = _added(slopes) / len(slopes)
     if len(slopes) > 1:
-        var = sum((s - mean) ** 2 for s in slopes) / (len(slopes) - 1)
+        var = _added((s - mean) ** 2 for s in slopes) / (len(slopes) - 1)
         stderr = math.sqrt(var / len(slopes))
     else:
         stderr = math.inf
@@ -608,8 +628,17 @@ def right_edge_speed(lam: float, t_max: float, trials: int, seed: int,
 
 def _least_squares_slope(points) -> float:
     n = len(points)
-    mean_t = sum(t for t, _ in points) / n
-    mean_x = sum(x for _, x in points) / n
-    num = sum((t - mean_t) * (x - mean_x) for t, x in points)
-    den = sum((t - mean_t) ** 2 for t, _ in points)
+    mean_t = _added(t for t, _ in points) / n
+    mean_x = _added(x for _, x in points) / n
+    num = _added((t - mean_t) * (x - mean_x) for t, x in points)
+    den = _added((t - mean_t) ** 2 for t, _ in points)
     return num / den
+
+
+def _added(values):
+    """``sum(values)`` added left to right, as Python 3.10 and 3.11 add it:
+    from 3.12 on, ``sum`` compensates float roundoff, which moves last bits."""
+    total = 0
+    for value in values:
+        total += value
+    return total

@@ -23,6 +23,16 @@ def check_record_dt(t_max: float, record_dt: float | None):
                          "more than physical memory holds")
 
 
+def check_kept_trials(trials: int, per_trial: float, name: str = "trials"):
+    """ValueError naming ``name`` when the ``per_trial`` bytes an estimator
+    keeps for each of ``trials`` trials until it reports would not fit in
+    physical memory."""
+    need = trials * per_trial
+    if need > physical_memory_bytes():
+        raise ValueError(f"{name} {trials} keeps {need / 2**30:.3g} GiB of per-trial values, "
+                         "more than physical memory holds")
+
+
 @dataclass(frozen=True)
 class TrialStats:
     """What happened across a batch of independent trials.

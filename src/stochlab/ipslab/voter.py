@@ -48,15 +48,7 @@ from ..gaplab.graphs import WeightedGraph
 from .lockstep import Lockstep
 from .parallel import run_trials
 from .rng import check_trials, log1p_of_negated, thread_reader, trial_keys
-from .stats import TrialStats, check_record_dt
-
-
-def adjacency_lists(graph: WeightedGraph) -> list[list[int]]:
-    adj = [[] for _ in range(graph.n)]
-    for i, j, _ in graph.edges():
-        adj[i].append(j)
-        adj[j].append(i)
-    return adj
+from .stats import TrialStats, check_kept_trials, check_record_dt
 
 
 @dataclass(frozen=True)
@@ -103,9 +95,8 @@ def simulate_voter(cfg: VoterConfig, t_max: float, seed: int,
     every ``record_dt`` (None or 0: no path points)."""
     _check_horizon(t_max)
     check_record_dt(t_max, record_dt)
-    [(time, opinions, events, path)] = _voter_runs(adjacency_lists(cfg.graph), cfg.rho,
-                                                   cfg.opinions, t_max, seed, (), 0, 1,
-                                                   record_dt)
+    [(time, opinions, events, path)] = _voter_runs(cfg.graph.adjacency(), cfg.rho, cfg.opinions,
+                                                   t_max, seed, (), 0, 1, record_dt)
     return VoterTrajectory(
         consensus_time=time,
         consensus_value=(opinions[0] if time is not None else None),
@@ -140,22 +131,15 @@ class _Trial:
         self.ended = self.consensus is not None
 
 
-def _csr(adj: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The neighbors of ``adj`` in one array, each vertex's degree and the
-    index of its first neighbor."""
-    degree = np.array([len(row) for row in adj], dtype=np.intp)
-    return (np.array([j for row in adj for j in row], dtype=np.intp), degree,
-            np.cumsum(degree) - degree)
-
-
-def _voter_runs(adj: list[list[int]], rho: float | None, initial: tuple[int, ...] | None,
+def _voter_runs(adjacency, rho: float | None, initial: tuple[int, ...] | None,
                 t_max: float, seed: int, lane: tuple[int, ...], lo: int, hi: int,
                 record_dt: float | None = None):
-    """Trials lo..hi-1 of (seed, lane) on the graph of ``adj``, in trial
-    order, each as (consensus time or None, final opinions, events, recorded
-    path).  Opinions start from ``initial``, or else i.i.d. with density rho."""
-    n = len(adj)
-    graph = (n, *_csr(adj))
+    """Trials lo..hi-1 of (seed, lane) on the graph whose CSR arrays are
+    ``adjacency`` (``WeightedGraph.adjacency``), in trial order, each as
+    (consensus time or None, final opinions, events, recorded path).
+    Opinions start from ``initial``, or else i.i.d. with density rho."""
+    n = len(adjacency[1])
+    graph = (n, *adjacency)
     init = 0 if initial is not None else n
     first = init + 3 * FIRST_EVENTS  # uniforms a trial reads in its first block
     reader = thread_reader()
@@ -263,23 +247,24 @@ def consensus_rate(cfg: VoterConfig, t_max: float, trials: int, seed: int) -> Co
     """Fraction of trials reaching unanimity by t_max."""
     _check_horizon(t_max)
     check_trials(trials)
-    adj = adjacency_lists(cfg.graph)
-    times = []
-    for time, _, _, _ in _voter_runs(adj, cfg.rho, cfg.opinions, t_max, seed, (2,), 0, trials):
+    reached, total = 0, 0.0
+    for time, _, _, _ in _voter_runs(cfg.graph.adjacency(), cfg.rho, cfg.opinions, t_max,
+                                     seed, (2,), 0, trials):
         if time is not None:
-            times.append(time)
-    stats = TrialStats(trials=trials, survivals=len(times), master_seed=seed, lane="voter/2")
-    mean_time = sum(times) / len(times) if times else None
-    return ConsensusEstimate(len(times) / trials, mean_time, stats)
+            reached += 1
+            total += time  # left to right, on every Python version
+    stats = TrialStats(trials=trials, survivals=reached, master_seed=seed, lane="voter/2")
+    return ConsensusEstimate(reached / trials, total / reached if reached else None, stats)
 
 
-def _walk_runs(adj: list[list[int]], start, t_max: float, seed: int, lo: int, hi: int):
+def _walk_runs(adjacency, start, t_max: float, seed: int, lo: int, hi: int):
     """The number of coalescing walkers left at t_max in trials lo..hi-1 of
-    (seed, (6,)), started one on each vertex of ``start``, in trial order."""
+    (seed, (6,)), started one on each vertex of ``start``, in trial order,
+    on the graph whose CSR arrays are ``adjacency``."""
     start = sorted(set(start))
     if len(start) < 2:  # nothing to merge
         return iter([len(start)] * (hi - lo))
-    return _Walks.runs(seed, (6,), lo, hi, len(adj), t_max, _csr(adj), start)
+    return _Walks.runs(seed, (6,), lo, hi, len(adjacency[1]), t_max, adjacency, start)
 
 
 class _Walks(Lockstep):
@@ -342,12 +327,24 @@ class DualityReport:
         }
 
 
-def _duality_chunk(adj, rho, target, t, seed, lo, hi):
+def _duality_chunk(adjacency, rho, target, t, seed, lo, hi):
     """Trials lo..hi-1 of both sides: the voter count and the walk values."""
     count = 0
-    for _, opinions, _, _ in _voter_runs(adj, rho, None, t, seed, (3,), lo, hi):
+    for _, opinions, _, _ in _voter_runs(adjacency, rho, None, t, seed, (3,), lo, hi):
         count += all(opinions[v] == 1 for v in target)
-    return count, [rho ** walkers for walkers in _walk_runs(adj, target, t, seed, lo, hi)]
+    return count, [rho ** walkers for walkers in _walk_runs(adjacency, target, t, seed, lo, hi)]
+
+
+# bytes duality_check keeps per trial until it reports: a walk value, a float
+# and its list slot (tracemalloc: 32-33), twice while a worker's values reach
+# the parent
+WALK_VALUE_BYTES = 64
+
+
+def check_duality_trials(trials: int, name: str = "trials"):
+    """ValueError naming ``name`` when the walk values that ``duality_check``
+    keeps for ``trials`` trials would not fit in physical memory."""
+    check_kept_trials(trials, WALK_VALUE_BYTES, name)
 
 
 def duality_check(graph: WeightedGraph, target, t: float, rho: float,
@@ -360,7 +357,7 @@ def duality_check(graph: WeightedGraph, target, t: float, rho: float,
     started on ``target`` and run for time t.  Reports a two-sample z.
 
     With workers > 1 the trials run in separate processes, each sent rho
-    and the adjacency lists, not the dense weights; the reduction replays
+    and the CSR adjacency arrays, not the dense weights; the reduction replays
     per-trial values in trial order, so the report is identical to the
     single-process run.
     """
@@ -373,8 +370,9 @@ def duality_check(graph: WeightedGraph, target, t: float, rho: float,
     VoterConfig(graph, rho=rho)  # checks for a connected unit-weight graph and rho in [0, 1]
     _check_horizon(t)
     check_trials(trials)
+    check_duality_trials(trials)
 
-    parts = run_trials(_duality_chunk, (adjacency_lists(graph), rho, target, t, seed), trials,
+    parts = run_trials(_duality_chunk, (graph.adjacency(), rho, target, t, seed), trials,
                        workers)
     return _duality_report(parts, trials, target, t, rho, seed)
 

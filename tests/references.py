@@ -4,6 +4,8 @@ None of this is called by the library, the CLI or the benchmark: each
 piece restates a definition term by term so that a test can check the
 optimized code in ``src/`` against it.
 
+* Python 3.12's ``sum``, which compensates float roundoff, for the test
+  that seeded values do not depend on the Python version.
 * colorlab: the sign-matrix encoding of a 4-color word, the run
   decomposition of a sign row, dispersed Dyck words as validated objects,
   the run flips and boundary sign products of the explicit q=4 formula,
@@ -17,20 +19,26 @@ optimized code in ``src/`` against it.
   Dyck-word terms once and reads only a sign per term off the bottom row;
   its pushforward maps whole window arrays; its sampler draws by random
   insertion.
-* gaplab: the positive-weight edges read pair by pair, row-major, which
-  ``WeightedGraph.edges`` lists from one read of the nonzero pattern; the
-  permutation-space builder ranking every move afresh, which
-  ``generators._PermutationSpace`` reads from memoized move maps; the Dirichlet
-  form and variance of the variational gap characterization, and the
-  reduced graph embedded back on the full vertex set, for the reduction's
-  monotonicity checks.
+* gaplab: the standard graph families (path, complete, star, single edge)
+  and seeded random connected graphs and subset rates, the tests' inputs;
+  the network text with 'h' records, which only the round-trip tests
+  write; the positive-weight edges read pair by pair, row-major, which
+  ``WeightedGraph.edges`` lists from one read of the nonzero pattern, and
+  each vertex's neighbors as a list, which ``WeightedGraph.adjacency``
+  holds as CSR arrays; the permutation-space builder ranking every move
+  afresh, which ``generators._PermutationSpace`` reads from memoized move
+  maps; the Dirichlet form and variance of the variational gap
+  characterization, and the reduced graph embedded back on the full
+  vertex set, for the reduction's monotonicity checks.
 * ipslab: exact transient laws of small systems by uniformization, for
   the contact process on an interval, coalescing walks and the voter
   model, which the event loops' Monte Carlo means are tested against;
   standard-mode contact survival estimated on the event loop, lane 0,
   one trial at a time (the stream of the older survival entries in
   ``golden/ipslab_seeded.json``), the witness that ``estimate_survival``'s
-  lockstep kernel on lane 5 is compared with; and coalescing walks on an
+  lockstep kernel on lane 5 is compared with, and survival on either
+  engine from any occupied set, where ``estimate_survival`` starts from
+  the center and picks the engine by mode and rate; and coalescing walks on an
   event loop, one ``UniformBuffer`` per trial (lane 4 in the older duality
   entries there), the witness of the walk side of ``duality_check``, which
   runs on the lockstep shell on lane 6.
@@ -50,13 +58,60 @@ from stochlab.colorlab import (canonical_form, descent_set_probability, eliminat
                                proper_words)
 from stochlab.colorlab.measure import _canonical_proper_words
 from stochlab.colorlab.words import CLOSE, NEUTRAL, OPEN, _enum_dispersed
-from stochlab.gaplab import GeneratorOperator, WeightedGraph, reduce_vertex
+from stochlab import gaplab
+from stochlab.gaplab import (GeneratorOperator, HyperWeights, WeightedGraph,
+                             alpha_single_particle_rates, reduce_vertex)
 from stochlab.gaplab.generators import _PermutationSpace
 from stochlab.ipslab import contact, voter
 from stochlab.ipslab.contact import STANDARD, ContactConfig
 from stochlab.ipslab.parallel import run_trials
 from stochlab.ipslab.rng import UniformBuffer, trial_buffers
-from stochlab.ipslab.voter import adjacency_lists
+
+# --- Python's sum ---------------------------------------------------------------
+
+_C_LONG = range(-2**63, 2**63)
+
+
+def sum_312(iterable, /, start=0):
+    """``sum`` as CPython 3.12 computes it (``builtin_sum_impl``), for ints
+    and floats: ints add exactly; from the first float on, floats are added
+    with Neumaier's compensation, which joins the total at the end, and
+    ints that fit a C long are added without it.  Python 3.10 and 3.11 add
+    left to right, so a float total can differ in its last bits."""
+    items = iter(iterable)
+    result = start
+    if type(result) is int and result in _C_LONG:
+        for item in items:
+            if type(item) in (int, bool) and item in _C_LONG and result + item in _C_LONG:
+                result += item
+                continue
+            result = result + item
+            break
+    if type(result) is float:
+        total, compensation = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    compensation += (total - t) + item
+                else:
+                    compensation += (item - t) + total
+                total = t
+            elif isinstance(item, int) and item in _C_LONG:
+                total += float(item)
+            else:
+                if compensation and math.isfinite(compensation):
+                    total += compensation
+                result = total + item
+                break
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            return total
+    for item in items:
+        result = result + item
+    return result
+
 
 # --- colorlab ----------------------------------------------------------------
 
@@ -334,10 +389,80 @@ def prefix_sample_windows(measure, n: int, count: int, seed: int) -> list[tuple[
 
 # --- gaplab ------------------------------------------------------------------
 
+def path_graph(n: int, weight: float = 1.0) -> WeightedGraph:
+    return WeightedGraph.from_edges(n, [(i, i + 1, weight) for i in range(n - 1)])
+
+
+def complete_graph(n: int, weight: float = 1.0) -> WeightedGraph:
+    return WeightedGraph.from_edges(
+        n, [(i, j, weight) for i in range(n) for j in range(i + 1, n)]
+    )
+
+
+def star_graph(n: int, weight: float = 1.0) -> WeightedGraph:
+    """Hub vertex 0 joined to every other vertex."""
+    return WeightedGraph.from_edges(n, [(0, j, weight) for j in range(1, n)])
+
+
+def single_edge(weight: float = 1.0) -> WeightedGraph:
+    return WeightedGraph.from_edges(2, [(0, 1, weight)])
+
+
+def random_connected_graph(n: int, rng: np.random.Generator,
+                           edge_prob: float = 0.5) -> WeightedGraph:
+    """Erdos-Renyi skeleton conditioned on connectivity, weights in (0, 1]."""
+    while True:
+        w = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < edge_prob:
+                    weight = 1.0 - rng.random()  # uniform on (0, 1]
+                    w[i, j] = w[j, i] = weight
+        g = WeightedGraph(w)
+        if g.is_connected:
+            return g
+
+
+def random_hyperweights(n: int, rng: np.random.Generator) -> HyperWeights:
+    """Random rated subsets, 1 to 4 of them, whose single-particle graph is
+    connected."""
+    while True:
+        count = int(rng.integers(1, 5))
+        rates: dict[frozenset[int], float] = {}
+        for _ in range(count):
+            size = int(rng.integers(2, n + 1))
+            subset = frozenset(int(v) for v in rng.choice(n, size=size, replace=False))
+            rates[subset] = rates.get(subset, 0.0) + (1.0 - rng.random())
+        hyper = HyperWeights(n, rates)
+        if alpha_single_particle_rates(hyper).is_connected:
+            return hyper
+
+
+def format_network(graph: WeightedGraph, hyper: HyperWeights | None = None) -> str:
+    """The library's network text of ``graph``, followed by one 'h' record
+    per rated subset of ``hyper``."""
+    lines = [gaplab.format_network(graph)]
+    if hyper is not None:
+        for subset in sorted(hyper.rates, key=sorted):
+            verts = " ".join(str(v) for v in sorted(subset))
+            lines.append(f"h {len(subset)} {verts} {float(hyper.rates[subset])!r}\n")
+    return "".join(lines)
+
+
 def pair_edges(graph: WeightedGraph) -> list[tuple[int, int, float]]:
     """(i, j, weight) for every pair i < j of positive weight, row by row."""
     w = graph.weights
     return [(i, j, w[i, j]) for i in range(graph.n) for j in range(i + 1, graph.n) if w[i, j] > 0]
+
+
+def adjacency_lists(graph: WeightedGraph) -> list[list[int]]:
+    """Each vertex's neighbors as a list, in the ascending order of
+    ``WeightedGraph.adjacency``."""
+    adj = [[] for _ in range(graph.n)]
+    for i, j, _ in graph.edges():
+        adj[i].append(j)
+        adj[j].append(i)
+    return adj
 
 
 class LehmerPermutationSpace(_PermutationSpace):
@@ -359,10 +484,10 @@ class LehmerPermutationSpace(_PermutationSpace):
 
 def dirichlet_form(op: GeneratorOperator, f) -> float:
     """Energy -<f, Qf> under the uniform measure on the state space."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (op.dim,):
-        raise ValueError(f"test vector has shape {f.shape}, expected ({op.dim},)")
-    return float(-(f @ (op.matrix @ f)) / op.dim)
+    f, dim = np.asarray(f, dtype=float), len(op.states)
+    if f.shape != (dim,):
+        raise ValueError(f"test vector has shape {f.shape}, expected ({dim},)")
+    return float(-(f @ (op.matrix @ f)) / dim)
 
 
 def variance(f) -> float:
@@ -524,18 +649,32 @@ def walk_law(graph: WeightedGraph, target, t: float) -> dict[frozenset, float]:
     return dict(zip(subsets, uniformized(p0, apply_q, float(exits.max()), t).tolist()))
 
 
-# --- contact survival on the event loop ----------------------------------------
+# --- contact survival from any start, on either engine ---------------------------
+
+
+def _survival(chunk, lane: str, cfg: ContactConfig, t_max: float, trials: int, seed: int,
+              init, workers: int) -> contact.SurvivalEstimate:
+    init = tuple(contact.center_seed(cfg) if init is None else init)
+    parts = run_trials(chunk, (cfg, init, t_max, seed), trials, workers)
+    return contact._survival_estimate(sum(p[0] for p in parts), sum(p[1] for p in parts),
+                                      trials, seed, lane)
 
 
 def event_loop_survival(cfg: ContactConfig, t_max: float, trials: int, seed: int,
                         init=None, workers: int = 1) -> contact.SurvivalEstimate:
     """``estimate_survival`` as it was before the lockstep kernel, in either
-    mode: one ``contact._run`` per trial on lane 0, reported as lane
-    "contact/0"."""
-    init = tuple(contact.center_seed(cfg) if init is None else init)
-    parts = run_trials(contact._survival_chunk, (cfg, init, t_max, seed), trials, workers)
-    return contact._survival_estimate(sum(p[0] for p in parts), sum(p[1] for p in parts),
-                                      trials, seed, "contact/0")
+    mode and from any occupied set ``init`` (the center by default): one
+    ``contact._run`` per trial on lane 0, reported as lane "contact/0"."""
+    return _survival(contact._survival_chunk, "contact/0", cfg, t_max, trials, seed, init,
+                     workers)
+
+
+def lockstep_survival(cfg: ContactConfig, t_max: float, trials: int, seed: int,
+                      init=None, workers: int = 1) -> contact.SurvivalEstimate:
+    """``estimate_survival``'s standard-mode lockstep kernel, lane 5, from any
+    occupied set ``init`` (the center by default) and at any birth rate."""
+    return _survival(contact._lockstep_chunk, "contact/5", cfg, t_max, trials, seed, init,
+                     workers)
 
 
 def lockstep_outcomes(cfg: ContactConfig, init, t_max: float, seed: int, lo: int, hi: int):
@@ -594,13 +733,15 @@ def walk_outcomes(graph: WeightedGraph, start, t_max: float, seed: int, lo: int,
                   hi: int) -> list[int]:
     """The walk kernel's walkers left at t_max in trials lo..hi-1 of lane 6,
     as a list, which ``run_trials`` can send between processes."""
-    return list(voter._walk_runs(adjacency_lists(graph), start, t_max, seed, lo, hi))
+    return list(voter._walk_runs(graph.adjacency(), start, t_max, seed, lo, hi))
 
 
-def _witness_duality_chunk(adj, rho, target, t, seed, lo, hi):
+def _witness_duality_chunk(graph, rho, target, t, seed, lo, hi):
     count = 0
-    for _, opinions, _, _ in voter._voter_runs(adj, rho, None, t, seed, (3,), lo, hi):
+    for _, opinions, _, _ in voter._voter_runs(graph.adjacency(), rho, None, t, seed, (3,),
+                                               lo, hi):
         count += all(opinions[v] == 1 for v in target)
+    adj = adjacency_lists(graph)
     values = [rho ** _walk_survivors(adj, target, t, rng)
               for rng in trial_buffers(seed, (4,), lo, hi)]
     return count, values
@@ -612,6 +753,5 @@ def witness_duality(graph: WeightedGraph, target, t: float, rho: float, trials: 
     lockstep shell: the voter side on lane 3 and ``_walk_survivors`` on
     lane 4, for a valid target."""
     target = tuple(sorted(set(target)))
-    parts = run_trials(_witness_duality_chunk, (adjacency_lists(graph), rho, target, t, seed),
-                       trials, workers)
+    parts = run_trials(_witness_duality_chunk, (graph, rho, target, t, seed), trials, workers)
     return voter._duality_report(parts, trials, target, t, rho, seed)

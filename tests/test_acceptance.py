@@ -12,7 +12,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from references import prob_window
+from references import (
+    path_graph,
+    prob_window,
+    random_connected_graph,
+    random_hyperweights,
+    star_graph,
+)
 
 from stochlab import colorlab, gaplab, ipslab
 
@@ -161,7 +167,7 @@ def test_06_gap_identity():
             graphs += 1
     rng = np.random.default_rng(2024)
     for _ in range(50):
-        g = gaplab.random_connected_graph(6, rng)
+        g = random_connected_graph(6, rng)
         r = gaplab.gap_report(g)
         assert r.identity_ok and r.exclusion_constant and r.contraction_ok
         worst = max(worst, r.max_rel_deviation)
@@ -182,7 +188,7 @@ def test_07_octopus_psd():
     worst = 0.0
     while graphs < 100:
         n = int(rng.integers(3, 6))
-        g = gaplab.random_connected_graph(n, rng)
+        g = random_connected_graph(n, rng)
         graphs += 1
         for hub in range(n):
             if g.strength(hub) <= 0:
@@ -201,15 +207,15 @@ def test_07_octopus_psd():
 
 
 def test_08_reduction():
-    series = gaplab.reduce_vertex(gaplab.path_graph(3), 1)
+    series = gaplab.reduce_vertex(path_graph(3), 1)
     assert abs(series.weights[0, 1] - 0.5) <= 1e-12
-    star = gaplab.reduce_vertex(gaplab.star_graph(4), 0)
+    star = gaplab.reduce_vertex(star_graph(4), 0)
     assert np.abs(star.weights - (np.ones((3, 3)) / 3 - np.eye(3) / 3)).max() <= 1e-12
     rng = np.random.default_rng(31337)
     pairs = 0
     for _ in range(50):
         n = int(rng.integers(3, 7))
-        g = gaplab.random_connected_graph(n, rng)
+        g = random_connected_graph(n, rng)
         lam = gaplab.spectral_gap(gaplab.rw_generator(g))
         for i in range(n):
             reduced = gaplab.reduce_vertex(g, i)
@@ -232,7 +238,7 @@ def test_09_shuffle():
     worst = 0.0
     for _ in range(20):
         n = int(rng.integers(3, 6))
-        g = gaplab.random_connected_graph(n, rng)
+        g = random_connected_graph(n, rng)
         h = gaplab.HyperWeights(n, {
             frozenset({i, j}): g.weights[i, j] for i, j, _ in g.edges()
         })
@@ -244,7 +250,7 @@ def test_09_shuffle():
     agreements = 0
     for idx in range(20):
         n = int(np.random.default_rng(9000 + idx).integers(3, 6))
-        h = gaplab.random_hyperweights(n, np.random.default_rng(100 + idx))
+        h = random_hyperweights(n, np.random.default_rng(100 + idx))
         out = gaplab.shuffle_gap_comparison(h)
         agreements += bool(out["shuffleIdentityOk"])
         lines.append(

@@ -10,6 +10,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from references import event_loop_survival
 
 from stochlab import cli, colorlab, ipslab
 from stochlab.cli import parse_and_dispatch, parse_pattern, parse_word
@@ -562,6 +563,45 @@ class TestSimCommands:
         assert code == 2 and report is None
         assert capsys.readouterr().err.startswith("error: --trials must be in 1..2**32")
 
+    @pytest.mark.parametrize("command", [
+        ("sim", "contact", "--lambda", "2", "--edge-speed", "--tmax", "3", "--seed", "4"),
+        DUALITY,
+    ], ids=["edge-speed", "duality"])
+    def test_trials_past_memory_exit_two_before_any_trial(self, monkeypatch, capsys, path3,
+                                                          command):
+        # each trial keeps its edge samples or its walk value until the report:
+        # 2**32 trials keep 13.8 TiB or 256 GiB, more than an 8 GiB machine holds
+        monkeypatch.setattr(ipslab.stats, "physical_memory_bytes", lambda: 8 * 2**30)
+        for name in ("right_edge_speed", "duality_check"):  # no trial may start
+            monkeypatch.setattr(ipslab, name, None)
+        argv = [arg.format(path3=path3) for arg in command]
+        code, report = run(*argv, "--trials", "4294967296")
+        assert code == 2 and report is None
+        assert capsys.readouterr().err.startswith("error: --trials 4294967296 keeps")
+
+    @pytest.mark.parametrize("lam", ["1e6", "1e300"])
+    def test_survival_at_a_high_birth_rate_ends_at_once(self, lam):
+        # on the lockstep a birth onto an occupied site is a step, and these
+        # runs once did not end in 20 s: a fresh process bounds them by a timeout
+        src = Path(cli.__file__).resolve().parents[1]
+        argv = ["sim", "contact", "--lambda", lam, "--L", "5", "--tmax", "1", "--trials", "2",
+                "--seed", "1"]
+        out = subprocess.run([sys.executable, "-m", "stochlab.cli", *argv],
+                             capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+                             timeout=20)
+        assert out.returncode == 0 and out.stderr == ""
+        report = json.loads(out.stdout)
+        want = event_loop_survival(ipslab.ContactConfig(float(lam), 5), 1.0, 2, 1).to_dict()
+        assert report["lane"] == "contact/0"
+        assert {key: report[key] for key in want} == json.loads(json.dumps(want))
+
+    def test_config_line_without_equals_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bare.cfg"
+        cfg.write_text("lambda 2\n")
+        code, report = run(*self.CONTACT, "--config", str(cfg))
+        assert code == 2 and report is None
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:1: expected key=value")
+
     def test_config_edge_speed_and_left_depth_take_effect(self, tmp_path):
         cfg = tmp_path / "edge.cfg"
         cfg.write_text("lambda = 2\nedge_speed = true\nleft_depth = 5\n"
@@ -889,6 +929,13 @@ VALID = {
                     "--trials", "2", "--seed", "1"],
 }
 
+# the run an option is tested in where VALID's run does not read it: --left-depth
+# is read with --edge-speed, which reads no --L
+VALID_FOR = {
+    ("sim.contact", "--left-depth"): ["--lambda", "1", "--edge-speed", "--tmax", "1",
+                                      "--trials", "2", "--seed", "1"],
+}
+
 # arguments that put one option outside its domain, by flag or by (op, flag)
 OUTSIDE = {
     "--q": ["--q", "1"], "--word": ["--word", "15"], "--source": ["--source", "exact"],
@@ -898,7 +945,7 @@ OUTSIDE = {
     "--vertex": ["--vertex", "-1"], "--shuffle": ["--shuffle=yes"],
     "--lambda": ["--lambda", "-1"], "--L": ["--L", "0"], "--tmax": ["--tmax", "-1"],
     "--trials": ["--trials", "0"], "--mode": ["--mode", "thresold"],
-    "--edge-speed": ["--edge-speed=yes"], "--left-depth": ["--edge-speed", "--left-depth", "-1"],
+    "--edge-speed": ["--edge-speed=yes"], "--left-depth": ["--left-depth", "-1"],
     "--csv": ["--csv", "{missing}"], "--config": ["--config", "{missing}"],
     "--parallel": ["--parallel", "0"], "--rho": ["--rho", "2"], "--set": ["--set", "a,b"],
     "--t": ["--t", "-1"], "--out": ["--out", "{missing}"], "--expect": ["--expect", "holds"],
@@ -915,8 +962,8 @@ def test_every_option_is_declared_with_a_domain():
 def test_each_domain_refuses_a_value_outside_it(tmp_path, capsys, path3, op, flag):
     outside = OUTSIDE.get((op, flag)) or OUTSIDE[flag]
     missing = str(tmp_path / "missing" / "file")
-    argv = op.split(".") + [arg.format(path3=path3, missing=missing)
-                            for arg in VALID[op] + outside]
+    valid = VALID_FOR.get((op, flag), VALID[op])
+    argv = op.split(".") + [arg.format(path3=path3, missing=missing) for arg in valid + outside]
     code, report = run(*argv)
     assert code == 2 and report is None
     assert flag in capsys.readouterr().err
@@ -985,6 +1032,36 @@ def test_closed_stdout_ends_quietly_with_sigpipe_status(expect, status, err):
     proc.stderr.close()
     assert proc.wait(timeout=60) == status
     assert len(head) == 10 and got == err
+
+
+def test_main_points_a_stdout_that_cannot_flush_at_devnull(monkeypatch, tmp_path):
+    # a flush that fails for a closed reader: main() leaves stdout's descriptor
+    # on devnull, so the flush at interpreter exit cannot raise again.  The
+    # closed pipe of the test above does not reach this branch: once print()'s
+    # flush has raised, main()'s own flush no longer does
+    class Closed:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return self.fd
+
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", Closed(fd))
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["color", "prob", "--word", "12"])
+        monkeypatch.undo()
+        assert stop.value.code == 141
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
 
 
 def test_closed_stdout_in_process_leaves_the_descriptors_alone(monkeypatch):

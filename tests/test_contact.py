@@ -5,7 +5,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import event_loop_survival, lockstep_outcomes
+from references import event_loop_survival, lockstep_outcomes, lockstep_survival
 
 from stochlab.gaplab import cycle_graph
 from stochlab.ipslab import (
@@ -19,6 +19,7 @@ from stochlab.ipslab import (
     right_edge_speed,
     simulate_contact,
     simulate_voter,
+    stats,
     threshold_config,
     trial_generator,
 )
@@ -212,7 +213,7 @@ class TestLockstepKernel:
         # by t_max after the window has widened; from site 1 every trial
         # counts as a hit at once, in both engines
         cfg, trials = ContactConfig(2.0, length=60), 2000
-        lockstep = estimate_survival(cfg, t_max, trials, seed, init=init)
+        lockstep = lockstep_survival(cfg, t_max, trials, seed, init=init)
         event_loop = event_loop_survival(cfg, t_max, trials, seed, init=init)
         assert abs(_two_sample_z(lockstep.fraction, event_loop.fraction, trials)) \
             <= DUALITY_Z_BOUND
@@ -234,6 +235,17 @@ class TestLockstepKernel:
         est = estimate_survival(cfg, 1.0, 50, seed=0)
         assert est.stats.lane == "contact/0"
         assert est == event_loop_survival(cfg, 1.0, 50, 0)
+
+    @pytest.mark.parametrize("lam, neighborhood", [(16.0, (-1, 1)), (8.0, (-2, -1, 1, 2))],
+                             ids=["nearest", "range-2"])
+    def test_births_past_the_bound_run_on_the_event_loop(self, lam, neighborhood):
+        # |N| lam = 32 is the most the lockstep runs; past it a birth onto an
+        # occupied site would cost the lockstep a step that changes nothing
+        at = ContactConfig(lam, 5, neighborhood)
+        past = ContactConfig(lam * 1.01, 5, neighborhood)
+        assert len(neighborhood) * lam == contact.LOCKSTEP_MAX_BIRTHS
+        assert estimate_survival(at, 1.0, 6, seed=2) == lockstep_survival(at, 1.0, 6, 2)
+        assert estimate_survival(past, 1.0, 6, seed=2) == event_loop_survival(past, 1.0, 6, 2)
 
     @pytest.mark.parametrize("cfg, init", [
         (ContactConfig(2.0), (0, 3)),
@@ -275,7 +287,8 @@ class TestSelfDualityAtScale:
     survival = staticmethod(estimate_survival)
 
     def _z(self, cfg, seed: int) -> float:
-        survival = self.survival(cfg, self.T, self.TRIALS, seed, init=(self.SITE,)).fraction
+        # survival starts from the center, SITE
+        survival = self.survival(cfg, self.T, self.TRIALS, seed).fraction
         occupied = _occupied_from_full(cfg, self.LENGTH, self.SITE, self.T, self.TRIALS, seed)
         return _two_sample_z(survival, occupied, self.TRIALS)
 
@@ -349,7 +362,7 @@ class TestSparseSpanBound:
     @pytest.mark.parametrize("call", [
         lambda t: simulate_contact(ContactConfig(3.0), (0,), t, seed=1),
         lambda t: estimate_survival(ContactConfig(3.0), t, 4, seed=1),
-        lambda t: estimate_survival(threshold_config(1.0), t, 4, seed=1, init=(0, 5)),
+        lambda t: estimate_survival(threshold_config(1.0), t, 4, seed=1),
         lambda t: right_edge_speed(3.0, t, 2, seed=1),
     ], ids=["simulate", "survival", "survival-threshold", "edge-speed"])
     def test_refused_naming_t_max(self, one_mib, call):
@@ -373,6 +386,32 @@ class TestSparseSpanBound:
         monkeypatch.setattr(contact, "physical_memory_bytes", lambda: 0)
         contact.check_sparse_span(ContactConfig(3.0, length=5), (1,), 1e300)
         contact.check_sparse_span(ContactConfig(3.0), (), 1e300)
+
+
+class TestKeptTrialsBound:
+    """``right_edge_speed`` keeps every trial's edge samples for ``--csv``
+    until it returns, so a trial count whose samples would outgrow memory
+    is refused before any trial starts."""
+
+    def test_refused_naming_trials(self, monkeypatch):
+        monkeypatch.setattr(stats, "physical_memory_bytes", lambda: 2**20)
+        monkeypatch.setattr(contact, "_run", None)  # no trial may start
+        # 22 samples of 160 bytes a trial at 40 samples: 297 trials fit in 1 MiB
+        contact.check_edge_trials(297)
+        with pytest.raises(ValueError, match="trials 298 keeps"):
+            right_edge_speed(2.0, 1.0, 298, seed=1)
+
+    def test_the_bound_covers_what_a_trial_keeps(self):
+        def peak(trials: int) -> int:
+            tracemalloc.start()
+            right_edge_speed(2.0, 1.0, trials, seed=1, left_depth=20)
+            held = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return held
+
+        kept = (peak(600) - peak(200)) / 400
+        bound = (contact.EDGE_SAMPLES // 2 + 2) * contact.EDGE_SAMPLE_BYTES
+        assert bound / 2 < kept <= bound
 
 
 class TestRightEdge:

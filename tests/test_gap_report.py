@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from references import path_graph, random_connected_graph, random_hyperweights
 
 from stochlab.gaplab import (
     CapacityError,
@@ -8,9 +9,6 @@ from stochlab.gaplab import (
     WeightedGraph,
     connected_graph_representatives,
     gap_report,
-    path_graph,
-    random_connected_graph,
-    random_hyperweights,
     shuffle_gap_comparison,
 )
 from stochlab.gaplab import generators, report

@@ -3,23 +3,25 @@ import itertools
 import numpy as np
 import pytest
 
-from references import LehmerPermutationSpace
+from references import (
+    LehmerPermutationSpace,
+    complete_graph,
+    path_graph,
+    random_connected_graph,
+    random_hyperweights,
+    single_edge,
+    star_graph,
+)
 from stochlab.gaplab import (
     CapacityError,
     HyperWeights,
     alpha_shuffle_generator,
     alpha_single_particle_rates,
-    complete_graph,
     exclusion_generator,
     interchange_generator,
     octopus_form,
-    path_graph,
-    random_connected_graph,
-    random_hyperweights,
     rw_generator,
     shuffle_gap_comparison,
-    single_edge,
-    star_graph,
 )
 from stochlab.gaplab import generators, reduction
 
@@ -80,7 +82,7 @@ class TestInterchange:
 
     def test_six_vertices_is_the_dense_limit(self):
         op = interchange_generator(path_graph(6))
-        assert isinstance(op.matrix, np.ndarray) and op.dim == 720
+        assert isinstance(op.matrix, np.ndarray) and len(op.states) == 720
         assert np.array_equal(op.matrix, op.matrix.T)
         assert np.abs(op.matrix.sum(axis=1)).max() <= 1e-12
 

@@ -26,6 +26,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+from references import path_graph, random_connected_graph, random_hyperweights
 
 from stochlab import gaplab
 
@@ -37,12 +38,12 @@ TOLERANCES = {"lambdaShuffle": (1e-12, True), "lambdaIP": (1e-12, True),
 
 
 def seeded_outputs() -> dict:
-    g5 = gaplab.random_connected_graph(5, np.random.default_rng(51))
-    g6 = gaplab.random_connected_graph(6, np.random.default_rng(61))
-    hub5 = gaplab.random_connected_graph(5, np.random.default_rng(52))
-    hyper = gaplab.random_hyperweights(5, np.random.default_rng(53))
+    g5 = random_connected_graph(5, np.random.default_rng(51))
+    g6 = random_connected_graph(6, np.random.default_rng(61))
+    hub5 = random_connected_graph(5, np.random.default_rng(52))
+    hyper = random_hyperweights(5, np.random.default_rng(53))
     return {
-        "report_path3": gaplab.gap_report(gaplab.path_graph(3)).to_dict(),
+        "report_path3": gaplab.gap_report(path_graph(3)).to_dict(),
         "report_n5_shuffle": gaplab.gap_report(g5, hyper=hyper).to_dict(),
         "report_n6": gaplab.gap_report(g6).to_dict(),
         "report_cycle7": gaplab.gap_report(gaplab.cycle_graph(7)).to_dict(),

@@ -23,10 +23,10 @@ import struct
 from dataclasses import asdict
 from pathlib import Path
 
-from references import _walk_survivors
+from references import _walk_survivors, adjacency_lists, path_graph
 
 from stochlab import ipslab
-from stochlab.gaplab import cycle_graph, path_graph
+from stochlab.gaplab import cycle_graph
 from stochlab.ipslab import voter
 
 GOLDEN = Path(__file__).parent / "golden" / "ipslab_engine.json"
@@ -52,7 +52,7 @@ def _uniform_digest() -> dict:
 
 def _walks(graph, start, t_max, seeds) -> list[int]:
     return [
-        _walk_survivors(voter.adjacency_lists(graph), start, t_max,
+        _walk_survivors(adjacency_lists(graph), start, t_max,
                         ipslab.UniformBuffer(ipslab.trial_generator(s, 4, 0)))
         for s in seeds
     ]

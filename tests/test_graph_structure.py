@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from references import pair_edges
-from stochlab.gaplab import WeightedGraph, path_graph, random_connected_graph
+from references import adjacency_lists, pair_edges, path_graph, random_connected_graph
+from stochlab.gaplab import WeightedGraph
 from stochlab.gaplab import graphs, spectral
 
 
@@ -61,6 +61,23 @@ class TestEdges:
             tracemalloc.stop()
         assert edges == [(i, i + 1, 1.0) for i in range(2999)]
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+class TestAdjacency:
+    """The CSR arrays the voter kernel and the walks index: each vertex's
+    neighbors ascending, as the event-loop witnesses' lists hold them, so
+    both read a neighbor pick ``int(u deg)`` as the same vertex."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_are_the_adjacency_lists(self, seed):
+        rng = np.random.default_rng(seed)
+        graphs = [random_connected_graph(n, rng, edge_prob=rng.uniform(0.2, 0.9))
+                  for n in range(2, 10)]
+        for g in graphs + [WeightedGraph(np.zeros((1, 1))), path_graph(7)]:
+            neighbors, degree, first = g.adjacency()
+            rows = [neighbors[f:f + d].tolist() for f, d in zip(first, degree)]
+            assert rows == adjacency_lists(g)
+            assert all(row == sorted(row) for row in rows)
 
 
 class TestConnectivity:

@@ -5,19 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import (
+    complete_graph,
+    format_network,
+    path_graph,
+    random_connected_graph,
+    star_graph,
+)
 
 from stochlab.gaplab import (
     GraphFormatError,
     HyperWeights,
     WeightedGraph,
-    complete_graph,
     connected_graph_representatives,
     cycle_graph,
-    format_network,
     parse_network,
-    path_graph,
-    random_connected_graph,
-    star_graph,
 )
 from stochlab.gaplab import graphs
 

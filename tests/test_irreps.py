@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from references import path_graph, random_connected_graph, random_hyperweights
 
 from stochlab import gaplab
 from stochlab.gaplab import irreps
@@ -73,7 +74,7 @@ class TestBlockSpectra:
     def test_standard_block_is_the_walk(self):
         rng = np.random.default_rng(3)
         for n in range(2, 9):
-            g = gaplab.random_connected_graph(n, rng)
+            g = random_connected_graph(n, rng)
             shape, standard = irreps.block_spectrum(n, edge_coeffs(g))[1]
             assert shape == (n - 1, 1)
             walk = np.linalg.eigvalsh(-gaplab.rw_generator(g).matrix)[1:]
@@ -82,7 +83,7 @@ class TestBlockSpectra:
     def test_criterion_06_graphs_match_dense_interchange(self):
         graphs = [g for n in (2, 3, 4, 5) for g in gaplab.connected_graph_representatives(n)]
         rng = np.random.default_rng(2024)
-        graphs += [gaplab.random_connected_graph(6, rng) for _ in range(50)]
+        graphs += [random_connected_graph(6, rng) for _ in range(50)]
         for g in graphs:
             blocks = irreps.block_spectrum(g.n, edge_coeffs(g))
             assert_matches_dense(blocks, -gaplab.interchange_generator(g).matrix)
@@ -91,7 +92,7 @@ class TestBlockSpectra:
         rng = np.random.default_rng(777)
         for _ in range(100):
             n = int(rng.integers(3, 6))
-            g = gaplab.random_connected_graph(n, rng)
+            g = random_connected_graph(n, rng)
             for hub in range(n):
                 if g.strength(hub) <= 0:
                     continue
@@ -104,14 +105,14 @@ class TestBlockSpectra:
         rng = np.random.default_rng(55)
         for _ in range(20):
             n = int(rng.integers(3, 6))
-            g = gaplab.random_connected_graph(n, rng)
+            g = random_connected_graph(n, rng)
             pairs = {frozenset({i, j}): w for i, j, w in g.edges()}
             blocks = irreps.block_spectrum(n, subset_rates=pairs)
             assert_matches_dense(blocks, -gaplab.alpha_shuffle_generator(
                 gaplab.HyperWeights(n, pairs)).matrix)
         for idx in range(20):
             n = int(np.random.default_rng(9000 + idx).integers(3, 6))
-            h = gaplab.random_hyperweights(n, np.random.default_rng(100 + idx))
+            h = random_hyperweights(n, np.random.default_rng(100 + idx))
             blocks = irreps.block_spectrum(h.n, subset_rates=h.rates)
             assert_matches_dense(blocks, -gaplab.alpha_shuffle_generator(h).matrix)
 
@@ -142,14 +143,14 @@ class TestYoungsRule:
 
     def test_exclusion_spectra_are_unions_of_two_row_blocks(self):
         rng = np.random.default_rng(1717)
-        graphs = [gaplab.random_connected_graph(n, rng) for n in range(3, 9) for _ in range(4)]
+        graphs = [random_connected_graph(n, rng) for n in range(3, 9) for _ in range(4)]
         assert self.check_against_dense(graphs) == 108
 
     def test_criterion_06_graphs_match_dense_exclusion(self):
         # every class at n <= 5 and 50 weighted graphs at n = 6
         graphs = [g for n in (2, 3, 4, 5) for g in gaplab.connected_graph_representatives(n)]
         rng = np.random.default_rng(2024)
-        graphs += [gaplab.random_connected_graph(6, rng) for _ in range(50)]
+        graphs += [random_connected_graph(6, rng) for _ in range(50)]
         assert self.check_against_dense(graphs) == 357
 
 
@@ -160,7 +161,7 @@ class TestLargeReports:
         assert report.identity_ok and report.flags == []
 
     def test_eight_vertex_report_under_a_second(self):
-        g = gaplab.random_connected_graph(8, np.random.default_rng(8))
+        g = random_connected_graph(8, np.random.default_rng(8))
         started = time.perf_counter()
         report = gaplab.gap_report(g)
         elapsed = time.perf_counter() - started
@@ -174,5 +175,5 @@ class TestLargeReports:
             return [blocks[0], (shape, ev * 1.5)] + blocks[2:]
 
         monkeypatch.setattr(gaplab.report, "block_spectrum", shifted)
-        report = gaplab.gap_report(gaplab.path_graph(4))
+        report = gaplab.gap_report(path_graph(4))
         assert any("(3, 1)" in flag for flag in report.flags)

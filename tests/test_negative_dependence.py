@@ -18,6 +18,7 @@ weighted graph with n = 10 at every k.
 import itertools
 
 import numpy as np
+from references import random_connected_graph
 
 from stochlab import gaplab
 
@@ -96,7 +97,7 @@ def _check(graph, ks, rng):
 def _criterion_06_graphs():
     graphs = [g for n in (4, 5) for g in gaplab.connected_graph_representatives(n)]
     rng = np.random.default_rng(2024)
-    return graphs + [gaplab.random_connected_graph(6, rng) for _ in range(50)]
+    return graphs + [random_connected_graph(6, rng) for _ in range(50)]
 
 
 def test_criterion_06_graphs_are_negatively_dependent():
@@ -107,6 +108,6 @@ def test_criterion_06_graphs_are_negatively_dependent():
 
 
 def test_ten_vertices_at_every_particle_count():
-    graph = gaplab.random_connected_graph(10, np.random.default_rng(10), edge_prob=0.4)
+    graph = random_connected_graph(10, np.random.default_rng(10), edge_prob=0.4)
     _check(graph, range(1, 10), np.random.default_rng(13))
 

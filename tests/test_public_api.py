@@ -12,14 +12,6 @@ LABS = (colorlab, gaplab, ipslab)
 
 # exported but read only by tests and users, each with its reason
 UNREFERENCED = {
-    # constructors of the standard graph families and of seeded random
-    # graphs: the vocabulary for building a lab's inputs
-    "complete_graph": "graph constructor",
-    "path_graph": "graph constructor",
-    "star_graph": "graph constructor",
-    "single_edge": "graph constructor",
-    "random_connected_graph": "graph constructor",
-    "random_hyperweights": "graph constructor",
     # off the report path since gap_report reads the exclusion gaps from its
     # irrep blocks; the benchmark's tracer still looks it up by name and fails
     # without it, so it moves to tests/references.py with the benchmark change
@@ -60,7 +52,7 @@ def test_the_exceptions_do_not_grow():
     # a change may lower this number, never raise it: an export that only
     # tests read moves to tests/references.py instead; exclusion_generator's
     # entry waits for perfbench/ to stop wrapping it
-    assert len(UNREFERENCED) == 7
+    assert len(UNREFERENCED) == 1
 
 
 def test_the_exceptions_are_exported_and_still_unused():

@@ -1,22 +1,25 @@
 import numpy as np
 import pytest
 
-from references import dirichlet_form, embedded_reduced_graph
+from references import (
+    complete_graph,
+    dirichlet_form,
+    embedded_reduced_graph,
+    path_graph,
+    random_connected_graph,
+    single_edge,
+    star_graph,
+)
 from stochlab.gaplab import (
     CapacityError,
     WeightedGraph,
-    complete_graph,
     extreme_eigenvalues,
     interchange_generator,
     octopus_extremes,
     octopus_form,
-    path_graph,
-    random_connected_graph,
     reduce_vertex,
     rw_generator,
-    single_edge,
     spectral_gap,
-    star_graph,
 )
 
 
@@ -122,7 +125,7 @@ class TestOctopusForm:
             full = interchange_generator(g)
             reduced = interchange_generator(embedded_reduced_graph(g, hub))
             for _ in range(5):
-                f = rng.uniform(-1.0, 1.0, size=full.dim)
+                f = rng.uniform(-1.0, 1.0, size=len(full.states))
                 assert dirichlet_form(reduced, f) <= dirichlet_form(full, f) + 1e-9
 
     def test_isolated_hub_rejected(self):

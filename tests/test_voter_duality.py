@@ -1,13 +1,21 @@
 import math
 import os
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import _walk_survivors, walk_outcomes, witness_walks
+from references import (
+    _walk_survivors,
+    adjacency_lists,
+    complete_graph,
+    path_graph,
+    walk_outcomes,
+    witness_walks,
+)
 
-from stochlab.gaplab import WeightedGraph, complete_graph, cycle_graph, path_graph
+from stochlab.gaplab import WeightedGraph, cycle_graph
 from stochlab.ipslab import (
     DUALITY_Z_BOUND,
     UniformBuffer,
@@ -17,6 +25,7 @@ from stochlab.ipslab import (
     lockstep,
     parallel,
     simulate_voter,
+    stats,
     trial_generator,
     voter,
 )
@@ -137,14 +146,14 @@ class TestConsensusRate:
 class TestCoalescingWalkers:
     def test_no_time_no_merging(self):
         rng = UniformBuffer(trial_generator(1, 9))
-        assert _walk_survivors(voter.adjacency_lists(cycle_graph(10)), (0, 3, 7), 0.0, rng) == 3
+        assert _walk_survivors(adjacency_lists(cycle_graph(10)), (0, 3, 7), 0.0, rng) == 3
 
     def test_eventually_one_walker(self):
         g = complete_graph(4)
         merged_to_one = 0
         for t in range(200):
             rng = UniformBuffer(trial_generator(11, 9, t))
-            if _walk_survivors(voter.adjacency_lists(g), (0, 1, 2, 3), 200.0, rng) == 1:
+            if _walk_survivors(adjacency_lists(g), (0, 1, 2, 3), 200.0, rng) == 1:
                 merged_to_one += 1
         assert merged_to_one >= 195  # long horizon: everyone meets
 
@@ -232,6 +241,28 @@ class TestDuality:
                    for w in (1, 2, 3, 8)]
         assert all(rep == reports[0] for rep in reports)
         assert max(sent) < 32 * 1024, sent
+
+    def test_trials_past_memory_are_refused_naming_trials(self, monkeypatch):
+        # each trial's walk value is kept until the report: 64 bytes a trial
+        monkeypatch.setattr(stats, "physical_memory_bytes", lambda: 2**20)
+        monkeypatch.setattr(voter, "_voter_runs", None)  # no trial may start
+        voter.check_duality_trials(16_384)
+        with pytest.raises(ValueError, match="trials 16385 keeps"):
+            duality_check(cycle_graph(5), (0, 1), 1.0, 0.5, 16_385, seed=0)
+
+    def test_the_bound_covers_what_a_trial_keeps(self):
+        adjacency = cycle_graph(10).adjacency()
+
+        def held(trials: int) -> int:  # the bytes of one chunk's voter count and walk values
+            tracemalloc.start()
+            part = voter._duality_chunk(adjacency, 0.5, (0, 1), 0.2, 1, 0, trials)
+            size = tracemalloc.get_traced_memory()[0]
+            tracemalloc.stop()
+            del part
+            return size
+
+        kept = (held(9_000) - held(3_000)) / 6_000
+        assert voter.WALK_VALUE_BYTES / 4 < kept <= voter.WALK_VALUE_BYTES
 
     def test_validation(self):
         with pytest.raises(ValueError):
